@@ -4,6 +4,10 @@ Subcommands: `check` (parse + validate), `coverage`, `trace`, `review`
 (readiness gate against an exposure ledger), `report` (everything, written
 to a directory), and `fmt` (canonical form).
 
+`--format machine` prints the same JSON as the matching section of
+`report.json` (`diagnostics`, `coverage`, `trace`, `review`), built by the
+same `report` builders; it is strict JSON, never `NaN` or `Infinity`.
+
 Exit codes: 0 when nothing error-severity was found (and, for `review`,
 the gate approved); 1 for error diagnostics or a blocked review; 2 for
 usage errors and documents that do not parse.
@@ -12,7 +16,6 @@ usage errors and documents that do not parse.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -21,19 +24,23 @@ from ._version import __version__
 from .diagnostics import Diagnostic, Severity, sort_diagnostics
 from .dsl import ParseResult, parse, serialize
 from .lifecycle import ExposureLedger, parse_ledger, readiness_review
-from .model import SafetyCase, resolve_references
+from .model import resolve_references
 from .report import (
     build_report,
-    digest_of,
     coverage_bundle,
+    coverage_dict,
+    diagnostic_dict,
+    digest_of,
     render_coverage_text,
     render_diagnostics,
     render_heatmap,
+    render_json,
     render_machine,
     render_review_text,
     render_text,
     render_trace_text,
-    report_dict,
+    review_dict,
+    trace_dict,
     trace_matrix,
 )
 from .rules import RuleConfig, parse_config, validate
@@ -99,20 +106,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_bytes(path: str) -> bytes:
+def _read_bytes(path: str, digests: dict | None = None, role: str = "") -> bytes:
+    """Read an input once; with `digests`, also record its digest under
+    `role`, so the digest always describes the bytes that were used."""
     try:
-        return Path(path).read_bytes()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if digests is not None:
+        digests[role] = digest_of(path, data)
+    return data
 
 
-def _load_config(args: argparse.Namespace) -> RuleConfig:
+def _load_config(args: argparse.Namespace, digests: dict | None = None) -> RuleConfig:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if path:
         try:
-            config = parse_config(Path(path).read_text(encoding="utf-8"), source=path)
-        except OSError as exc:
-            raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+            config = parse_config(
+                _read_bytes(path, digests, "config").decode("utf-8"), source=path
+            )
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
     else:
@@ -128,34 +140,14 @@ def _load_config(args: argparse.Namespace) -> RuleConfig:
     return config
 
 
-def _parse_document(path: str) -> tuple[ParseResult, bytes]:
-    data = _read_bytes(path)
-    return parse(data, file_name=path), data
+def _parse_document(path: str, digests: dict | None = None) -> ParseResult:
+    return parse(_read_bytes(path, digests, "case"), file_name=path)
 
 
 def _emit_parse_failure(result: ParseResult, fmt: str, out) -> int:
     if fmt == "machine":
-        payload = {
-            "diagnostics": [
-                {
-                    "rule_id": d.rule_id,
-                    "severity": d.severity.value,
-                    "message": d.message,
-                    "subject": d.subject_id,
-                    **(
-                        {
-                            "file": d.span.file,
-                            "line": d.span.start_line,
-                            "col": d.span.start_col,
-                        }
-                        if d.span
-                        else {}
-                    ),
-                }
-                for d in result.diagnostics
-            ]
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        payload = {"diagnostics": [diagnostic_dict(d) for d in result.diagnostics]}
+        print(render_json(payload), end="", file=out)
     else:
         print(render_diagnostics(list(result.diagnostics)), end="", file=out)
     return EXIT_USAGE
@@ -178,12 +170,7 @@ def _refusal(result: ParseResult, config: RuleConfig) -> list[Diagnostic] | None
     if not resolve_references(result.case):
         return None
     diagnostics = _validated(result, config)
-    diagnostics += validate(
-        result.case,
-        config.replace(require_resolved=True),
-        span_index=result.span_index,
-        reference_spans=result.reference_spans,
-    )
+    diagnostics += _validated(result, config.replace(require_resolved=True))
     return sort_diagnostics(diagnostics)
 
 
@@ -193,30 +180,13 @@ def _has_errors(diagnostics: list[Diagnostic]) -> bool:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    result, _data = _parse_document(args.file)
+    result = _parse_document(args.file)
     if result.fatal:
         return _emit_parse_failure(result, args.format, sys.stdout)
     diagnostics = _validated(result, config)
     if args.format == "machine":
         payload = {
-            "diagnostics": [
-                {
-                    "rule_id": d.rule_id,
-                    "severity": d.severity.value,
-                    "message": d.message,
-                    "subject": d.subject_id,
-                    **(
-                        {
-                            "file": d.span.file,
-                            "line": d.span.start_line,
-                            "col": d.span.start_col,
-                        }
-                        if d.span
-                        else {}
-                    ),
-                }
-                for d in diagnostics
-            ],
+            "diagnostics": [diagnostic_dict(d) for d in diagnostics],
             "summary": {
                 "errors": sum(1 for d in diagnostics if d.severity is Severity.ERROR),
                 "warnings": sum(
@@ -224,15 +194,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 ),
             },
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(render_json(payload), end="")
     else:
         print(render_diagnostics(diagnostics), end="")
     return EXIT_FINDINGS if _has_errors(diagnostics) else EXIT_OK
 
 
-def _analysis_preamble(args: argparse.Namespace) -> tuple[ParseResult, RuleConfig, int | None]:
-    config = _load_config(args)
-    result, _data = _parse_document(args.file)
+def _analysis_preamble(
+    args: argparse.Namespace, digests: dict | None = None
+) -> tuple[ParseResult, RuleConfig, int | None]:
+    config = _load_config(args, digests)
+    result = _parse_document(args.file, digests)
     if result.fatal:
         return result, config, _emit_parse_failure(result, args.format, sys.stdout)
     refusal = _refusal(result, config)
@@ -247,11 +219,11 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     if early is not None:
         return early
     diagnostics = _validated(result, config)
+    bundle = coverage_bundle(result.case)
     if args.format == "machine":
-        report = build_report(result.case, args.file, diagnostics)
-        print(json.dumps(report_dict(report)["coverage"], indent=2, sort_keys=True))
+        print(render_json(coverage_dict(bundle)), end="")
     else:
-        print(render_coverage_text(coverage_bundle(result.case)), end="")
+        print(render_coverage_text(bundle), end="")
     return EXIT_FINDINGS if _has_errors(diagnostics) else EXIT_OK
 
 
@@ -262,27 +234,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     matrix = trace_matrix(result.case)
     diagnostics = _validated(result, config)
     if args.format == "machine":
-        payload = {
-            "rows": [
-                {
-                    "hazard": row.hazard_id,
-                    "criteria": list(row.criterion_ids),
-                    "claims": list(row.claim_ids),
-                    "evidence": list(row.evidence_ids),
-                    "complete": row.complete,
-                }
-                for row in matrix.rows
-            ]
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(render_json(trace_dict(matrix)), end="")
     else:
         print(render_trace_text(matrix), end="")
     return EXIT_FINDINGS if _has_errors(diagnostics) else EXIT_OK
 
 
-def _load_ledger(path: str) -> ExposureLedger:
+def _load_ledger(path: str, digests: dict | None = None) -> ExposureLedger:
     try:
-        return parse_ledger(_read_bytes(path).decode("utf-8"))
+        return parse_ledger(_read_bytes(path, digests, "ledger").decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise _CliError(f"{path}: {exc}") from exc
 
@@ -291,58 +251,25 @@ def _cmd_review(args: argparse.Namespace) -> int:
     result, config, early = _analysis_preamble(args)
     if early is not None:
         return early
-    ledger = _load_ledger(args.ledger)
-    decision = readiness_review(result.case, ledger, config)
+    decision = readiness_review(result.case, _load_ledger(args.ledger), config)
     if args.format == "machine":
-        payload = {
-            "status": decision.status,
-            "blockers": [
-                {"subject": b.subject_id, "reason": b.reason} for b in decision.blockers
-            ],
-            "targets": [
-                {
-                    "criterion": c.criterion_id,
-                    "status": c.status.value,
-                    "upper_bound": c.upper_bound,
-                    "max_rate": c.target,
-                    "exposure": c.exposure,
-                    "events": c.count,
-                }
-                for c in decision.target_checks
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(render_json(review_dict(decision)), end="")
     else:
         print(render_review_text(decision), end="")
     return EXIT_OK if decision.approved else EXIT_FINDINGS
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    result, data = _parse_document(args.file)
-    if result.fatal:
-        return _emit_parse_failure(result, args.format, sys.stdout)
-    refusal = _refusal(result, config)
-    if refusal is not None:
-        print(render_diagnostics(refusal), end="", file=sys.stderr)
-        return EXIT_FINDINGS
-    case: SafetyCase = result.case
+    digests: dict[str, dict[str, str]] = {}
+    result, config, early = _analysis_preamble(args, digests)
+    if early is not None:
+        return early
     diagnostics = _validated(result, config)
-    digests = {"case": digest_of(args.file, data)}
     review = None
     if args.ledger:
-        ledger_bytes = _read_bytes(args.ledger)
-        digests["ledger"] = digest_of(args.ledger, ledger_bytes)
-        try:
-            ledger = parse_ledger(ledger_bytes.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise _CliError(f"{args.ledger}: {exc}") from exc
-        review = readiness_review(case, ledger, config)
-    config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if config_path:
-        digests["config"] = digest_of(config_path, _read_bytes(config_path))
+        review = readiness_review(result.case, _load_ledger(args.ledger, digests), config)
     document = build_report(
-        case,
+        result.case,
         args.file,
         diagnostics,
         review=review,
@@ -353,23 +280,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _CliError(f"cannot create {args.out}: {exc.strerror or exc}") from exc
-    (out_dir / "report.txt").write_text(
-        render_text(document.diagnostics, document), encoding="utf-8"
-    )
-    (out_dir / "report.json").write_text(render_machine(document), encoding="utf-8")
-    (out_dir / "heatmap.svg").write_text(
-        render_heatmap(document.coverage.map), encoding="utf-8"
-    )
-    (out_dir / "trace.txt").write_text(
-        render_trace_text(document.trace), encoding="utf-8"
-    )
-    print(f"report written to {out_dir}: report.txt report.json heatmap.svg trace.txt")
+    artifacts = {
+        "report.txt": render_text(document.diagnostics, document),
+        "report.json": render_machine(document),
+        "heatmap.svg": render_heatmap(document.coverage.map),
+        "trace.txt": render_trace_text(document.trace),
+    }
+    for name, text in artifacts.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    print(f"report written to {out_dir}: {' '.join(artifacts)}")
     blocked = review is not None and not review.approved
     return EXIT_FINDINGS if (_has_errors(diagnostics) or blocked) else EXIT_OK
 
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
-    result, _data = _parse_document(args.file)
+    result = _parse_document(args.file)
     if result.fatal:
         return _emit_parse_failure(result, "text", sys.stderr)
     if resolve_references(result.case):

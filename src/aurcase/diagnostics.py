@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable, Mapping
+
+from .model import REFERENCE_NOUNS, ReferenceFinding
 
 
 class Severity(enum.Enum):
@@ -64,3 +67,25 @@ class Diagnostic:
 
 def sort_diagnostics(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
     return sorted(diagnostics, key=Diagnostic.sort_key)
+
+
+def dangling_references(
+    findings: Iterable[ReferenceFinding],
+    severity: Severity,
+    reference_spans: Mapping[tuple[str, str, str], SourceSpan],
+    span_index: Mapping[str, SourceSpan],
+) -> list[Diagnostic]:
+    """One E009 per unresolved reference, spanned at the reference token,
+    or at the referring element when the reference has no recorded span."""
+    return [
+        Diagnostic(
+            "E009",
+            severity,
+            f"reference to undeclared {REFERENCE_NOUNS.get(f.field, 'element')} "
+            f"{f.missing!r}",
+            subject_id=f.referrer,
+            span=reference_spans.get((f.referrer, f.field, f.missing))
+            or span_index.get(f.referrer),
+        )
+        for f in findings
+    ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnostics import Diagnostic, Severity, SourceSpan
+from .diagnostics import Diagnostic, Severity, SourceSpan, dangling_references
 from .model import (
     AGGREGATION_NAMES,
     CATEGORY_NAMES,
@@ -42,7 +42,6 @@ from .model import (
     Indicator,
     Methodology,
     ModelError,
-    REFERENCE_NOUNS,
     SafetyCase,
     SeverityLevel,
     TargetKind,
@@ -53,7 +52,6 @@ from .model import (
 
 _SYNTAX_RULE = "E013"
 _DUPLICATE_RULE = "E010"
-_DANGLING_RULE = "E009"
 
 _MAX_CLAIM_DEPTH = 64
 
@@ -112,6 +110,10 @@ class _Token:
         return SourceSpan(file_name, self.line, self.col, self.end_line, self.end_col)
 
 
+def _syntax_error(message: str, span: SourceSpan) -> Diagnostic:
+    return Diagnostic(_SYNTAX_RULE, Severity.ERROR, message, subject_id="", span=span)
+
+
 class _Fatal(Exception):
     def __init__(self, diagnostic: Diagnostic):
         super().__init__(diagnostic.message)
@@ -140,9 +142,7 @@ class _Lexer:
 
     def _fatal(self, message: str, line: int, col: int) -> _Fatal:
         span = SourceSpan(self.file, line, col, self.line, max(self.col, col))
-        return _Fatal(
-            Diagnostic(_SYNTAX_RULE, Severity.ERROR, message, subject_id="", span=span)
-        )
+        return _Fatal(_syntax_error(message, span))
 
     def _advance(self) -> str:
         ch = self.text[self.pos]
@@ -307,15 +307,7 @@ class _Parser:
         return token
 
     def _fatal(self, message: str, token: _Token) -> _Fatal:
-        return _Fatal(
-            Diagnostic(
-                _SYNTAX_RULE,
-                Severity.ERROR,
-                message,
-                subject_id="",
-                span=token.span(self.file),
-            )
-        )
+        return _Fatal(_syntax_error(message, token.span(self.file)))
 
     def _eof_message(self, expected: str) -> str:
         if self.open_blocks:
@@ -1031,12 +1023,9 @@ def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            diagnostic = Diagnostic(
-                _SYNTAX_RULE,
-                Severity.ERROR,
+            diagnostic = _syntax_error(
                 f"document is not valid UTF-8: {exc.reason} at byte {exc.start}",
-                subject_id="",
-                span=SourceSpan(file_name, 1, 1, 1, 1),
+                SourceSpan(file_name, 1, 1, 1, 1),
             )
             return ParseResult(case=None, diagnostics=(diagnostic,))
     try:
@@ -1046,27 +1035,14 @@ def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:
     except _Fatal as fatal:
         return ParseResult(case=None, diagnostics=(fatal.diagnostic,))
     except RecursionError:  # pragma: no cover - the depth guard fires first
-        diagnostic = Diagnostic(
-            _SYNTAX_RULE,
-            Severity.ERROR,
-            "document nests too deeply to parse",
-            span=SourceSpan(file_name, 1, 1, 1, 1),
+        diagnostic = _syntax_error(
+            "document nests too deeply to parse", SourceSpan(file_name, 1, 1, 1, 1)
         )
         return ParseResult(case=None, diagnostics=(diagnostic,))
 
-    diagnostics = []
-    for finding in resolve_references(case):
-        noun = REFERENCE_NOUNS.get(finding.field, "element")
-        span = parser.ref_spans.get((finding.referrer, finding.field, finding.missing))
-        diagnostics.append(
-            Diagnostic(
-                _DANGLING_RULE,
-                Severity.ERROR,
-                f"reference to undeclared {noun} {finding.missing!r}",
-                subject_id=finding.referrer,
-                span=span or parser.span_index.get(finding.referrer),
-            )
-        )
+    diagnostics = dangling_references(
+        resolve_references(case), Severity.ERROR, parser.ref_spans, parser.span_index
+    )
     diagnostics.sort(key=Diagnostic.sort_key)
     return ParseResult(
         case=case,

@@ -20,7 +20,7 @@ import csv
 import enum
 import io
 from dataclasses import dataclass, field
-from math import log
+from math import isfinite, log
 from typing import Mapping, TYPE_CHECKING
 
 from .model import (
@@ -67,6 +67,8 @@ class LedgerEntry:
     def __post_init__(self) -> None:
         if not self.exposure > 0:
             raise ValueError(f"ledger entry {self.release}: exposure must be > 0")
+        if not isfinite(self.exposure):
+            raise ValueError(f"ledger entry {self.release}: exposure must be finite")
         for definition, count in self.event_counts.items():
             if count < 0:
                 raise ValueError(
@@ -131,6 +133,8 @@ def parse_ledger(text: str) -> ExposureLedger:
             exposure = float(exposure_text)
         except ValueError:
             raise ValueError(f"ledger line {line_no}: bad exposure {exposure_text!r}") from None
+        if not isfinite(exposure):
+            raise ValueError(f"ledger line {line_no}: exposure must be finite, got {exposure_text!r}")
         try:
             count = int(count_text)
         except ValueError:
@@ -173,10 +177,12 @@ def rate_upper_bound(count: int, exposure: float, confidence: float) -> float:
         raise ValueError("count must be a non-negative integer")
     if not exposure > 0:
         raise ValueError("exposure must be > 0")
+    if not isfinite(exposure):
+        raise ValueError(f"exposure must be finite, got {exposure!r}")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
     if count == 0:
-        return -log(1.0 - confidence) / exposure
+        return _finite_bound(-log(1.0 - confidence) / exposure, exposure)
 
     from scipy.stats import poisson  # deferred: keeps CLI startup light
 
@@ -191,7 +197,13 @@ def rate_upper_bound(count: int, exposure: float, confidence: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return _finite_bound(0.5 * (lo + hi), exposure)
+
+
+def _finite_bound(bound: float, exposure: float) -> float:
+    if not isfinite(bound):
+        raise ValueError(f"rate upper bound overflows at exposure {exposure!r}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -271,27 +283,26 @@ class DriftCheck:
 
 
 def drift_check(criterion: AcceptanceCriterion, ledger: ExposureLedger) -> DriftCheck:
-    """Flag drift when the observed-phase upper bound exceeds the target."""
-    target = criterion.target
-    if target is None or target.kind is not TargetKind.RATE_BOUND:
-        raise TargetNotApplicableError(
-            f"criterion {criterion.id} has no rate-bound target"
-        )
+    """Flag drift when the observed-phase upper bound exceeds the target.
+
+    Raises `TargetNotApplicableError` (from `check_target`) for a criterion
+    without a rate-bound target.
+    """
     observed = check_target(criterion, ledger, Phase.OBSERVED)
     if observed.status is TargetStatus.INSUFFICIENT_DATA:
         return DriftCheck(
             criterion_id=criterion.id,
             status=DriftStatus.INSUFFICIENT_DATA,
-            target=target.max_rate,
+            target=observed.target,
         )
     predicted_bound: float | None = None
     if ledger.for_phase(Phase.PREDICTED):
         predicted_bound = check_target(criterion, ledger, Phase.PREDICTED).upper_bound
-    drifted = observed.upper_bound is not None and observed.upper_bound > target.max_rate
+    drifted = observed.upper_bound is not None and observed.upper_bound > observed.target
     return DriftCheck(
         criterion_id=criterion.id,
         status=DriftStatus.DRIFT if drifted else DriftStatus.NO_DRIFT,
-        target=target.max_rate,
+        target=observed.target,
         observed_upper_bound=observed.upper_bound,
         predicted_upper_bound=predicted_bound,
     )

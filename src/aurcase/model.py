@@ -13,7 +13,9 @@ No parsing or I/O lives here.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Iterator
 
 
@@ -175,20 +177,10 @@ class AcSpaceRegion:
             ("weak_cells", self.weak_cells),
         ):
             object.__setattr__(self, name, frozenset(value))
-        if self.weak_cells:
-            inside = {
-                c
-                for c in self.weak_cells
-                if c.severity in self.severities
-                and c.role in self.roles
-                and c.capability in self.capabilities
-                and c.status in self.statuses
-                and c.aggregation in self.aggregations
-            }
-            _require(
-                inside == self.weak_cells,
-                "weak_cells must be a subset of the region's own cells",
-            )
+        _require(
+            all(self.contains(c) for c in self.weak_cells),
+            "weak_cells must be a subset of the region's own cells",
+        )
 
     @property
     def dimension_sets(self) -> dict[str, frozenset]:
@@ -309,6 +301,7 @@ class ValidationTarget:
     def __post_init__(self) -> None:
         if self.kind is TargetKind.RATE_BOUND:
             _require(self.max_rate > 0, "rate_bound target: max_rate must be > 0")
+            _require(isfinite(self.max_rate), "rate_bound target: max_rate must be finite")
             _require(
                 0.0 < self.confidence < 1.0,
                 "rate_bound target: confidence must lie in (0, 1)",
@@ -476,6 +469,34 @@ class SafetyCase:
                 if node.id:
                     yield node.id
 
+    @functools.cached_property
+    def _reference_findings(self) -> tuple[ReferenceFinding, ...]:
+        # Stored in the instance __dict__, which a frozen dataclass still
+        # allows; every field is immutable, so this never goes stale.
+        hazards = {h.id for h in self.hazards}
+        methodologies = {m.id for m in self.methodologies}
+        indicators = {i.id for i in self.indicators}
+        criteria = {c.id for c in self.criteria}
+        evidence = {e.id for e in self.evidence}
+        findings: list[ReferenceFinding] = []
+
+        def check(referrer: str, field_name: str, refs, pool: set[str]) -> None:
+            for ref in sorted(refs):
+                if ref not in pool:
+                    findings.append(ReferenceFinding(referrer, field_name, ref))
+
+        for criterion in self.criteria:
+            check(criterion.id, "hazard_ids", criterion.hazard_ids, hazards)
+            check(criterion.id, "methodology_id", {criterion.methodology_id}, methodologies)
+            check(criterion.id, "indicator_ids", criterion.indicator_ids, indicators)
+        for item in self.evidence:
+            check(item.id, "methodology_id", {item.methodology_id}, methodologies)
+        for root in self.claims:
+            check(root.id, "criterion_id", {root.criterion_id}, criteria)
+            for row, row_key, _node, _node_key in iter_rows(root):
+                check(row_key, "evidence_ids", row.evidence_ids, evidence)
+        return tuple(findings)
+
     def hazard_map(self) -> dict[str, Hazard]:
         return {h.id: h for h in self.hazards}
 
@@ -552,32 +573,11 @@ def resolve_references(case: SafetyCase) -> list[ReferenceFinding]:
     that name no existing element.
 
     An empty result is the precondition for every downstream analysis:
-    analyses given an unresolved case refuse rather than guess.
+    analyses given an unresolved case refuse rather than guess.  The case
+    is immutable, so the findings are computed once per case; each call
+    returns a fresh list of them.
     """
-    hazards = {h.id for h in case.hazards}
-    methodologies = {m.id for m in case.methodologies}
-    indicators = {i.id for i in case.indicators}
-    criteria = {c.id for c in case.criteria}
-    evidence = {e.id for e in case.evidence}
-
-    findings: list[ReferenceFinding] = []
-
-    def check(referrer: str, field_name: str, refs, pool: set[str]) -> None:
-        for ref in sorted(refs):
-            if ref not in pool:
-                findings.append(ReferenceFinding(referrer, field_name, ref))
-
-    for criterion in case.criteria:
-        check(criterion.id, "hazard_ids", criterion.hazard_ids, hazards)
-        check(criterion.id, "methodology_id", {criterion.methodology_id}, methodologies)
-        check(criterion.id, "indicator_ids", criterion.indicator_ids, indicators)
-    for item in case.evidence:
-        check(item.id, "methodology_id", {item.methodology_id}, methodologies)
-    for root in case.claims:
-        check(root.id, "criterion_id", {root.criterion_id}, criteria)
-        for row, row_key, _node, _node_key in iter_rows(root):
-            check(row_key, "evidence_ids", row.evidence_ids, evidence)
-    return findings
+    return list(case._reference_findings)
 
 
 class UnresolvedCaseError(ValueError):

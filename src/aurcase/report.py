@@ -4,6 +4,12 @@ coverage heatmap, and the hazard traceability matrix.
 Renderers are pure functions of their inputs; the machine report embeds
 the tool version and input digests so a review can be reproduced and
 checked byte-for-byte (only `generated_at` varies between runs).
+
+Each concept has one JSON builder (`diagnostic_dict`, `coverage_dict`,
+`trace_dict`, `review_dict`); `report_dict` is assembled from them and the
+CLI's `--format machine` output reuses them, so both share one schema.
+`render_json` writes strict JSON: a non-finite number raises `ValueError`
+instead of printing `NaN` or `Infinity`.
 """
 
 from __future__ import annotations
@@ -69,25 +75,27 @@ def trace_matrix(case: SafetyCase) -> TraceMatrix:
     """Chain each hazard through its criteria and top claims to the
     evidence those claim trees cite, one row per hazard."""
     require_resolved(case)
-    claims_by_criterion: dict[str, list] = {}
+    criteria_by_hazard: dict[str, list[str]] = {}
+    for criterion in case.criteria:
+        for hazard_id in criterion.hazard_ids:
+            criteria_by_hazard.setdefault(hazard_id, []).append(criterion.id)
+    claims_by_criterion: dict[str, list[str]] = {}
+    cited: dict[str, frozenset[str]] = {}
     for root in case.claims:
-        claims_by_criterion.setdefault(root.criterion_id, []).append(root)
+        claims_by_criterion.setdefault(root.criterion_id, []).append(root.id)
+        cited[root.id] = frozenset().union(
+            *(row.evidence_ids for row, _key, _node, _node_key in iter_rows(root))
+        )
     rows = []
     for hazard in case.hazards:
-        criteria = [c for c in case.criteria if hazard.id in c.hazard_ids]
-        claims = [
-            root for c in criteria for root in claims_by_criterion.get(c.id, [])
-        ]
-        evidence: set[str] = set()
-        for root in claims:
-            for row, _key, _node, _node_key in iter_rows(root):
-                evidence |= row.evidence_ids
+        criteria = criteria_by_hazard.get(hazard.id, [])
+        claims = [claim for c in criteria for claim in claims_by_criterion.get(c, [])]
         rows.append(
             TraceRow(
                 hazard_id=hazard.id,
-                criterion_ids=tuple(sorted(c.id for c in criteria)),
-                claim_ids=tuple(sorted(root.id for root in claims)),
-                evidence_ids=tuple(sorted(evidence)),
+                criterion_ids=tuple(sorted(criteria)),
+                claim_ids=tuple(sorted(claims)),
+                evidence_ids=tuple(sorted(frozenset().union(*(cited[c] for c in claims)))),
             )
         )
     return TraceMatrix(rows=tuple(rows))
@@ -272,7 +280,7 @@ def _fraction_dict(fraction) -> dict:
     return {"numerator": fraction.numerator, "denominator": fraction.denominator}
 
 
-def _diagnostic_dict(diagnostic: Diagnostic) -> dict:
+def diagnostic_dict(diagnostic: Diagnostic) -> dict:
     out: dict = {
         "rule_id": diagnostic.rule_id,
         "severity": diagnostic.severity.value,
@@ -286,30 +294,70 @@ def _diagnostic_dict(diagnostic: Diagnostic) -> dict:
     return out
 
 
+def coverage_dict(bundle: CoverageBundle) -> dict:
+    gaps = bundle.gaps
+    return {
+        "overall": _fraction_dict(gaps.covered),
+        "strong": _fraction_dict(gaps.strong),
+        "balance": {
+            "class": bundle.balance.value,
+            "advisory": bundle.balance.advisory,
+        },
+        "marginals": {
+            dimension: {
+                name: _fraction_dict(fraction) for name, fraction in per_value.items()
+            }
+            for dimension, per_value in gaps.marginals.items()
+        },
+        "uncovered_count": len(gaps.uncovered),
+        "uncovered_by_dimension": {
+            dimension: {name: len(cells) for name, cells in groups.items()}
+            for dimension, groups in gaps.uncovered_by_dimension().items()
+        },
+        "criteria_by_category": {
+            category.value: count for category, count in bundle.by_category.items()
+        },
+        "category_note": NO_SPACE_NOTE,
+    }
+
+
+def trace_dict(trace: TraceMatrix) -> dict:
+    return {
+        "rows": [
+            {
+                "hazard": row.hazard_id,
+                "criteria": list(row.criterion_ids),
+                "claims": list(row.claim_ids),
+                "evidence": list(row.evidence_ids),
+                "complete": row.complete,
+            }
+            for row in trace.rows
+        ]
+    }
+
+
+def review_dict(review: ReadinessDecision) -> dict:
+    return {
+        "status": review.status,
+        "blockers": [
+            {"subject": b.subject_id, "reason": b.reason} for b in review.blockers
+        ],
+        "targets": [
+            {
+                "criterion": c.criterion_id,
+                "status": c.status.value,
+                "upper_bound": c.upper_bound,
+                "max_rate": c.target,
+                "exposure": c.exposure,
+                "events": c.count,
+            }
+            for c in review.target_checks
+        ],
+    }
+
+
 def report_dict(report: ReportDocument) -> dict:
     case = report.case
-    gaps = report.coverage.gaps
-    uncovered_groups = gaps.uncovered_by_dimension()
-    review = None
-    if report.review is not None:
-        review = {
-            "status": report.review.status,
-            "blockers": [
-                {"subject": b.subject_id, "reason": b.reason}
-                for b in report.review.blockers
-            ],
-            "targets": [
-                {
-                    "criterion": c.criterion_id,
-                    "status": c.status.value,
-                    "upper_bound": c.upper_bound,
-                    "max_rate": c.target,
-                    "exposure": c.exposure,
-                    "events": c.count,
-                }
-                for c in report.review.target_checks
-            ],
-        }
     return {
         "tool": {"name": "aurcase", "version": report.tool_version},
         "generated_at": report.generated_at,
@@ -328,50 +376,22 @@ def report_dict(report: ReportDocument) -> dict:
                 "claims": len(case.claims),
             },
         },
-        "diagnostics": [_diagnostic_dict(d) for d in report.diagnostics],
-        "coverage": {
-            "overall": _fraction_dict(gaps.covered),
-            "strong": _fraction_dict(gaps.strong),
-            "balance": {
-                "class": report.coverage.balance.value,
-                "advisory": report.coverage.balance.advisory,
-            },
-            "marginals": {
-                dimension: {
-                    name: _fraction_dict(fraction) for name, fraction in per_value.items()
-                }
-                for dimension, per_value in gaps.marginals.items()
-            },
-            "uncovered_count": len(gaps.uncovered),
-            "uncovered_by_dimension": {
-                dimension: {name: len(cells) for name, cells in groups.items()}
-                for dimension, groups in uncovered_groups.items()
-            },
-            "criteria_by_category": {
-                category.value: count
-                for category, count in report.coverage.by_category.items()
-            },
-            "category_note": NO_SPACE_NOTE,
-        },
-        "trace": {
-            "rows": [
-                {
-                    "hazard": row.hazard_id,
-                    "criteria": list(row.criterion_ids),
-                    "claims": list(row.claim_ids),
-                    "evidence": list(row.evidence_ids),
-                    "complete": row.complete,
-                }
-                for row in report.trace.rows
-            ]
-        },
-        "review": review,
+        "diagnostics": [diagnostic_dict(d) for d in report.diagnostics],
+        "coverage": coverage_dict(report.coverage),
+        "trace": trace_dict(report.trace),
+        "review": None if report.review is None else review_dict(report.review),
     }
 
 
+def render_json(payload) -> str:
+    """Stable, strict JSON: sorted keys, two-space indent, plain decimal
+    numbers, and a ValueError rather than `NaN` or `Infinity`."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def render_machine(report: ReportDocument) -> str:
-    """Stable JSON: sorted keys, two-space indent, plain decimal numbers."""
-    return json.dumps(report_dict(report), indent=2, sort_keys=True) + "\n"
+    """The whole report as `render_json` text."""
+    return render_json(report_dict(report))
 
 
 # -- heatmap ------------------------------------------------------------------

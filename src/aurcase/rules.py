@@ -16,9 +16,14 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from . import coverage as coverage_mod
-from .diagnostics import Diagnostic, Severity, SourceSpan, sort_diagnostics
+from .diagnostics import (
+    Diagnostic,
+    Severity,
+    SourceSpan,
+    dangling_references,
+    sort_diagnostics,
+)
 from .model import (
-    REFERENCE_NOUNS,
     ClaimKind,
     ContextBlock,
     SafetyCase,
@@ -346,15 +351,10 @@ def validate(
         )
         return sort_diagnostics(ctx.found)
 
-    for finding in findings:
-        noun = REFERENCE_NOUNS.get(finding.field, "element")
-        span = ctx.reference_spans.get((finding.referrer, finding.field, finding.missing))
-        ctx.emit(
-            "E009",
-            f"reference to undeclared {noun} {finding.missing!r}",
-            subject_id=finding.referrer,
-            span_key=finding.referrer,
-            span=span,
+    dangling_severity = config.severity_of("E009")
+    if dangling_severity is not None:
+        ctx.found += dangling_references(
+            findings, dangling_severity, ctx.reference_spans, ctx.span_index
         )
 
     _check_criteria_exist(ctx)

@@ -51,3 +51,34 @@ def enumerate_cells(severities, roles, capabilities, statuses, aggregations) -> 
                     for aggregation in aggregations:
                         cells.add((severity, role, capability, status, aggregation))
     return cells
+
+
+def trace_rows(case) -> list[tuple]:
+    """Hazard -> criteria -> top claims -> cited evidence, one tuple per
+    hazard.  Rescans every criterion and claim for each hazard and walks
+    the claim trees with its own recursion, not the library's walkers."""
+
+    def cited(node) -> set:
+        found = set()
+        for row in node.rows:
+            found |= row.evidence_ids
+        for child in node.children:
+            found |= cited(child)
+        return found
+
+    rows = []
+    for hazard in case.hazards:
+        criteria = [c.id for c in case.criteria if hazard.id in c.hazard_ids]
+        claims = [root for root in case.claims if root.criterion_id in criteria]
+        evidence = set()
+        for root in claims:
+            evidence |= cited(root)
+        rows.append(
+            (
+                hazard.id,
+                tuple(sorted(criteria)),
+                tuple(sorted(root.id for root in claims)),
+                tuple(sorted(evidence)),
+            )
+        )
+    return rows

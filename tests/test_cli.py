@@ -241,3 +241,54 @@ def test_exit_code_contract_matches_error_diagnostics(fixture, capsys):
     code = run(["check", str(FIXTURES / fixture)])
     capsys.readouterr()
     assert (code == 0) == (not has_errors)
+
+
+class TestMachineOutputSharesTheReportSchema:
+    """`--format machine` prints exactly the matching `report.json` section."""
+
+    @pytest.mark.parametrize("source", ["golden", "E007", "W103"])
+    def test_sections_match_key_for_key(self, source, tmp_path, capsys):
+        text = fixture_text("golden_cat.aur") if source == "golden" else mutate(source)
+        path = write(tmp_path, "case.aur", text)
+        out = tmp_path / "out"
+        run(["report", path, "--ledger", LEDGER, "--out", str(out)])
+        capsys.readouterr()
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        sections = {
+            "diagnostics": (["check", path], "diagnostics"),
+            "coverage": (["coverage", path], None),
+            "trace": (["trace", path], None),
+            "review": (["review", path, "--ledger", LEDGER], None),
+        }
+        for section, (argv, key) in sections.items():
+            run([*argv, "--format", "machine"])
+            payload = json.loads(capsys.readouterr().out)
+            assert (payload[key] if key else payload) == report[section], section
+        assert bool(report["diagnostics"]) == (source != "golden")
+
+
+class TestNonFiniteLedgers:
+    def test_infinite_exposure_is_a_usage_error_not_an_approval(self, tmp_path, capsys):
+        ledger = write(
+            tmp_path,
+            "inf.ledger",
+            "release,phase,exposure,exposure_unit,event_definition,count\n"
+            "r1,predicted,inf,mi,injury-causing collision,50\n",
+        )
+        assert run(["review", GOLDEN, "--ledger", ledger, "--format", "machine"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ledger line 2: exposure must be finite" in captured.err
+
+    def test_overflowing_exposure_blocks_with_strict_json(self, tmp_path, capsys):
+        ledger = write(
+            tmp_path,
+            "big.ledger",
+            "release,phase,exposure,exposure_unit,event_definition,count\n"
+            "r1,predicted,1e308,mi,injury-causing collision,0\n"
+            "r2,predicted,1e308,mi,injury-causing collision,0\n",
+        )
+        assert run(["review", GOLDEN, "--ledger", ledger, "--format", "machine"]) == 1
+        out = capsys.readouterr().out
+        assert "Infinity" not in out and "NaN" not in out
+        assert json.loads(out)["status"] == "blocked"

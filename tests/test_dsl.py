@@ -412,3 +412,17 @@ def test_deep_nesting_reports_depth_limit_instead_of_crashing():
     result = parse(text, "deep.aur")
     assert result.fatal
     assert "depth limit" in result.diagnostics[0].message
+
+
+def test_infinite_rate_bound_maximum_is_a_positioned_e013():
+    text = MINIMAL.replace(
+        '    statement = "every event dispositioned"\n',
+        '    statement = "every event dispositioned"\n'
+        '    target rate_bound(events = "crash", max = 1e999, per = "mi", confidence = 0.95)\n',
+    )
+    result = parse(text, "inf.aur")
+    assert result.fatal
+    (diagnostic,) = result.diagnostics
+    assert diagnostic.rule_id == "E013"
+    assert diagnostic.message == "rate_bound target: max_rate must be finite"
+    assert slice_at(text, diagnostic.span) == "0.95"

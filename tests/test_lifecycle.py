@@ -363,3 +363,45 @@ class TestReadinessReview:
                 assert all(
                     c.status is TargetStatus.MET for c in decision.target_checks
                 )
+
+
+_LEDGER_HEADER = "release,phase,exposure,exposure_unit,event_definition,count\n"
+
+
+class TestNonFiniteInputs:
+    """The gate must never approve on numbers it cannot support."""
+
+    def test_infinite_exposure_rejected_with_its_line(self):
+        with pytest.raises(ValueError, match=r"ledger line 3: exposure must be finite"):
+            parse_ledger(
+                _LEDGER_HEADER
+                + "r1,observed,1000,mi,crash,0\n"
+                + "r2,predicted,inf,mi,crash,50\n"
+            )
+
+    def test_nan_exposure_rejected_as_non_finite_not_as_a_conflict(self):
+        with pytest.raises(ValueError, match=r"ledger line 2: exposure must be finite") as info:
+            parse_ledger(_LEDGER_HEADER + "r1,predicted,nan,mi,crash,0\n")
+        assert "conflicts" not in str(info.value)
+
+    def test_ledger_entry_rejects_infinite_exposure(self):
+        with pytest.raises(ValueError, match="exposure must be finite"):
+            entry(exposure=math.inf)
+
+    def test_bound_rejects_non_finite_exposure_and_overflowing_results(self):
+        with pytest.raises(ValueError, match="finite"):
+            rate_upper_bound(0, math.inf, 0.95)
+        with pytest.raises(ValueError, match="overflows"):
+            rate_upper_bound(0, 1e-320, 0.95)
+
+    def test_overflowing_summed_exposure_blocks_the_release(self, golden_cat_text):
+        case = parse(golden_cat_text, "golden_cat.aur").case
+        ledger = parse_ledger(
+            _LEDGER_HEADER
+            + "r1,predicted,1e308,mi,injury-causing collision,0\n"
+            + "r2,predicted,1e308,mi,injury-causing collision,0\n"
+        )
+        decision = readiness_review(case, ledger)
+        assert not decision.approved
+        assert decision.target_checks == ()
+        assert any("finite" in b.reason for b in decision.blockers)

@@ -330,3 +330,19 @@ def test_claim_walk_keys_follow_ids_then_ordinals():
 def test_classification_matches_position_on_chain(stage):
     kind = classify_indicator(stage)
     assert (kind is IndicatorKind.LAGGING) == (stage is CausalStage.HARM)
+
+
+def test_resolve_references_hands_out_a_fresh_list_each_call():
+    case = SafetyCase(
+        id="case",
+        methodologies=(Methodology(id="M1", name="n"),),
+        criteria=(_criterion(hazard_ids=("H9",)),),
+    )
+    first = resolve_references(case)
+    expected = list(first)
+    assert [(f.referrer, f.missing) for f in expected] == [("AC1", "H9")]
+    first.clear()
+    first.append("not a finding")
+    assert resolve_references(case) == expected
+    with pytest.raises(UnresolvedCaseError):
+        require_resolved(case)

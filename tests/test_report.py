@@ -4,6 +4,9 @@ import json
 import re
 import xml.etree.ElementTree as ET
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+
 from aurcase.coverage import CoverageMap, Signal, coverage_map
 from aurcase.diagnostics import Diagnostic, Severity, SourceSpan
 from aurcase.dsl import parse
@@ -15,6 +18,7 @@ from aurcase.report import (
     render_diagnostics,
     render_coverage_text,
     render_heatmap,
+    render_json,
     render_machine,
     render_text,
     render_trace_text,
@@ -22,6 +26,9 @@ from aurcase.report import (
 )
 
 from conftest import fixture_text, pipeline
+from mutations import MUTATIONS
+from oracles import trace_rows
+from strategies import safety_cases
 
 
 class TestTraceMatrix:
@@ -233,3 +240,49 @@ class TestHeatmap:
     def test_rendering_is_deterministic(self, golden_case):
         coverage = coverage_map(golden_case)
         assert render_heatmap(coverage) == render_heatmap(coverage)
+
+
+def _trace_tuples(case) -> list[tuple]:
+    return [
+        (row.hazard_id, row.criterion_ids, row.claim_ids, row.evidence_ids)
+        for row in trace_matrix(case).rows
+    ]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=safety_cases())
+def test_trace_matrix_matches_the_rescanning_oracle(case):
+    assert _trace_tuples(case) == trace_rows(case)
+
+
+def _resolved_fixture_cases():
+    texts = {
+        name: fixture_text(name)
+        for name in (
+            "golden_cat.aur",
+            "golden_min.aur",
+            "balance_aggregate_only.aur",
+            "balance_event_only.aur",
+            "balance_none.aur",
+        )
+    }
+    for mutation in MUTATIONS:
+        texts[f"mutant {mutation.rule_id}"] = mutation.apply(
+            fixture_text(mutation.base_fixture)
+        )
+    for name, text in texts.items():
+        result = parse(text, name)
+        if not result.fatal and not result.diagnostics:
+            yield name, result.case
+
+
+@pytest.mark.parametrize(("name", "case"), list(_resolved_fixture_cases()))
+def test_trace_matrix_matches_the_rescanning_oracle_on_fixtures(name, case):
+    assert _trace_tuples(case) == trace_rows(case)
+
+
+def test_render_json_refuses_non_finite_numbers():
+    with pytest.raises(ValueError):
+        render_json({"upper_bound": float("inf")})
+    with pytest.raises(ValueError):
+        render_json({"exposure": float("nan")})
