@@ -5,9 +5,11 @@ stated one-sided confidence.  The check uses the exact Poisson upper
 bound: the smallest rate ``lam`` such that observing at most ``count``
 events has probability ``1 - confidence`` under a Poisson law with mean
 ``lam * exposure``.  With zero events this has the closed form
-``-ln(1 - confidence) / exposure``; otherwise the bound is bisected on the
-Poisson CDF to 1e-9 relative width.  More exposure at the same count
-always tightens the bound, which is what lets confidence grow with scale.
+``-ln(1 - confidence) / exposure``.  Otherwise Garwood's identity gives
+the mean as the inverse regularized incomplete gamma function at
+``count + 1``, which Newton's method solves with `math` alone.  More
+exposure at the same count always tightens the bound, which is what lets
+confidence grow with scale.
 
 The readiness gate is deliberately wider than the rate checks alone: it
 blocks on any error-severity structural finding and on incomplete
@@ -20,7 +22,7 @@ import csv
 import enum
 import io
 from dataclasses import dataclass, field
-from math import isfinite, log
+from math import exp, inf, isfinite, lgamma, log, log1p, sqrt
 from typing import Mapping, TYPE_CHECKING
 
 from .model import (
@@ -34,7 +36,7 @@ from .model import (
 if TYPE_CHECKING:
     from .rules import RuleConfig
 
-_BOUND_REL_TOL = 1e-9
+_MEAN_REL_TOL = 1e-12
 
 
 class Phase(enum.Enum):
@@ -107,16 +109,23 @@ def parse_ledger(text: str) -> ExposureLedger:
     entry.  No unit conversion is ever attempted.
     """
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        rows = [
+            (reader.line_num, row)
+            for row in reader
+            if row and any(cell.strip() for cell in row)
+        ]
+    except csv.Error as exc:
+        raise ValueError(f"ledger line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("ledger is empty; expected a header line")
-    header = tuple(cell.strip() for cell in rows[0])
+    header = tuple(cell.strip() for cell in rows[0][1])
     if header != LEDGER_COLUMNS:
         raise ValueError(
             f"ledger header must be {','.join(LEDGER_COLUMNS)}, got {','.join(header)}"
         )
     grouped: dict[tuple[str, Phase], dict] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if len(row) != len(LEDGER_COLUMNS):
             raise ValueError(f"ledger line {line_no}: expected {len(LEDGER_COLUMNS)} fields")
         release, phase_text, exposure_text, unit, definition, count_text = (
@@ -135,10 +144,16 @@ def parse_ledger(text: str) -> ExposureLedger:
             raise ValueError(f"ledger line {line_no}: bad exposure {exposure_text!r}") from None
         if not isfinite(exposure):
             raise ValueError(f"ledger line {line_no}: exposure must be finite, got {exposure_text!r}")
+        if not exposure > 0:
+            raise ValueError(f"ledger line {line_no}: exposure must be > 0, got {exposure_text!r}")
         try:
             count = int(count_text)
         except ValueError:
             raise ValueError(f"ledger line {line_no}: bad count {count_text!r}") from None
+        if count < 0:
+            raise ValueError(
+                f"ledger line {line_no}: negative count {count_text!r} for {definition!r}"
+            )
         group = grouped.setdefault(
             (release, phase),
             {"exposure": exposure, "unit": unit, "counts": {}, "line": line_no},
@@ -183,21 +198,96 @@ def rate_upper_bound(count: int, exposure: float, confidence: float) -> float:
         raise ValueError("confidence must lie in (0, 1)")
     if count == 0:
         return _finite_bound(-log(1.0 - confidence) / exposure, exposure)
+    return _finite_bound(_poisson_mean_upper(count, confidence) / exposure, exposure)
 
-    from scipy.stats import poisson  # deferred: keeps CLI startup light
 
-    tail = 1.0 - confidence
-    lo = 0.0
-    hi = (count + 1.0) / exposure
-    while poisson.cdf(count, hi * exposure) > tail:
-        hi *= 2.0
-    while hi - lo > _BOUND_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if poisson.cdf(count, mid * exposure) > tail:
-            lo = mid
+def _poisson_mean_upper(count: int, confidence: float) -> float:
+    """The Poisson mean ``mu`` with ``P(X <= count | mu) = 1 - confidence``.
+
+    By Garwood's identity (Biometrika 28:437, 1936) ``P(X <= k | mu)`` is
+    the upper regularized incomplete gamma ``Q(k + 1, mu)``, so ``mu``
+    solves ``P(k + 1, mu) = confidence``.  Newton steps on the log of the
+    smaller tail, from a Wilson-Hilferty start, keep a bracket and fall
+    back to bisection whenever a step would leave it.  Working with the
+    smaller tail means no digits are lost to ``1 - confidence``, which is
+    exact for ``confidence >= 0.5``.
+    """
+    a = count + 1.0
+    lower = confidence < 0.5
+    tail = confidence if lower else 1.0 - confidence
+    log_tail = log(tail)
+    # Wilson-Hilferty, with the normal quantile of Abramowitz & Stegun 26.2.22.
+    t = sqrt(-2.0 * log_tail)
+    z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+    if lower:
+        z = -z
+    mu = a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * sqrt(a))) ** 3
+    if not mu > 0.0:  # far lower tail, where P(a, mu) ~ mu**a / a!
+        mu = exp((log_tail + lgamma(a + 1.0)) / a)
+    lo, hi = 0.0, inf
+    for _ in range(200):
+        log_p, log_q, log_density = _gamma_log_tails(a, mu)
+        # f rises with mu and is zero at the answer.
+        if lower:
+            f, slope = log_p - log_tail, exp(log_density - log_p)
         else:
-            hi = mid
-    return _finite_bound(0.5 * (lo + hi), exposure)
+            f, slope = log_tail - log_q, exp(log_density - log_q)
+        if f < 0.0:
+            lo = mu
+        else:
+            hi = mu
+        step = f / slope if slope > 0.0 else inf
+        # f is a difference of terms as large as a * ln(mu); once it is
+        # below their rounding error, a further step is noise.
+        noise = 1e-15 * (a * abs(log(mu)) + mu + lgamma(a))
+        if abs(step) <= _MEAN_REL_TOL * mu or (slope > 0.0 and abs(f) <= noise):
+            return mu - step
+        mu -= step
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi) if hi < inf else 2.0 * lo
+    raise ValueError(f"rate upper bound did not converge for count {count}")
+
+
+def _gamma_log_tails(a: float, x: float) -> tuple[float, float, float]:
+    """``ln P(a, x)``, ``ln Q(a, x)`` and the log gamma density at ``x``.
+
+    The series (``x < a + 1``) or the Lentz continued fraction (otherwise)
+    of Numerical Recipes section 6.2 gives the smaller tail directly; the
+    other is one minus it.  The prefactor is taken in log space.
+    """
+    log_prefactor = a * log(x) - x - lgamma(a)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        denominator = a
+        while term > total * 1e-16:
+            denominator += 1.0
+            term *= x / denominator
+            total += term
+        log_p = log(total) + log_prefactor
+        log_q = log1p(-exp(log_p))
+    else:
+        tiny = 1e-300
+        b = x + 1.0 - a
+        c = 1.0 / tiny
+        d = 1.0 / b
+        h = d
+        i = 0
+        while True:
+            i += 1
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = b + an / c
+            if abs(c) < tiny:
+                c = tiny
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) <= 1e-16:
+                break
+        log_q = log(h) + log_prefactor
+        log_p = log1p(-exp(log_q))
+    return log_p, log_q, log_prefactor - log(x)
 
 
 def _finite_bound(bound: float, exposure: float) -> float:

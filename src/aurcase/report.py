@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Mapping
-from xml.sax.saxutils import escape as _xml_escape
 
 from ._version import __version__
 from .coverage import (
@@ -404,6 +403,11 @@ _GRID_W = _CELL * len(SeverityLevel)
 _SLICE_W = _LEFT + _GRID_W + 24
 _SLICE_H = 40 + len(BehavioralCapability) * _CELL + 24
 _LEGEND_H = 46
+
+
+def _xml_escape(text: str) -> str:
+    # xml.sax.saxutils.escape would do, but importing it loads urllib and http.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_heatmap(coverage: CoverageMap) -> str:

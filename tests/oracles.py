@@ -19,6 +19,19 @@ def poisson_cdf(count: int, mean: float) -> float:
     )
 
 
+def poisson_sf(count: int, mean: float) -> float:
+    """P(X > count) for X ~ Poisson(mean < count), summing the terms above
+    count directly, so a tiny upper tail keeps its digits."""
+    k = count + 1
+    first = term = exp(-mean + k * log(mean) - lgamma(k + 1))
+    terms = []
+    while term > 1e-18 * first:  # terms fall from the first while k > mean
+        terms.append(term)
+        k += 1
+        term *= mean / k
+    return fsum(terms)
+
+
 def upper_bound_bisect(
     count: int, exposure: float, confidence: float, tol: float = 1e-12
 ) -> float:

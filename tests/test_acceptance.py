@@ -9,6 +9,7 @@ live in `oracles.py` and never call the code paths they check.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
 import random
@@ -253,6 +254,26 @@ def test_criterion_8_gate_implication(golden_cat_text, golden_min_text):
     assert approvals > 0, "property would be vacuous: no approved decision in corpus"
 
 
+def _run_cli_in_fixtures(command: list[str]):
+    """Run a cold CLI process from tests/fixtures; return it and its wall time.
+
+    A relative PYTHONPATH no longer resolves there, so the absolute src
+    directory goes first.  The golden artifacts were made under the
+    default rule config, so an ambient AURCASE_CONFIG is dropped.
+    """
+    env = dict(os.environ)
+    env.pop("AURCASE_CONFIG", None)
+    python_path = [str(FIXTURES.resolve().parents[1] / "src")]
+    if env.get("PYTHONPATH"):
+        python_path.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(python_path)
+    started = time.perf_counter()
+    completed = subprocess.run(
+        command, cwd=FIXTURES, env=env, capture_output=True, text=True, timeout=30
+    )
+    return completed, time.perf_counter() - started
+
+
 @criterion("9. end-to-end report run (golden byte-match, exit 0, <2s)")
 def test_criterion_9_end_to_end(tmp_path):
     out_dir = tmp_path / "out"
@@ -267,21 +288,7 @@ def test_criterion_9_end_to_end(tmp_path):
         "--out",
         str(out_dir),
     ]
-    # The child runs from tests/fixtures, where a relative PYTHONPATH no
-    # longer resolves: put the absolute src directory first.  The golden
-    # artifacts were made under the default rule config, so an ambient
-    # AURCASE_CONFIG is dropped.
-    env = dict(os.environ)
-    env.pop("AURCASE_CONFIG", None)
-    python_path = [str(FIXTURES.resolve().parents[1] / "src")]
-    if env.get("PYTHONPATH"):
-        python_path.append(env["PYTHONPATH"])
-    env["PYTHONPATH"] = os.pathsep.join(python_path)
-    started = time.perf_counter()
-    completed = subprocess.run(
-        command, cwd=FIXTURES, env=env, capture_output=True, text=True, timeout=30
-    )
-    elapsed = time.perf_counter() - started
+    completed, elapsed = _run_cli_in_fixtures(command)
     assert completed.returncode == 0, completed.stderr
     assert elapsed < 2.0, f"took {elapsed:.3f}s"
 
@@ -292,3 +299,36 @@ def test_criterion_9_end_to_end(tmp_path):
     assert strip((out_dir / "report.json").read_text()) == strip(
         (golden_dir / "report.json").read_text()
     )
+
+
+def test_cold_review_with_a_nonzero_count_stays_light(tmp_path):
+    """The golden ledger's zero counts take the closed form; a nonzero
+    count exercises the full Poisson solver in a cold process."""
+    ledger = tmp_path / "nonzero.ledger"
+    ledger.write_text(
+        "release,phase,exposure,exposure_unit,event_definition,count\n"
+        "2024.3.1,predicted,10000000,mi,injury-causing collision,3\n"
+    )
+    command = [
+        sys.executable,
+        "-X",
+        "importtime",
+        "-m",
+        "aurcase.cli",
+        "review",
+        "golden_cat.aur",
+        "--ledger",
+        str(ledger),
+        "--format",
+        "machine",
+    ]
+    completed, elapsed = _run_cli_in_fixtures(command)
+    assert completed.returncode == 0, completed.stderr
+    assert elapsed < 2.0, f"took {elapsed:.3f}s"
+    imported = completed.stderr.splitlines()
+    assert any(line.endswith("aurcase.lifecycle") for line in imported)
+    assert not [line for line in imported if "scipy" in line]
+    (target,) = json.loads(completed.stdout)["targets"]
+    assert (target["events"], target["status"]) == (3, "met")
+    reference = upper_bound_bisect(3, 1e7, 0.95)
+    assert abs(target["upper_bound"] - reference) / reference < 1e-6

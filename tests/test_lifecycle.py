@@ -29,7 +29,10 @@ from aurcase.model import (
 from aurcase.rules import RuleConfig
 
 from mutations import MUTATIONS
-from oracles import upper_bound_bisect
+from oracles import poisson_cdf, poisson_sf, upper_bound_bisect
+
+
+_LEDGER_HEADER = "release,phase,exposure,exposure_unit,event_definition,count\n"
 
 
 def rel_err(value: float, reference: float) -> float:
@@ -123,6 +126,56 @@ class TestRateUpperBound:
             count, exposure, confidence
         )
 
+    @pytest.mark.parametrize("confidence", [0.01, 0.5, 0.95, 0.999999])
+    @pytest.mark.parametrize("count", [50, 200, 1000, 5000])
+    def test_matches_oracle_at_large_counts(self, count, confidence):
+        bound = rate_upper_bound(count, 1e6, confidence)
+        assert rel_err(bound, upper_bound_bisect(count, 1e6, confidence)) < 1e-6
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.95])
+    @pytest.mark.parametrize("count", [10**5, 10**6])
+    def test_solves_the_defining_equation_at_huge_counts(self, count, confidence):
+        exposure = 1e7
+        mean = rate_upper_bound(count, exposure, confidence) * exposure
+        assert rel_err(poisson_cdf(count, mean), 1.0 - confidence) < 1e-6
+
+    @pytest.mark.parametrize("confidence", [1e-12, 1e-100])
+    @pytest.mark.parametrize("count", [1, 5, 50])
+    def test_keeps_its_digits_at_tiny_confidences(self, count, confidence):
+        mean = rate_upper_bound(count, 1.0, confidence)
+        assert rel_err(poisson_sf(count, mean), confidence) < 1e-9
+
+    @pytest.mark.parametrize("count", [1, 10**7])
+    def test_converges_across_confidences(self, count):
+        confidences = [5e-324, 1e-12, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0 - 1e-12, 1.0 - 2.0**-53]
+        bounds = [rate_upper_bound(count, 1.0, c) for c in confidences]
+        assert all(math.isfinite(b) and b > 0.0 for b in bounds)
+        assert bounds == sorted(set(bounds))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        count=st.integers(min_value=0, max_value=2000),
+        confidences=st.tuples(
+            st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+            st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+        ).filter(lambda pair: abs(pair[0] - pair[1]) > 1e-3),
+        exposures=st.tuples(
+            st.floats(min_value=1e-3, max_value=1e12),
+            st.floats(min_value=1e-3, max_value=1e12),
+        ),
+    )
+    def test_monotone_in_count_and_confidence_and_scales_with_exposure(
+        self, count, confidences, exposures
+    ):
+        low, high = sorted(confidences)
+        exposure, other = exposures
+        bound = rate_upper_bound(count, exposure, low)
+        assert rate_upper_bound(count + 1, exposure, low) > bound
+        assert rate_upper_bound(count, exposure, high) > bound
+        assert math.isclose(
+            bound * exposure, rate_upper_bound(count, other, low) * other, rel_tol=1e-12
+        )
+
 
 class TestLedgerParsing:
     def test_groups_rows_by_release_and_phase(self, golden_ledger_text):
@@ -182,6 +235,29 @@ class TestLedgerParsing:
                 "release,phase,exposure,exposure_unit,event_definition,count\n"
                 "r1,predicted,10,mi,crash,-1\n"
             )
+
+    def test_nonpositive_exposure_names_its_line(self):
+        for exposure in ("0", "-1", "-0.0"):
+            with pytest.raises(ValueError, match=r"ledger line 2: exposure must be > 0"):
+                parse_ledger(_LEDGER_HEADER + f"r,predicted,{exposure},mi,crash,0\n")
+
+    def test_negative_count_names_its_line(self):
+        with pytest.raises(ValueError, match=r"ledger line 3: negative count '-1'"):
+            parse_ledger(
+                _LEDGER_HEADER
+                + "r1,predicted,10,mi,crash,0\n"
+                + "r1,predicted,10,mi,near-miss,-1\n"
+            )
+
+    def test_line_numbers_count_blank_lines(self):
+        with pytest.raises(ValueError, match=r"ledger line 4: negative count"):
+            parse_ledger(_LEDGER_HEADER + "\n\nr1,predicted,10,mi,crash,-1\n")
+
+    def test_csv_errors_become_positioned_value_errors(self):
+        with pytest.raises(ValueError, match=r"ledger line 2: new-line character"):
+            parse_ledger(_LEDGER_HEADER + "r1,predicted,10\rx,mi,crash,0\n")
+        with pytest.raises(ValueError, match=r"ledger line 2: field larger than field limit"):
+            parse_ledger(_LEDGER_HEADER + "r1,predicted,10,mi," + "x" * 200_000 + ",0\n")
 
     def test_release_unique_per_phase(self):
         with pytest.raises(ValueError, match="appears twice"):
@@ -364,8 +440,43 @@ class TestReadinessReview:
                     c.status is TargetStatus.MET for c in decision.target_checks
                 )
 
+    def test_approval_implies_finite_exposure_and_bounds(self, golden_cat_text):
+        case = self.golden_case(golden_cat_text)
+        approvals = 0
 
-_LEDGER_HEADER = "release,phase,exposure,exposure_unit,event_definition,count\n"
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(
+            rows=st.lists(
+                st.tuples(
+                    st.sampled_from(list(Phase)),
+                    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                    st.sampled_from(["mi", "mi", "km"]),
+                    st.sampled_from(["injury-causing collision", "near-miss"]),
+                    st.integers(min_value=0, max_value=10**6),
+                ),
+                max_size=4,
+            )
+        )
+        def approval_rests_on_finite_numbers(rows):
+            nonlocal approvals
+            ledger = ExposureLedger(
+                entries=tuple(
+                    entry(f"r{i}", phase, exposure, unit, {event: count})
+                    for i, (phase, exposure, unit, event, count) in enumerate(rows)
+                )
+            )
+            decision = readiness_review(case, ledger)
+            if decision.approved:
+                approvals += 1
+                assert decision.target_checks
+                for check in decision.target_checks:
+                    assert math.isfinite(check.exposure)
+                    assert check.upper_bound is not None
+                    assert math.isfinite(check.upper_bound)
+
+        approval_rests_on_finite_numbers()
+        assert approvals > 0, "property would be vacuous: no approved decision"
+
 
 
 class TestNonFiniteInputs:
