@@ -18,7 +18,10 @@ elements ordered by identifier, and deterministic to the byte.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, dangling_references
 from .model import (
@@ -73,6 +76,14 @@ _SUBCLAIM_KINDS = {
     "facet": ClaimKind.FACET,
 }
 
+# The non-severity region dimensions: keyword, AcSpaceRegion field, names.
+_REGION_DIMENSIONS = (
+    ("role", "roles", ROLE_NAMES),
+    ("capability", "capabilities", CAPABILITY_NAMES),
+    ("status", "statuses", STATUS_NAMES),
+    ("aggregation", "aggregations", AGGREGATION_NAMES),
+)
+
 
 @dataclass(frozen=True)
 class ParseResult:
@@ -96,20 +107,6 @@ class ParseResult:
         return self.case is None
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT | STRING | NUMBER | PUNCT | EOF
-    text: str
-    value: str | float | None
-    line: int
-    col: int
-    end_line: int
-    end_col: int
-
-    def span(self, file_name: str) -> SourceSpan:
-        return SourceSpan(file_name, self.line, self.col, self.end_line, self.end_col)
-
-
 def _syntax_error(message: str, span: SourceSpan) -> Diagnostic:
     return Diagnostic(_SYNTAX_RULE, Severity.ERROR, message, subject_id="", span=span)
 
@@ -123,172 +120,125 @@ class _Fatal(Exception):
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 _ESCAPE_OUT = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
+# Where a string literal's body stops: at its closing quote, or at a line
+# break or an escape the format does not know.
+_STRING_BODY = re.compile(r'[^"\\\n]*(?:\\[\\"ntr][^"\\\n]*)*')
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+# One alternative per token kind, tried in order at each offset.  `\d` is a
+# Unicode decimal digit and `\w` a character for which `str.isalnum()` is
+# true, or `_`.  A number starts with a digit, a sign before a digit or a
+# dot, or a dot before a digit; a dot joins an identifier only when another
+# identifier character follows it, so `..` stays the range operator.
+# ERROR takes any character no other alternative starts with, including a
+# quote that opens a malformed string.
+_TOKEN = re.compile(
+    r"(?P<SKIP>[ \t\r\n]+|#[^\n]*)"
+    f'|(?P<STRING>"{_STRING_BODY.pattern}")'
+    r"|(?P<NUMBER>(?:[+-](?=[\d.])|(?=\.?\d))\d*(?:\.(?!\.)\d*)?(?:[eE][+-]?\d*)?)"
+    r"|(?P<IDENT>[^\W\d][\w-]*(?:\.[\w-]+)*)"
+    r"|(?P<PUNCT>\.\.|[{}()=,])"
+    r"|(?P<ERROR>.)",
+    re.DOTALL,
+)
+_ESCAPE_IN = re.compile(r"\\(.)")
+_EXPONENT_WITHOUT_DIGITS = re.compile(r"[eE][+-]?\Z")
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_-"
+class _Token:
+    __slots__ = ("kind", "text", "value", "start")
+
+    def __init__(self, kind: str, text: str, value: str | float | None, start: int):
+        self.kind = kind  # IDENT | STRING | NUMBER | PUNCT | EOF
+        self.text = text
+        self.value = value
+        self.start = start  # offset of the token's first character
 
 
-class _Lexer:
+class _Source:
+    """A document's text and name.  Line and column are worked out only
+    when a span is asked for, by bisecting the offsets at which lines
+    start; lines end at '\\n' only and columns count code points."""
+
     def __init__(self, text: str, file_name: str):
         self.text = text
         self.file = file_name
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def _fatal(self, message: str, line: int, col: int) -> _Fatal:
-        span = SourceSpan(self.file, line, col, self.line, max(self.col, col))
-        return _Fatal(_syntax_error(message, span))
+    @cached_property
+    def _line_starts(self) -> list[int]:
+        return [0, *(match.end() for match in re.finditer("\n", self.text))]
 
-    def _advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
+    def position(self, offset: int) -> tuple[int, int]:
+        line = bisect_right(self._line_starts, offset)
+        return line, offset - self._line_starts[line - 1] + 1
 
-    def tokens(self) -> list[_Token]:
-        out: list[_Token] = []
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-                continue
-            if ch == "#":
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance()
-                continue
-            line, col = self.line, self.col
-            if ch == '"':
-                out.append(self._string(line, col))
-                continue
-            if (
-                ch.isdigit()
-                or (
-                    ch in "+-"
-                    and self.pos + 1 < len(text)
-                    and (text[self.pos + 1].isdigit() or text[self.pos + 1] == ".")
-                )
-                or (
-                    ch == "."
-                    and self.pos + 1 < len(text)
-                    and text[self.pos + 1].isdigit()
-                )
-            ):
-                out.append(self._number(line, col))
-                continue
-            if _is_ident_start(ch):
-                out.append(self._ident(line, col))
-                continue
-            if ch == "." and text.startswith("..", self.pos):
-                self._advance()
-                self._advance()
-                out.append(_Token("PUNCT", "..", None, line, col, self.line, self.col))
-                continue
-            if ch in "{}()=,":
-                self._advance()
-                out.append(_Token("PUNCT", ch, None, line, col, self.line, self.col))
-                continue
-            self._advance()
-            raise self._fatal(f"unexpected character {ch!r}", line, col)
-        out.append(_Token("EOF", "", None, self.line, self.col, self.line, self.col))
-        return out
+    def span(self, start: int, end: int) -> SourceSpan:
+        """The span of `text[start:end]`, which lies on one line."""
+        line, col = self.position(start)
+        return SourceSpan(self.file, line, col, line, col + end - start)
 
-    def _string(self, line: int, col: int) -> _Token:
-        self._advance()  # opening quote
-        parts: list[str] = []
-        raw = ['"']
-        while True:
-            if self.pos >= len(self.text):
-                raise self._fatal("unterminated string literal", line, col)
-            ch = self.text[self.pos]
-            if ch == "\n":
-                raise self._fatal("string literal must not span lines", line, col)
-            self._advance()
-            raw.append(ch)
-            if ch == '"':
-                break
-            if ch == "\\":
-                if self.pos >= len(self.text):
-                    raise self._fatal("unterminated string literal", line, col)
-                esc = self._advance()
-                raw.append(esc)
-                if esc not in _ESCAPES:
-                    raise self._fatal(
-                        f"unknown escape sequence '\\{esc}'", self.line, self.col - 2
-                    )
-                parts.append(_ESCAPES[esc])
-            else:
-                parts.append(ch)
-        return _Token(
-            "STRING", "".join(raw), "".join(parts), line, col, self.line, self.col
-        )
 
-    def _number(self, line: int, col: int) -> _Token:
-        chars: list[str] = []
-        text = self.text
-        if text[self.pos] in "+-":
-            chars.append(self._advance())
-        while self.pos < len(text) and text[self.pos].isdigit():
-            chars.append(self._advance())
-        if (
-            self.pos < len(text)
-            and text[self.pos] == "."
-            and not text.startswith("..", self.pos)
-        ):
-            chars.append(self._advance())
-            while self.pos < len(text) and text[self.pos].isdigit():
-                chars.append(self._advance())
-        if self.pos < len(text) and text[self.pos] in "eE":
-            chars.append(self._advance())
-            if self.pos < len(text) and text[self.pos] in "+-":
-                chars.append(self._advance())
-            digits = 0
-            while self.pos < len(text) and text[self.pos].isdigit():
-                chars.append(self._advance())
-                digits += 1
-            if digits == 0:
-                raise self._fatal("malformed number: exponent has no digits", line, col)
-        literal = "".join(chars)
-        try:
-            value = float(literal)
-        except ValueError:
-            raise self._fatal(f"malformed number {literal!r}", line, col) from None
-        return _Token("NUMBER", literal, value, line, col, self.line, self.col)
+def _lex(text: str, file_name: str) -> list[_Token]:
+    """The tokens of `text`, ending with EOF; raises `_Fatal` at the first
+    character that starts no token."""
+    tokens: list[_Token] = []
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "SKIP":
+            continue
+        word, start = match.group(), match.start()
+        if kind == "IDENT" and (word[0].isalpha() or word[0] == "_"):
+            value = word
+        elif kind == "PUNCT":
+            value = None
+        elif kind == "STRING":
+            value = word[1:-1]
+            if "\\" in value:
+                value = _ESCAPE_IN.sub(lambda escape: _ESCAPES[escape[1]], value)
+        elif kind == "NUMBER":
+            try:
+                value = float(word)
+            except ValueError:
+                if _EXPONENT_WITHOUT_DIGITS.search(word):
+                    message = "malformed number: exponent has no digits"
+                else:
+                    message = f"malformed number {word!r}"
+                raise _lex_error(text, file_name, message, start, match.end()) from None
+        elif word == '"':
+            raise _lex_error(text, file_name, *_bad_string(text, start))
+        else:  # ERROR, or a word character that starts no identifier ('²', 'Ⅻ')
+            raise _lex_error(
+                text, file_name, f"unexpected character {word[0]!r}", start, start + 1
+            )
+        tokens.append(_Token(kind, word, value, start))
+    tokens.append(_Token("EOF", "", None, len(text)))
+    return tokens
 
-    def _ident(self, line: int, col: int) -> _Token:
-        chars = [self._advance()]
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if _is_ident_char(ch):
-                chars.append(self._advance())
-            elif (
-                ch == "."
-                and self.pos + 1 < len(text)
-                and _is_ident_char(text[self.pos + 1])
-                and text[self.pos + 1] != "."
-            ):
-                # Dotted labels like A.1; a double dot is the range operator.
-                chars.append(self._advance())
-            else:
-                break
-        word = "".join(chars)
-        return _Token("IDENT", word, word, line, col, self.line, self.col)
+
+def _lex_error(text: str, file_name: str, message: str, start: int, end: int) -> _Fatal:
+    return _Fatal(_syntax_error(message, _Source(text, file_name).span(start, end)))
+
+
+def _bad_string(text: str, quote: int) -> tuple[str, int, int]:
+    """Why the string literal opened at offset `quote` fails to lex, and
+    the offsets the diagnostic spans."""
+    stop = _STRING_BODY.match(text, quote + 1).end()
+    if stop < len(text) and text[stop] == "\n":
+        return "string literal must not span lines", quote, stop
+    if stop + 1 >= len(text):  # the text ends, perhaps after a backslash
+        return "unterminated string literal", quote, len(text)
+    escape = text[stop + 1]
+    if escape == "\n":
+        return "string literal must not span lines", quote, stop + 1
+    return f"unknown escape sequence '\\{escape}'", stop, stop + 2
+
+
+_KIND_HINTS = {"STRING": " (a quoted string)", "NUMBER": " (a number)"}
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], file_name: str):
+    def __init__(self, tokens: list[_Token], source: _Source):
         self.tokens = tokens
-        self.file = file_name
+        self.source = source
         self.pos = 0
         self.declared: dict[str, _Token] = {}
         self.span_index: dict[str, SourceSpan] = {}
@@ -306,72 +256,67 @@ class _Parser:
             self.pos += 1
         return token
 
+    def span(self, token: _Token) -> SourceSpan:
+        return self.source.span(token.start, token.start + len(token.text))
+
+    def where(self, token: _Token) -> str:
+        return "%d:%d" % self.source.position(token.start)
+
     def _fatal(self, message: str, token: _Token) -> _Fatal:
-        return _Fatal(_syntax_error(message, token.span(self.file)))
+        return _Fatal(_syntax_error(message, self.span(token)))
 
     def _eof_message(self, expected: str) -> str:
         if self.open_blocks:
             desc, opener = self.open_blocks[-1]
             return (
                 f"expected {expected} to close {desc} opened at "
-                f"{opener.line}:{opener.col}, found end of document"
+                f"{self.where(opener)}, found end of document"
             )
         return f"expected {expected}, found end of document"
 
-    def expect_punct(self, punct: str) -> _Token:
-        token = self.peek()
-        if token.kind == "EOF":
-            raise self._fatal(self._eof_message(f"'{punct}'"), token)
-        if token.kind != "PUNCT" or token.text != punct:
-            raise self._fatal(f"expected '{punct}', found {token.text!r}", token)
-        return self.advance()
-
-    def expect_word(self, word: str) -> _Token:
-        token = self.peek()
-        if token.kind == "EOF":
-            raise self._fatal(self._eof_message(f"'{word}'"), token)
-        if token.kind != "IDENT" or token.text != word:
-            raise self._fatal(f"expected '{word}', found {token.text!r}", token)
-        return self.advance()
-
-    def expect_ident(self, what: str) -> _Token:
-        token = self.peek()
+    def expect(self, kind: str, what: str, text: str | None = None) -> _Token:
+        """Consume the next token if it is a `kind` (spelt `text`, when
+        given); otherwise fail, saying `what` was expected."""
+        token = self.tokens[self.pos]
+        if token.kind == kind and (text is None or token.text == text):
+            self.pos += 1
+            return token
         if token.kind == "EOF":
             raise self._fatal(self._eof_message(what), token)
-        if token.kind != "IDENT":
-            raise self._fatal(f"expected {what}, found {token.text!r}", token)
-        return self.advance()
+        hint = _KIND_HINTS.get(kind, "")
+        raise self._fatal(f"expected {what}{hint}, found {token.text!r}", token)
 
-    def expect_string(self, what: str) -> _Token:
+    def take(self, text: str) -> _Token:
+        """Consume the keyword or punctuation `text`."""
+        return self.expect("IDENT" if text[0].isalpha() else "PUNCT", f"'{text}'", text)
+
+    def at(self, *texts: str) -> bool:
+        # A token's text alone tells its kind: strings keep their quotes,
+        # and words, numbers and punctuation start with different characters.
+        return self.tokens[self.pos].text in texts
+
+    def unknown_keyword(self, block: str, expected: str) -> _Fatal:
+        """The fatal for a token that starts nothing allowed in `block`."""
         token = self.peek()
         if token.kind == "EOF":
-            raise self._fatal(self._eof_message(what), token)
-        if token.kind != "STRING":
-            raise self._fatal(f"expected {what} (a quoted string), found {token.text!r}", token)
-        return self.advance()
+            return self._fatal(self._eof_message("'}'"), token)
+        message = f"unknown keyword {token.text!r}{block}; expected {expected}"
+        return self._fatal(message, token)
 
-    def expect_number(self, what: str) -> _Token:
-        token = self.peek()
-        if token.kind == "EOF":
-            raise self._fatal(self._eof_message(what), token)
-        if token.kind != "NUMBER":
-            raise self._fatal(f"expected {what} (a number), found {token.text!r}", token)
-        return self.advance()
-
-    def at_word(self, *words: str) -> bool:
-        token = self.peek()
-        return token.kind == "IDENT" and token.text in words
-
-    def at_punct(self, punct: str) -> bool:
-        token = self.peek()
-        return token.kind == "PUNCT" and token.text == punct
+    def comma_list(self, item) -> list:
+        """`item()`, then once more after each comma."""
+        items = [item()]
+        while self.at(","):
+            self.advance()
+            items.append(item())
+        return items
 
     def open_block(self, description: str) -> None:
-        opener = self.expect_punct("{")
+        opener = self.take("{")
         self.open_blocks.append((description, opener))
 
     def close_block(self) -> None:
-        self.expect_punct("}")
+        self.take("}")
         self.open_blocks.pop()
 
     # -- declarations and references ----------------------------------------
@@ -385,18 +330,19 @@ class _Parser:
                     _DUPLICATE_RULE,
                     Severity.ERROR,
                     f"duplicate identifier {name!r}; first declared at "
-                    f"{previous.line}:{previous.col}",
+                    f"{self.where(previous)}",
                     subject_id=name,
-                    span=token.span(self.file),
+                    span=self.span(token),
                 )
             )
         self.declared[name] = token
-        self.span_index[name] = token.span(self.file)
+        self.span_index[name] = self.span(token)
         return name
 
     def record_ref(self, referrer: str, field_name: str, token: _Token) -> str:
         key = (referrer, field_name, token.text)
-        self.ref_spans.setdefault(key, token.span(self.file))
+        if key not in self.ref_spans:
+            self.ref_spans[key] = self.span(token)
         return token.text
 
     def enum_value(self, token: _Token, table: dict, what: str):
@@ -407,21 +353,26 @@ class _Parser:
             )
         return table[token.text]
 
+    def category(self):
+        return self.enum_value(
+            self.expect("IDENT", "a hazard category"), CATEGORY_NAMES, "hazard category"
+        )
+
     def idlist(self, referrer: str, field_name: str) -> frozenset[str]:
-        ids = [self.record_ref(referrer, field_name, self.expect_ident("an identifier"))]
-        while self.at_punct(","):
-            self.advance()
-            ids.append(
-                self.record_ref(referrer, field_name, self.expect_ident("an identifier"))
+        return frozenset(
+            self.comma_list(
+                lambda: self.record_ref(
+                    referrer, field_name, self.expect("IDENT", "an identifier")
+                )
             )
-        return frozenset(ids)
+        )
 
     # -- grammar -------------------------------------------------------------
 
     def parse_document(self) -> SafetyCase:
-        header = self.expect_word("safety_case")
-        case_id = self.expect_string("the case identifier")
-        self.span_index[case_id.value] = header.span(self.file)
+        header = self.take("safety_case")
+        case_id = self.expect("STRING", "the case identifier")
+        self.span_index[case_id.value] = self.span(header)
         self.open_block(f"safety_case {case_id.value!r}")
 
         context: ContextBlock | None = None
@@ -432,16 +383,10 @@ class _Parser:
         evidence: list[Evidence] = []
         claims: list[ClaimNode] = []
 
-        while not self.at_punct("}"):
+        while not self.at("}"):
             token = self.peek()
-            if token.kind == "EOF":
-                raise self._fatal(self._eof_message("'}'"), token)
-            if token.kind != "IDENT" or token.text not in _TOP_KEYWORDS:
-                expected = ", ".join(_TOP_KEYWORDS)
-                raise self._fatal(
-                    f"unknown keyword {token.text!r}; expected one of: {expected}",
-                    token,
-                )
+            if token.text not in _TOP_KEYWORDS:
+                raise self.unknown_keyword("", "one of: " + ", ".join(_TOP_KEYWORDS))
             if token.text == "context":
                 if context is not None:
                     raise self._fatal("context is declared twice", token)
@@ -484,12 +429,12 @@ class _Parser:
             raise self._fatal(f"invalid case: {exc}", header) from exc
 
     def parse_context(self) -> ContextBlock:
-        keyword = self.expect_word("context")
-        self.span_index["context"] = keyword.span(self.file)
+        keyword = self.take("context")
+        self.span_index["context"] = self.span(keyword)
         self.open_block("context block")
         values: dict[str, str] = {}
-        while not self.at_punct("}"):
-            key = self.expect_ident("a context field name")
+        while not self.at("}"):
+            key = self.expect("IDENT", "a context field name")
             if key.text not in ContextBlock.FIELD_ORDER:
                 expected = ", ".join(ContextBlock.FIELD_ORDER)
                 raise self._fatal(
@@ -498,32 +443,25 @@ class _Parser:
                 )
             if key.text in values:
                 raise self._fatal(f"context field {key.text!r} is set twice", key)
-            self.expect_punct("=")
-            value = self.expect_string(f"a value for {key.text}")
+            self.take("=")
+            value = self.expect("STRING", f"a value for {key.text}")
             values[key.text] = value.value
-            self.span_index[f"context.{key.text}"] = key.span(self.file)
+            self.span_index[f"context.{key.text}"] = self.span(key)
         self.close_block()
         return ContextBlock(**values)
 
     def parse_hazard(self) -> Hazard:
-        self.expect_word("hazard")
-        ident = self.expect_ident("a hazard identifier")
+        self.take("hazard")
+        ident = self.expect("IDENT", "a hazard identifier")
         hazard_id = self.declare(ident)
-        self.expect_word("category")
-        self.expect_punct("=")
-        primary = self.enum_value(
-            self.expect_ident("a hazard category"), CATEGORY_NAMES, "hazard category"
-        )
-        secondary: set = set()
-        if self.at_word("also"):
+        self.take("category")
+        self.take("=")
+        primary = self.category()
+        secondary: frozenset = frozenset()
+        if self.at("also"):
             self.advance()
-            self.expect_punct("=")
-            while True:
-                token = self.expect_ident("a hazard category")
-                secondary.add(self.enum_value(token, CATEGORY_NAMES, "hazard category"))
-                if not self.at_punct(","):
-                    break
-                self.advance()
+            self.take("=")
+            secondary = frozenset(self.comma_list(self.category))
         self.open_block(f"hazard {hazard_id}")
         description = self._single_string_field("description")
         self.close_block()
@@ -532,56 +470,42 @@ class _Parser:
                 id=hazard_id,
                 description=description,
                 primary_category=primary,
-                secondary_categories=frozenset(secondary),
+                secondary_categories=secondary,
             )
         except ModelError as exc:
             raise self._fatal(str(exc), ident) from exc
 
     def _single_string_field(self, name: str) -> str:
-        self.expect_word(name)
-        self.expect_punct("=")
-        return self.expect_string(f"a value for {name}").value
+        self.take(name)
+        self.take("=")
+        return self.expect("STRING", f"a value for {name}").value
 
     def parse_methodology(self) -> Methodology:
-        self.expect_word("methodology")
-        ident = self.expect_ident("a methodology identifier")
+        self.take("methodology")
+        ident = self.expect("IDENT", "a methodology identifier")
         methodology_id = self.declare(ident)
         self.open_block(f"methodology {methodology_id}")
         name: str | None = None
-        categories: set = set()
-        saw_categories = False
+        categories: frozenset | None = None
         region: AcSpaceRegion | None = None
-        while not self.at_punct("}"):
-            if self.at_word("name"):
+        while not self.at("}"):
+            if self.at("name"):
                 if name is not None:
                     raise self._fatal("name is set twice", self.peek())
                 name = self._single_string_field("name")
-            elif self.at_word("category"):
-                if saw_categories:
+            elif self.at("category"):
+                if categories is not None:
                     raise self._fatal("category is set twice", self.peek())
-                saw_categories = True
                 self.advance()
-                self.expect_punct("=")
-                while True:
-                    token = self.expect_ident("a hazard category")
-                    categories.add(
-                        self.enum_value(token, CATEGORY_NAMES, "hazard category")
-                    )
-                    if not self.at_punct(","):
-                        break
-                    self.advance()
-            elif self.at_word("region"):
+                self.take("=")
+                categories = frozenset(self.comma_list(self.category))
+            elif self.at("region"):
                 if region is not None:
                     raise self._fatal("region is declared twice", self.peek())
                 region = self.parse_region()
             else:
-                token = self.peek()
-                if token.kind == "EOF":
-                    raise self._fatal(self._eof_message("'}'"), token)
-                raise self._fatal(
-                    f"unknown keyword {token.text!r} in methodology block; "
-                    "expected name, category, or region",
-                    token,
+                raise self.unknown_keyword(
+                    " in methodology block", "name, category, or region"
                 )
         self.close_block()
         if name is None:
@@ -590,35 +514,30 @@ class _Parser:
             return Methodology(
                 id=methodology_id,
                 name=name,
-                hazard_categories=frozenset(categories),
+                hazard_categories=categories or frozenset(),
                 region=region,
             )
         except ModelError as exc:
             raise self._fatal(str(exc), ident) from exc
 
     def parse_region(self) -> AcSpaceRegion:
-        keyword = self.expect_word("region")
+        keyword = self.take("region")
         self.open_block("region block")
         severities: frozenset[SeverityLevel] | None = None
         sets: dict[str, frozenset] = {}
         weak_levels: list[tuple[SeverityLevel, _Token]] = []
-        dimension_tables = {
-            "role": ROLE_NAMES,
-            "capability": CAPABILITY_NAMES,
-            "status": STATUS_NAMES,
-            "aggregation": AGGREGATION_NAMES,
-        }
-        while not self.at_punct("}"):
-            if self.at_word("severity"):
+        dimension_tables = {dim: table for dim, _, table in _REGION_DIMENSIONS}
+        while not self.at("}"):
+            if self.at("severity"):
                 keyword_token = self.advance()
                 if severities is not None:
                     raise self._fatal("severity is set twice", keyword_token)
-                self.expect_punct("=")
+                self.take("=")
                 low = self.enum_value(
-                    self.expect_ident("a severity level"), SEVERITY_NAMES, "severity level"
+                    self.expect("IDENT", "a severity level"), SEVERITY_NAMES, "severity level"
                 )
-                self.expect_punct("..")
-                high_token = self.expect_ident("a severity level")
+                self.take("..")
+                high_token = self.expect("IDENT", "a severity level")
                 high = self.enum_value(high_token, SEVERITY_NAMES, "severity level")
                 if high < low:
                     raise self._fatal(
@@ -627,50 +546,36 @@ class _Parser:
                 severities = frozenset(
                     level for level in SeverityLevel if low <= level <= high
                 )
-            elif self.at_word("role", "capability", "status", "aggregation"):
+            elif self.at(*dimension_tables):
                 dim_token = self.advance()
                 dim = dim_token.text
                 if dim in sets:
                     raise self._fatal(f"{dim} is set twice", dim_token)
-                self.expect_punct("=")
-                values = set()
+                self.take("=")
                 table = dimension_tables[dim]
-                while True:
-                    token = self.expect_ident(f"a {dim} value")
-                    values.add(self.enum_value(token, table, f"{dim} value"))
-                    if not self.at_punct(","):
-                        break
-                    self.advance()
-                sets[dim] = frozenset(values)
-            elif self.at_word("weak"):
+                sets[dim] = frozenset(
+                    self.comma_list(
+                        lambda: self.enum_value(
+                            self.expect("IDENT", f"a {dim} value"), table, f"{dim} value"
+                        )
+                    )
+                )
+            elif self.at("weak"):
                 self.advance()
-                self.expect_punct("(")
-                token = self.expect_ident("a severity level")
+                self.take("(")
+                token = self.expect("IDENT", "a severity level")
                 weak_levels.append(
                     (self.enum_value(token, SEVERITY_NAMES, "severity level"), token)
                 )
-                self.expect_punct(")")
+                self.take(")")
             else:
-                token = self.peek()
-                if token.kind == "EOF":
-                    raise self._fatal(self._eof_message("'}'"), token)
-                raise self._fatal(
-                    f"unknown keyword {token.text!r} in region block; expected "
+                raise self.unknown_keyword(
+                    " in region block",
                     "severity, role, capability, status, aggregation, or weak(...)",
-                    token,
                 )
         self.close_block()
-        missing = [
-            dim
-            for dim, present in (
-                ("severity", severities is not None),
-                ("role", "role" in sets),
-                ("capability", "capability" in sets),
-                ("status", "status" in sets),
-                ("aggregation", "aggregation" in sets),
-            )
-            if not present
-        ]
+        missing = ["severity"] if severities is None else []
+        missing += [dim for dim in dimension_tables if dim not in sets]
         if missing:
             raise self._fatal(
                 f"region is missing dimension(s): {', '.join(missing)}", keyword
@@ -691,21 +596,18 @@ class _Parser:
             )
         return AcSpaceRegion(
             severities=severities,
-            roles=sets["role"],
-            capabilities=sets["capability"],
-            statuses=sets["status"],
-            aggregations=sets["aggregation"],
             weak_cells=frozenset(weak_cells),
+            **{attribute: sets[dim] for dim, attribute, _ in _REGION_DIMENSIONS},
         )
 
     def parse_indicator(self) -> Indicator:
-        self.expect_word("indicator")
-        ident = self.expect_ident("an indicator identifier")
+        self.take("indicator")
+        ident = self.expect("IDENT", "an indicator identifier")
         indicator_id = self.declare(ident)
-        self.expect_word("stage")
-        self.expect_punct("=")
+        self.take("stage")
+        self.take("=")
         stage = self.enum_value(
-            self.expect_ident("a causal stage"), STAGE_NAMES, "causal stage"
+            self.expect("IDENT", "a causal stage"), STAGE_NAMES, "causal stage"
         )
         self.open_block(f"indicator {indicator_id}")
         description = self._single_string_field("description")
@@ -713,56 +615,49 @@ class _Parser:
         return Indicator(id=indicator_id, description=description, causal_stage=stage)
 
     def parse_criterion(self) -> AcceptanceCriterion:
-        self.expect_word("criterion")
-        ident = self.expect_ident("a criterion identifier")
+        self.take("criterion")
+        ident = self.expect("IDENT", "a criterion identifier")
         criterion_id = self.declare(ident)
-        self.expect_word("hazard")
-        self.expect_punct("=")
+        self.take("hazard")
+        self.take("=")
         hazard_ids = self.idlist(criterion_id, "hazard_ids")
-        self.expect_word("methodology")
-        self.expect_punct("=")
+        self.take("methodology")
+        self.take("=")
         methodology_id = self.record_ref(
-            criterion_id, "methodology_id", self.expect_ident("a methodology identifier")
+            criterion_id, "methodology_id", self.expect("IDENT", "a methodology identifier")
         )
-        self.expect_word("aggregation")
-        self.expect_punct("=")
+        self.take("aggregation")
+        self.take("=")
         aggregation = self.enum_value(
-            self.expect_ident("an aggregation level"), AGGREGATION_NAMES, "aggregation level"
+            self.expect("IDENT", "an aggregation level"), AGGREGATION_NAMES, "aggregation level"
         )
         self.open_block(f"criterion {criterion_id}")
         statement: str | None = None
         target: ValidationTarget | None = None
         region: AcSpaceRegion | None = None
-        indicator_ids: frozenset[str] = frozenset()
-        saw_indicators = False
-        while not self.at_punct("}"):
-            if self.at_word("statement"):
+        indicator_ids: frozenset[str] | None = None
+        while not self.at("}"):
+            if self.at("statement"):
                 if statement is not None:
                     raise self._fatal("statement is set twice", self.peek())
                 statement = self._single_string_field("statement")
-            elif self.at_word("target"):
+            elif self.at("target"):
                 if target is not None:
                     raise self._fatal("target is declared twice", self.peek())
                 target = self.parse_target()
-            elif self.at_word("region"):
+            elif self.at("region"):
                 if region is not None:
                     raise self._fatal("region is declared twice", self.peek())
                 region = self.parse_region()
-            elif self.at_word("indicator"):
-                if saw_indicators:
+            elif self.at("indicator"):
+                if indicator_ids is not None:
                     raise self._fatal("indicator list is set twice", self.peek())
-                saw_indicators = True
                 self.advance()
-                self.expect_punct("=")
+                self.take("=")
                 indicator_ids = self.idlist(criterion_id, "indicator_ids")
             else:
-                token = self.peek()
-                if token.kind == "EOF":
-                    raise self._fatal(self._eof_message("'}'"), token)
-                raise self._fatal(
-                    f"unknown keyword {token.text!r} in criterion block; expected "
-                    "statement, target, region, or indicator",
-                    token,
+                raise self.unknown_keyword(
+                    " in criterion block", "statement, target, region, or indicator"
                 )
         self.close_block()
         if statement is None:
@@ -774,7 +669,7 @@ class _Parser:
                 hazard_ids=hazard_ids,
                 methodology_id=methodology_id,
                 aggregation=aggregation,
-                indicator_ids=indicator_ids,
+                indicator_ids=indicator_ids or frozenset(),
                 region=region,
                 target=target,
             )
@@ -782,12 +677,12 @@ class _Parser:
             raise self._fatal(str(exc), ident) from exc
 
     def parse_target(self) -> ValidationTarget:
-        self.expect_word("target")
-        kind_token = self.expect_ident("'rate_bound' or 'qualitative'")
+        self.take("target")
+        kind_token = self.expect("IDENT", "'rate_bound' or 'qualitative'")
         if kind_token.text == "qualitative":
-            self.expect_punct("(")
-            description = self.expect_string("a description").value
-            self.expect_punct(")")
+            self.take("(")
+            description = self.expect("STRING", "a description").value
+            self.take(")")
             return ValidationTarget(kind=TargetKind.QUALITATIVE, description=description)
         if kind_token.text != "rate_bound":
             raise self._fatal(
@@ -795,23 +690,23 @@ class _Parser:
                 "qualitative",
                 kind_token,
             )
-        self.expect_punct("(")
-        self.expect_word("events")
-        self.expect_punct("=")
-        events = self.expect_string("an event definition").value
-        self.expect_punct(",")
-        self.expect_word("max")
-        self.expect_punct("=")
-        max_rate = self.expect_number("a maximum rate").value
-        self.expect_punct(",")
-        self.expect_word("per")
-        self.expect_punct("=")
-        unit = self.expect_string("an exposure unit").value
-        self.expect_punct(",")
-        self.expect_word("confidence")
-        self.expect_punct("=")
-        confidence_token = self.expect_number("a confidence level")
-        self.expect_punct(")")
+        self.take("(")
+        self.take("events")
+        self.take("=")
+        events = self.expect("STRING", "an event definition").value
+        self.take(",")
+        self.take("max")
+        self.take("=")
+        max_rate = self.expect("NUMBER", "a maximum rate").value
+        self.take(",")
+        self.take("per")
+        self.take("=")
+        unit = self.expect("STRING", "an exposure unit").value
+        self.take(",")
+        self.take("confidence")
+        self.take("=")
+        confidence_token = self.expect("NUMBER", "a confidence level")
+        self.take(")")
         try:
             return ValidationTarget(
                 kind=TargetKind.RATE_BOUND,
@@ -824,17 +719,17 @@ class _Parser:
             raise self._fatal(str(exc), confidence_token) from exc
 
     def parse_evidence(self) -> Evidence:
-        self.expect_word("evidence")
-        ident = self.expect_ident("an evidence identifier")
+        self.take("evidence")
+        ident = self.expect("IDENT", "an evidence identifier")
         evidence_id = self.declare(ident)
-        self.expect_word("methodology")
-        self.expect_punct("=")
+        self.take("methodology")
+        self.take("=")
         methodology_id = self.record_ref(
-            evidence_id, "methodology_id", self.expect_ident("a methodology identifier")
+            evidence_id, "methodology_id", self.expect("IDENT", "a methodology identifier")
         )
-        self.expect_word("strength")
-        self.expect_punct("=")
-        strength_token = self.expect_ident("'strong' or 'weak'")
+        self.take("strength")
+        self.take("=")
+        strength_token = self.expect("IDENT", "'strong' or 'weak'")
         if strength_token.text not in ("strong", "weak"):
             raise self._fatal(
                 f"strength must be strong or weak, got {strength_token.text!r}",
@@ -843,24 +738,17 @@ class _Parser:
         self.open_block(f"evidence {evidence_id}")
         kind: str | None = None
         uri: str | None = None
-        while not self.at_punct("}"):
-            if self.at_word("kind"):
+        while not self.at("}"):
+            if self.at("kind"):
                 if kind is not None:
                     raise self._fatal("kind is set twice", self.peek())
                 kind = self._single_string_field("kind")
-            elif self.at_word("uri"):
+            elif self.at("uri"):
                 if uri is not None:
                     raise self._fatal("uri is set twice", self.peek())
                 uri = self._single_string_field("uri")
             else:
-                token = self.peek()
-                if token.kind == "EOF":
-                    raise self._fatal(self._eof_message("'}'"), token)
-                raise self._fatal(
-                    f"unknown keyword {token.text!r} in evidence block; "
-                    "expected kind or uri",
-                    token,
-                )
+                raise self.unknown_keyword(" in evidence block", "kind or uri")
         self.close_block()
         if kind is None or uri is None:
             raise self._fatal(
@@ -875,13 +763,13 @@ class _Parser:
         )
 
     def parse_claim(self) -> ClaimNode:
-        self.expect_word("claim")
-        ident = self.expect_ident("a claim identifier")
+        self.take("claim")
+        ident = self.expect("IDENT", "a claim identifier")
         claim_id = self.declare(ident)
-        self.expect_word("criterion")
-        self.expect_punct("=")
+        self.take("criterion")
+        self.take("=")
         criterion_id = self.record_ref(
-            claim_id, "criterion_id", self.expect_ident("a criterion identifier")
+            claim_id, "criterion_id", self.expect("IDENT", "a criterion identifier")
         )
         children, rows = self.parse_claim_body(claim_id, f"claim {claim_id}", depth=1)
         try:
@@ -907,21 +795,14 @@ class _Parser:
         children: list[ClaimNode] = []
         rows: list[ArgumentRow] = []
         row_labels: dict[str, int] = {}
-        while not self.at_punct("}"):
-            if self.at_word(*_SUBCLAIM_KINDS):
+        while not self.at("}"):
+            if self.at(*_SUBCLAIM_KINDS):
                 children.append(self.parse_subclaim(parent_key, len(children) + 1, depth))
-            elif self.at_word("argument"):
+            elif self.at("argument"):
                 rows.append(self.parse_row(parent_key, row_labels))
             else:
-                token = self.peek()
-                if token.kind == "EOF":
-                    raise self._fatal(self._eof_message("'}'"), token)
                 expected = ", ".join((*_SUBCLAIM_KINDS, "argument"))
-                raise self._fatal(
-                    f"unknown keyword {token.text!r} in claim body; expected one "
-                    f"of: {expected}",
-                    token,
-                )
+                raise self.unknown_keyword(" in claim body", f"one of: {expected}")
         self.close_block()
         return tuple(children), tuple(rows)
 
@@ -930,12 +811,13 @@ class _Parser:
         kind = _SUBCLAIM_KINDS[keyword.text]
         facet_label = ""
         if kind is ClaimKind.FACET:
-            facet_label = self.expect_string("a facet label").value
+            facet_label = self.expect("STRING", "a facet label").value
         node_id = ""
         if self.peek().kind == "IDENT":
             node_id = self.declare(self.advance())
         key = node_id or f"{parent_key}.{ordinal}"
-        self.span_index.setdefault(key, keyword.span(self.file))
+        if key not in self.span_index:
+            self.span_index[key] = self.span(keyword)
         description = f"{keyword.text} subclaim" + (f" {node_id}" if node_id else "")
         children, rows = self.parse_claim_body(key, description, depth + 1)
         try:
@@ -950,51 +832,40 @@ class _Parser:
             raise self._fatal(str(exc), keyword) from exc
 
     def parse_row(self, parent_key: str, row_labels: dict[str, int]) -> ArgumentRow:
-        keyword = self.expect_word("argument")
-        label_token = self.expect_ident("an argument label")
+        keyword = self.take("argument")
+        label_token = self.expect("IDENT", "an argument label")
         label = label_token.text
         count = row_labels.get(label, 0)
         row_labels[label] = count + 1
         row_key = f"{parent_key}.{label}" + (f"@{count + 1}" if count else "")
-        self.span_index[row_key] = keyword.span(self.file)
+        self.span_index[row_key] = self.span(keyword)
         self.open_block(f"argument {label}")
         text: str | None = None
-        evidence_ids: frozenset[str] = frozenset()
-        saw_evidence = False
-        limitations = ""
-        saw_limitations = False
-        counter = ""
-        saw_counter = False
-        while not self.at_punct("}"):
-            if self.at_word("text"):
+        evidence_ids: frozenset[str] | None = None
+        limitations: str | None = None
+        counter: str | None = None
+        while not self.at("}"):
+            if self.at("text"):
                 if text is not None:
                     raise self._fatal("text is set twice", self.peek())
                 text = self._single_string_field("text")
-            elif self.at_word("evidence"):
-                if saw_evidence:
+            elif self.at("evidence"):
+                if evidence_ids is not None:
                     raise self._fatal("evidence list is set twice", self.peek())
-                saw_evidence = True
                 self.advance()
-                self.expect_punct("=")
+                self.take("=")
                 evidence_ids = self.idlist(row_key, "evidence_ids")
-            elif self.at_word("limitations"):
-                if saw_limitations:
+            elif self.at("limitations"):
+                if limitations is not None:
                     raise self._fatal("limitations is set twice", self.peek())
-                saw_limitations = True
                 limitations = self._single_string_field("limitations")
-            elif self.at_word("counter"):
-                if saw_counter:
+            elif self.at("counter"):
+                if counter is not None:
                     raise self._fatal("counter is set twice", self.peek())
-                saw_counter = True
                 counter = self._single_string_field("counter")
             else:
-                token = self.peek()
-                if token.kind == "EOF":
-                    raise self._fatal(self._eof_message("'}'"), token)
-                raise self._fatal(
-                    f"unknown keyword {token.text!r} in argument block; expected "
-                    "text, evidence, limitations, or counter",
-                    token,
+                raise self.unknown_keyword(
+                    " in argument block", "text, evidence, limitations, or counter"
                 )
         self.close_block()
         if text is None:
@@ -1003,9 +874,9 @@ class _Parser:
             return ArgumentRow(
                 label=label,
                 argument=text,
-                evidence_ids=evidence_ids,
-                limitations=limitations,
-                counter_argument=counter,
+                evidence_ids=evidence_ids or frozenset(),
+                limitations=limitations or "",
+                counter_argument=counter or "",
             )
         except ModelError as exc:
             raise self._fatal(str(exc), label_token) from exc
@@ -1029,8 +900,7 @@ def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:
             )
             return ParseResult(case=None, diagnostics=(diagnostic,))
     try:
-        tokens = _Lexer(text, file_name).tokens()
-        parser = _Parser(tokens, file_name)
+        parser = _Parser(_lex(text, file_name), _Source(text, file_name))
         case = parser.parse_document()
     except _Fatal as fatal:
         return ParseResult(case=None, diagnostics=(fatal.diagnostic,))
@@ -1101,9 +971,9 @@ def _weak_severities(region: AcSpaceRegion) -> list[SeverityLevel]:
     return sorted(by_level)
 
 
-def _enum_sorted(values, order) -> list:
-    ordered = [v for v in order if v in values]
-    return ordered
+def _names(members, table: dict) -> str:
+    """`members` as a comma list of their names, in the name table's order."""
+    return ", ".join(member.value for member in table.values() if member in members)
 
 
 class _Writer:
@@ -1136,20 +1006,8 @@ class _BlockCtx:
 def _write_region(w: _Writer, region: AcSpaceRegion) -> None:
     with w.block("region"):
         w.line(f"severity = {_severity_range(region.severities)}")
-        roles = ", ".join(r.value for r in _enum_sorted(region.roles, tuple(ROLE_NAMES.values())))
-        w.line(f"role = {roles}")
-        caps = ", ".join(
-            c.value for c in _enum_sorted(region.capabilities, tuple(CAPABILITY_NAMES.values()))
-        )
-        w.line(f"capability = {caps}")
-        statuses = ", ".join(
-            s.value for s in _enum_sorted(region.statuses, tuple(STATUS_NAMES.values()))
-        )
-        w.line(f"status = {statuses}")
-        aggs = ", ".join(
-            a.value for a in _enum_sorted(region.aggregations, tuple(AGGREGATION_NAMES.values()))
-        )
-        w.line(f"aggregation = {aggs}")
+        for dim, attribute, table in _REGION_DIMENSIONS:
+            w.line(f"{dim} = {_names(getattr(region, attribute), table)}")
         for level in _weak_severities(region):
             w.line(f"weak({level.name})")
 
@@ -1219,13 +1077,7 @@ def serialize(case: SafetyCase) -> str:
     for hazard in case.hazards:
         header = f"hazard {hazard.id} category = {hazard.primary_category.value}"
         if hazard.secondary_categories:
-            also = ", ".join(
-                c.value
-                for c in _enum_sorted(
-                    hazard.secondary_categories, tuple(CATEGORY_NAMES.values())
-                )
-            )
-            header += f" also = {also}"
+            header += f" also = {_names(hazard.secondary_categories, CATEGORY_NAMES)}"
         with w.block(header):
             w.line(f"description = {_quote(hazard.description)}")
         blocks.append(collect())
@@ -1234,13 +1086,7 @@ def serialize(case: SafetyCase) -> str:
         with w.block(f"methodology {methodology.id}"):
             w.line(f"name = {_quote(methodology.name)}")
             if methodology.hazard_categories:
-                categories = ", ".join(
-                    c.value
-                    for c in _enum_sorted(
-                        methodology.hazard_categories, tuple(CATEGORY_NAMES.values())
-                    )
-                )
-                w.line(f"category = {categories}")
+                w.line(f"category = {_names(methodology.hazard_categories, CATEGORY_NAMES)}")
             if methodology.region is not None:
                 _write_region(w, methodology.region)
         blocks.append(collect())

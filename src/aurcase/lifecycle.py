@@ -197,7 +197,7 @@ def rate_upper_bound(count: int, exposure: float, confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
     if count == 0:
-        return _finite_bound(-log(1.0 - confidence) / exposure, exposure)
+        return _finite_bound(-log1p(-confidence) / exposure, exposure)
     return _finite_bound(_poisson_mean_upper(count, confidence) / exposure, exposure)
 
 

@@ -2,12 +2,18 @@
 
 These deliberately avoid the library's own code paths: the Poisson CDF is
 summed term by term with `math`, the bisection is written separately from
-the one in `lifecycle`, and cell enumeration uses plain nested loops.
+the one in `lifecycle`, cell enumeration uses plain nested loops, and the
+`.aur` lexer walks the text one character at a time.
+
+`perfbench/gen.py` loads this file by path, without registering it as a
+module and without `aurcase` importable, so it uses the standard library
+only and no dataclasses.
 """
 
 from __future__ import annotations
 
 from math import exp, fsum, lgamma, log
+from typing import NamedTuple
 
 
 def poisson_cdf(count: int, mean: float) -> float:
@@ -95,3 +101,193 @@ def trace_rows(case) -> list[tuple]:
             )
         )
     return rows
+
+
+# -- the character-at-a-time lexer ---------------------------------------------
+#
+# The `.aur` lexer as it was before the master-pattern rewrite in
+# `aurcase.dsl`, kept as the reference its token streams and fatal
+# diagnostics are compared against.  It walks the text one character at a
+# time and keeps line and column as it goes.
+
+
+class Token(NamedTuple):
+    kind: str  # IDENT | STRING | NUMBER | PUNCT | EOF
+    text: str
+    value: str | float | None
+    line: int
+    col: int
+    end_line: int
+    end_col: int
+
+
+class LexFatal(Exception):
+    """The first lexing error: its message and (line, col, end_line, end_col)."""
+
+    def __init__(self, message: str, position: tuple[int, int, int, int]):
+        super().__init__(message)
+        self.message = message
+        self.position = position
+
+
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+
+
+def _is_ident_start(ch: str) -> bool:
+    return ch.isalpha() or ch == "_"
+
+
+def _is_ident_char(ch: str) -> bool:
+    return ch.isalnum() or ch in "_-"
+
+
+class Lexer:
+    def __init__(self, text: str, file_name: str):
+        self.text = text
+        self.file = file_name
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def _fatal(self, message: str, line: int, col: int) -> LexFatal:
+        return LexFatal(message, (line, col, self.line, max(self.col, col)))
+
+    def _advance(self) -> str:
+        ch = self.text[self.pos]
+        self.pos += 1
+        if ch == "\n":
+            self.line += 1
+            self.col = 1
+        else:
+            self.col += 1
+        return ch
+
+    def tokens(self) -> list[Token]:
+        out: list[Token] = []
+        text = self.text
+        while self.pos < len(text):
+            ch = text[self.pos]
+            if ch in " \t\r\n":
+                self._advance()
+                continue
+            if ch == "#":
+                while self.pos < len(text) and text[self.pos] != "\n":
+                    self._advance()
+                continue
+            line, col = self.line, self.col
+            if ch == '"':
+                out.append(self._string(line, col))
+                continue
+            if (
+                ch.isdigit()
+                or (
+                    ch in "+-"
+                    and self.pos + 1 < len(text)
+                    and (text[self.pos + 1].isdigit() or text[self.pos + 1] == ".")
+                )
+                or (
+                    ch == "."
+                    and self.pos + 1 < len(text)
+                    and text[self.pos + 1].isdigit()
+                )
+            ):
+                out.append(self._number(line, col))
+                continue
+            if _is_ident_start(ch):
+                out.append(self._ident(line, col))
+                continue
+            if ch == "." and text.startswith("..", self.pos):
+                self._advance()
+                self._advance()
+                out.append(Token("PUNCT", "..", None, line, col, self.line, self.col))
+                continue
+            if ch in "{}()=,":
+                self._advance()
+                out.append(Token("PUNCT", ch, None, line, col, self.line, self.col))
+                continue
+            self._advance()
+            raise self._fatal(f"unexpected character {ch!r}", line, col)
+        out.append(Token("EOF", "", None, self.line, self.col, self.line, self.col))
+        return out
+
+    def _string(self, line: int, col: int) -> Token:
+        self._advance()  # opening quote
+        parts: list[str] = []
+        raw = ['"']
+        while True:
+            if self.pos >= len(self.text):
+                raise self._fatal("unterminated string literal", line, col)
+            ch = self.text[self.pos]
+            if ch == "\n":
+                raise self._fatal("string literal must not span lines", line, col)
+            self._advance()
+            raw.append(ch)
+            if ch == '"':
+                break
+            if ch == "\\":
+                if self.pos >= len(self.text):
+                    raise self._fatal("unterminated string literal", line, col)
+                esc = self._advance()
+                raw.append(esc)
+                if esc not in _ESCAPES:
+                    raise self._fatal(
+                        f"unknown escape sequence '\\{esc}'", self.line, self.col - 2
+                    )
+                parts.append(_ESCAPES[esc])
+            else:
+                parts.append(ch)
+        return Token(
+            "STRING", "".join(raw), "".join(parts), line, col, self.line, self.col
+        )
+
+    def _number(self, line: int, col: int) -> Token:
+        chars: list[str] = []
+        text = self.text
+        if text[self.pos] in "+-":
+            chars.append(self._advance())
+        while self.pos < len(text) and text[self.pos].isdigit():
+            chars.append(self._advance())
+        if (
+            self.pos < len(text)
+            and text[self.pos] == "."
+            and not text.startswith("..", self.pos)
+        ):
+            chars.append(self._advance())
+            while self.pos < len(text) and text[self.pos].isdigit():
+                chars.append(self._advance())
+        if self.pos < len(text) and text[self.pos] in "eE":
+            chars.append(self._advance())
+            if self.pos < len(text) and text[self.pos] in "+-":
+                chars.append(self._advance())
+            digits = 0
+            while self.pos < len(text) and text[self.pos].isdigit():
+                chars.append(self._advance())
+                digits += 1
+            if digits == 0:
+                raise self._fatal("malformed number: exponent has no digits", line, col)
+        literal = "".join(chars)
+        try:
+            value = float(literal)
+        except ValueError:
+            raise self._fatal(f"malformed number {literal!r}", line, col) from None
+        return Token("NUMBER", literal, value, line, col, self.line, self.col)
+
+    def _ident(self, line: int, col: int) -> Token:
+        chars = [self._advance()]
+        text = self.text
+        while self.pos < len(text):
+            ch = text[self.pos]
+            if _is_ident_char(ch):
+                chars.append(self._advance())
+            elif (
+                ch == "."
+                and self.pos + 1 < len(text)
+                and _is_ident_char(text[self.pos + 1])
+                and text[self.pos + 1] != "."
+            ):
+                # Dotted labels like A.1; a double dot is the range operator.
+                chars.append(self._advance())
+            else:
+                break
+        word = "".join(chars)
+        return Token("IDENT", word, word, line, col, self.line, self.col)

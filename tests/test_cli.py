@@ -243,6 +243,16 @@ def test_exit_code_contract_matches_error_diagnostics(fixture, capsys):
     assert (code == 0) == (not has_errors)
 
 
+@pytest.mark.parametrize("command", ["check", "fmt"])
+def test_backslash_before_a_line_break_is_a_positioned_e013(tmp_path, capsys, command):
+    path = write(tmp_path, "split.aur", 'safety_case "a\\\nb" {}\n')
+    assert run([command, path]) == 2
+    captured = capsys.readouterr()
+    output = captured.out + captured.err  # fmt keeps stdout for the document
+    assert f"{path}:1:13: error[E013]: string literal must not span lines" in output
+    assert "Traceback" not in output
+
+
 class TestMachineOutputSharesTheReportSchema:
     """`--format machine` prints exactly the matching `report.json` section."""
 

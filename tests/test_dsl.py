@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from aurcase.dsl import ParseResult, parse, serialize
+import oracles
+from aurcase.diagnostics import Diagnostic, Severity, SourceSpan
+from aurcase.dsl import ParseResult, _Fatal, _lex, _Source, parse, serialize
 from aurcase.model import (
     AcSpaceRegion,
     AggregationLevel,
@@ -18,6 +23,7 @@ from aurcase.model import (
     iter_rows,
 )
 
+from conftest import FIXTURES
 from strategies import safety_cases
 
 MINIMAL = """
@@ -426,3 +432,111 @@ def test_infinite_rate_bound_maximum_is_a_positioned_e013():
     assert diagnostic.rule_id == "E013"
     assert diagnostic.message == "rate_bound target: max_rate must be finite"
     assert slice_at(text, diagnostic.span) == "0.95"
+
+
+# -- the lexer against its character-at-a-time reference ----------------------
+
+# The grammar's characters plus letters and digits outside ASCII: `٣` is a
+# decimal digit, `²` and `①` are digits but not decimal, `½` and `Ⅻ` are
+# numeric only.
+FUZZ_ALPHABET = '"\\#{}()=,.+-eE_0123456789abcxyzHSACM \t\r\néß٣²½Ⅻ①'
+FUZZ_PREFIXES = ("", 'safety_case "f" {\n', 'safety_case "f" {\n  context { use_case = ')
+PERFBENCH_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+def fuzz_texts(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        body = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(0, 40)))
+        yield rng.choice(FUZZ_PREFIXES) + body
+
+
+def test_fuzz_text_never_crashes():
+    for text in fuzz_texts(2026, 20_000):
+        result = parse(text, "fuzz.aur")
+        assert isinstance(result, ParseResult)
+        assert result.case is not None or result.diagnostics
+
+
+def test_backslash_before_a_line_break_spans_the_string_to_the_break():
+    text = 'safety_case "a\\\nb" {}\n'
+    (diagnostic,) = parse(text, "split.aur").diagnostics
+    assert diagnostic.rule_id == "E013"
+    assert diagnostic.message == "string literal must not span lines"
+    assert diagnostic.span == SourceSpan("split.aur", 1, 13, 1, 16)  # '"a\\' up to the break
+
+
+def _reference_lex(text: str):
+    try:
+        tokens = oracles.Lexer(text, "d.aur").tokens()
+    except oracles.LexFatal as fatal:
+        span = SourceSpan("d.aur", *fatal.position)
+        return None, Diagnostic("E013", Severity.ERROR, fatal.message, span=span)
+    return [
+        (t.kind, t.text, t.value, SourceSpan("d.aur", t.line, t.col, t.end_line, t.end_col))
+        for t in tokens
+    ], None
+
+
+def _library_lex(text: str):
+    try:
+        tokens = _lex(text, "d.aur")
+    except _Fatal as fatal:
+        return None, fatal.diagnostic
+    source = _Source(text, "d.aur")
+    return [
+        (t.kind, t.text, t.value, source.span(t.start, t.start + len(t.text)))
+        for t in tokens
+    ], None
+
+
+def _lexer_corpus(name: str) -> list[str]:
+    if name == "fixtures":
+        return [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.aur"))]
+    if name == "golden_x10":
+        spec = importlib.util.spec_from_file_location("_perfbench_gen", PERFBENCH_GEN)
+        gen = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = gen  # dataclasses look their module up
+        spec.loader.exec_module(gen)
+        model = gen.Golden.load(FIXTURES / "golden_cat.aur")
+        return [gen.assemble(model.header, gen.scaled(model, 10))]
+    if name == "golden_edits":
+        golden = (FIXTURES / "golden_cat.aur").read_text(encoding="utf-8")
+        rng = random.Random(31)
+        texts = []
+        for _ in range(300):
+            text = golden
+            for _ in range(rng.randrange(1, 4)):
+                at = rng.randrange(len(text) + 1)
+                if rng.random() < 0.5:
+                    text = text[:at] + text[at + rng.randrange(1, 8) :]
+                else:
+                    text = text[:at] + rng.choice(FUZZ_ALPHABET) + text[at:]
+            texts.append(text)
+        return texts
+    return list(fuzz_texts(2026, 20_000))
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "golden_x10", "golden_edits", "fuzz"])
+def test_lexer_matches_the_reference(corpus):
+    """Same tokens (kind, text, value, span) and the same fatal diagnostic
+    as the reference, except where the reference crashed on a backslash
+    before a line break, and where a text holds digits that are not
+    decimal (`²`, `①`): the reference took those for number digits and
+    always rejected the number; the library rejects them as characters."""
+    matched = 0
+    for text in _lexer_corpus(corpus):
+        got = _library_lex(text)
+        try:
+            expected = _reference_lex(text)
+        except ValueError as exc:
+            assert "1-based" in str(exc)
+            assert got[1].message == "string literal must not span lines", text
+            continue
+        if got != expected and any(ch.isdigit() and not ch.isdecimal() for ch in text):
+            assert expected[1] is not None and expected[1].rule_id == "E013", text
+            assert got[1] is not None and got[1].rule_id == "E013", text
+            continue
+        assert got == expected, text
+        matched += 1
+    assert matched

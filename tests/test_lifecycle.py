@@ -76,6 +76,12 @@ class TestRateUpperBound:
         assert rel_err(rate_upper_bound(0, 1e6, 0.95), expected) < 1e-9
         assert rel_err(rate_upper_bound(0, 1e6, 0.95), 2.99573e-6) < 1e-5
 
+    @pytest.mark.parametrize("confidence", [1e-12, 1e-15])
+    def test_zero_events_keeps_its_digits_at_tiny_confidences(self, confidence):
+        # -log(1 - c) loses the digits of c that 1 - c rounds away.
+        expected = -math.log1p(-confidence) / 1e6
+        assert rel_err(rate_upper_bound(0, 1e6, confidence), expected) < 1e-12
+
     def test_one_event_million_miles_matches_bisection_oracle(self):
         bound = rate_upper_bound(1, 1e6, 0.95)
         assert rel_err(bound, upper_bound_bisect(1, 1e6, 0.95)) < 1e-6
