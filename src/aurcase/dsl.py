@@ -22,6 +22,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, dangling_references
 from .model import (
@@ -58,16 +59,6 @@ _DUPLICATE_RULE = "E010"
 
 _MAX_CLAIM_DEPTH = 64
 
-_TOP_KEYWORDS = (
-    "context",
-    "hazard",
-    "methodology",
-    "indicator",
-    "criterion",
-    "evidence",
-    "claim",
-)
-
 _SUBCLAIM_KINDS = {
     "reasonableness": ClaimKind.REASONABLENESS,
     "satisfaction": ClaimKind.SATISFACTION,
@@ -83,6 +74,7 @@ _REGION_DIMENSIONS = (
     ("status", "statuses", STATUS_NAMES),
     ("aggregation", "aggregations", AGGREGATION_NAMES),
 )
+_DIMENSION_NAMES = {dim: table for dim, _, table in _REGION_DIMENSIONS}
 
 
 @dataclass(frozen=True)
@@ -118,7 +110,9 @@ class _Fatal(Exception):
 
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
-_ESCAPE_OUT = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_ESCAPE_OUT = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+)
 
 # Where a string literal's body stops: at its closing quote, or at a line
 # break or an escape the format does not know.
@@ -286,9 +280,13 @@ class _Parser:
         hint = _KIND_HINTS.get(kind, "")
         raise self._fatal(f"expected {what}{hint}, found {token.text!r}", token)
 
-    def take(self, text: str) -> _Token:
-        """Consume the keyword or punctuation `text`."""
-        return self.expect("IDENT" if text[0].isalpha() else "PUNCT", f"'{text}'", text)
+    def take(self, *texts: str) -> _Token:
+        """Consume the keywords or punctuation `texts` in turn; return the
+        first token."""
+        first = self.tokens[self.pos]
+        for text in texts:
+            self.expect("IDENT" if text[0].isalpha() else "PUNCT", f"'{text}'", text)
+        return first
 
     def at(self, *texts: str) -> bool:
         # A token's text alone tells its kind: strings keep their quotes,
@@ -319,6 +317,30 @@ class _Parser:
         self.take("}")
         self.open_blocks.pop()
 
+    def block_body(self, block: str, expected: str, readers: dict) -> dict:
+        """Read an open block's entries, then its closing '}'.
+
+        `readers` maps each keyword that may start an entry to `(read,
+        twice)`: `read(keyword_token)` reads the rest of the entry, and
+        `twice` is the fatal message for a second entry with that keyword,
+        or None where entries may repeat.  Returns each keyword's value, as
+        a list of values for a keyword that may repeat.
+        """
+        values: dict = {}
+        while not self.at("}"):
+            keyword = self.peek()
+            if keyword.text not in readers:
+                raise self.unknown_keyword(block, expected)
+            read, twice = readers[keyword.text]
+            if twice is None:
+                values.setdefault(keyword.text, []).append(read(self.advance()))
+            elif keyword.text in values:
+                raise self._fatal(twice, keyword)
+            else:
+                values[keyword.text] = read(self.advance())
+        self.close_block()
+        return values
+
     # -- declarations and references ----------------------------------------
 
     def declare(self, token: _Token) -> str:
@@ -339,7 +361,10 @@ class _Parser:
         self.span_index[name] = self.span(token)
         return name
 
-    def record_ref(self, referrer: str, field_name: str, token: _Token) -> str:
+    def reference(self, referrer: str, field_name: str, what: str) -> str:
+        """The identifier `referrer` names in `field_name`; its token's span
+        is kept for reference diagnostics."""
+        token = self.expect("IDENT", what)
         key = (referrer, field_name, token.text)
         if key not in self.ref_spans:
             self.ref_spans[key] = self.span(token)
@@ -358,13 +383,23 @@ class _Parser:
             self.expect("IDENT", "a hazard category"), CATEGORY_NAMES, "hazard category"
         )
 
-    def idlist(self, referrer: str, field_name: str) -> frozenset[str]:
-        return frozenset(
-            self.comma_list(
-                lambda: self.record_ref(
-                    referrer, field_name, self.expect("IDENT", "an identifier")
-                )
-            )
+    def severity(self) -> tuple[SeverityLevel, _Token]:
+        token = self.expect("IDENT", "a severity level")
+        return self.enum_value(token, SEVERITY_NAMES, "severity level"), token
+
+    def assigned_string(self, keyword: _Token) -> str:
+        """`= "..."`, the value of `keyword`."""
+        self.take("=")
+        return self.expect("STRING", f"a value for {keyword.text}").value
+
+    def assigned_list(self, item) -> frozenset:
+        """`= item, item, ...`."""
+        self.take("=")
+        return frozenset(self.comma_list(item))
+
+    def assigned_ids(self, referrer: str, field_name: str) -> frozenset[str]:
+        return self.assigned_list(
+            lambda: self.reference(referrer, field_name, "an identifier")
         )
 
     # -- grammar -------------------------------------------------------------
@@ -374,36 +409,16 @@ class _Parser:
         case_id = self.expect("STRING", "the case identifier")
         self.span_index[case_id.value] = self.span(header)
         self.open_block(f"safety_case {case_id.value!r}")
-
-        context: ContextBlock | None = None
-        hazards: list[Hazard] = []
-        methodologies: list[Methodology] = []
-        indicators: list[Indicator] = []
-        criteria: list[AcceptanceCriterion] = []
-        evidence: list[Evidence] = []
-        claims: list[ClaimNode] = []
-
-        while not self.at("}"):
-            token = self.peek()
-            if token.text not in _TOP_KEYWORDS:
-                raise self.unknown_keyword("", "one of: " + ", ".join(_TOP_KEYWORDS))
-            if token.text == "context":
-                if context is not None:
-                    raise self._fatal("context is declared twice", token)
-                context = self.parse_context()
-            elif token.text == "hazard":
-                hazards.append(self.parse_hazard())
-            elif token.text == "methodology":
-                methodologies.append(self.parse_methodology())
-            elif token.text == "indicator":
-                indicators.append(self.parse_indicator())
-            elif token.text == "criterion":
-                criteria.append(self.parse_criterion())
-            elif token.text == "evidence":
-                evidence.append(self.parse_evidence())
-            else:
-                claims.append(self.parse_claim())
-        self.close_block()
+        readers = {
+            "context": (self.parse_context, "context is declared twice"),
+            "hazard": (self.parse_hazard, None),
+            "methodology": (self.parse_methodology, None),
+            "indicator": (self.parse_indicator, None),
+            "criterion": (self.parse_criterion, None),
+            "evidence": (self.parse_evidence, None),
+            "claim": (self.parse_claim, None),
+        }
+        body = self.block_body("", "one of: " + ", ".join(readers), readers)
 
         trailing = self.peek()
         if trailing.kind != "EOF":
@@ -411,25 +426,24 @@ class _Parser:
                 f"unexpected {trailing.text!r} after the closing '}}' of the case",
                 trailing,
             )
-        if context is None:
+        if "context" not in body:
             raise self._fatal("the case must declare a context block", header)
 
         try:
             return SafetyCase(
                 id=case_id.value,
-                context=context,
-                hazards=tuple(hazards),
-                methodologies=tuple(methodologies),
-                indicators=tuple(indicators),
-                criteria=tuple(criteria),
-                evidence=tuple(evidence),
-                claims=tuple(claims),
+                context=body["context"],
+                hazards=tuple(body.get("hazard", ())),
+                methodologies=tuple(body.get("methodology", ())),
+                indicators=tuple(body.get("indicator", ())),
+                criteria=tuple(body.get("criterion", ())),
+                evidence=tuple(body.get("evidence", ())),
+                claims=tuple(body.get("claim", ())),
             )
         except ModelError as exc:
             raise self._fatal(f"invalid case: {exc}", header) from exc
 
-    def parse_context(self) -> ContextBlock:
-        keyword = self.take("context")
+    def parse_context(self, keyword: _Token) -> ContextBlock:
         self.span_index["context"] = self.span(keyword)
         self.open_block("context block")
         values: dict[str, str] = {}
@@ -443,27 +457,22 @@ class _Parser:
                 )
             if key.text in values:
                 raise self._fatal(f"context field {key.text!r} is set twice", key)
-            self.take("=")
-            value = self.expect("STRING", f"a value for {key.text}")
-            values[key.text] = value.value
+            values[key.text] = self.assigned_string(key)
             self.span_index[f"context.{key.text}"] = self.span(key)
         self.close_block()
         return ContextBlock(**values)
 
-    def parse_hazard(self) -> Hazard:
-        self.take("hazard")
+    def parse_hazard(self, _keyword: _Token) -> Hazard:
         ident = self.expect("IDENT", "a hazard identifier")
         hazard_id = self.declare(ident)
-        self.take("category")
-        self.take("=")
+        self.take("category", "=")
         primary = self.category()
         secondary: frozenset = frozenset()
         if self.at("also"):
             self.advance()
-            self.take("=")
-            secondary = frozenset(self.comma_list(self.category))
+            secondary = self.assigned_list(self.category)
         self.open_block(f"hazard {hazard_id}")
-        description = self._single_string_field("description")
+        description = self.assigned_string(self.take("description"))
         self.close_block()
         try:
             return Hazard(
@@ -475,209 +484,156 @@ class _Parser:
         except ModelError as exc:
             raise self._fatal(str(exc), ident) from exc
 
-    def _single_string_field(self, name: str) -> str:
-        self.take(name)
-        self.take("=")
-        return self.expect("STRING", f"a value for {name}").value
-
-    def parse_methodology(self) -> Methodology:
-        self.take("methodology")
+    def parse_methodology(self, _keyword: _Token) -> Methodology:
         ident = self.expect("IDENT", "a methodology identifier")
         methodology_id = self.declare(ident)
         self.open_block(f"methodology {methodology_id}")
-        name: str | None = None
-        categories: frozenset | None = None
-        region: AcSpaceRegion | None = None
-        while not self.at("}"):
-            if self.at("name"):
-                if name is not None:
-                    raise self._fatal("name is set twice", self.peek())
-                name = self._single_string_field("name")
-            elif self.at("category"):
-                if categories is not None:
-                    raise self._fatal("category is set twice", self.peek())
-                self.advance()
-                self.take("=")
-                categories = frozenset(self.comma_list(self.category))
-            elif self.at("region"):
-                if region is not None:
-                    raise self._fatal("region is declared twice", self.peek())
-                region = self.parse_region()
-            else:
-                raise self.unknown_keyword(
-                    " in methodology block", "name, category, or region"
-                )
-        self.close_block()
-        if name is None:
+        body = self.block_body(
+            " in methodology block",
+            "name, category, or region",
+            {
+                "name": (self.assigned_string, "name is set twice"),
+                "category": (
+                    lambda _: self.assigned_list(self.category),
+                    "category is set twice",
+                ),
+                "region": (self.parse_region, "region is declared twice"),
+            },
+        )
+        if "name" not in body:
             raise self._fatal(f"methodology {methodology_id} must state a name", ident)
         try:
             return Methodology(
                 id=methodology_id,
-                name=name,
-                hazard_categories=categories or frozenset(),
-                region=region,
+                name=body["name"],
+                hazard_categories=body.get("category", frozenset()),
+                region=body.get("region"),
             )
         except ModelError as exc:
             raise self._fatal(str(exc), ident) from exc
 
-    def parse_region(self) -> AcSpaceRegion:
-        keyword = self.take("region")
+    def parse_region(self, keyword: _Token) -> AcSpaceRegion:
         self.open_block("region block")
-        severities: frozenset[SeverityLevel] | None = None
-        sets: dict[str, frozenset] = {}
-        weak_levels: list[tuple[SeverityLevel, _Token]] = []
-        dimension_tables = {dim: table for dim, _, table in _REGION_DIMENSIONS}
-        while not self.at("}"):
-            if self.at("severity"):
-                keyword_token = self.advance()
-                if severities is not None:
-                    raise self._fatal("severity is set twice", keyword_token)
-                self.take("=")
-                low = self.enum_value(
-                    self.expect("IDENT", "a severity level"), SEVERITY_NAMES, "severity level"
-                )
-                self.take("..")
-                high_token = self.expect("IDENT", "a severity level")
-                high = self.enum_value(high_token, SEVERITY_NAMES, "severity level")
-                if high < low:
-                    raise self._fatal(
-                        f"severity range {low.name}..{high.name} is reversed", high_token
-                    )
-                severities = frozenset(
-                    level for level in SeverityLevel if low <= level <= high
-                )
-            elif self.at(*dimension_tables):
-                dim_token = self.advance()
-                dim = dim_token.text
-                if dim in sets:
-                    raise self._fatal(f"{dim} is set twice", dim_token)
-                self.take("=")
-                table = dimension_tables[dim]
-                sets[dim] = frozenset(
-                    self.comma_list(
-                        lambda: self.enum_value(
-                            self.expect("IDENT", f"a {dim} value"), table, f"{dim} value"
-                        )
-                    )
-                )
-            elif self.at("weak"):
-                self.advance()
-                self.take("(")
-                token = self.expect("IDENT", "a severity level")
-                weak_levels.append(
-                    (self.enum_value(token, SEVERITY_NAMES, "severity level"), token)
-                )
-                self.take(")")
-            else:
-                raise self.unknown_keyword(
-                    " in region block",
-                    "severity, role, capability, status, aggregation, or weak(...)",
-                )
-        self.close_block()
-        missing = ["severity"] if severities is None else []
-        missing += [dim for dim in dimension_tables if dim not in sets]
+        readers = {
+            "severity": (self.severity_range, "severity is set twice"),
+            **{
+                dim: (self.region_dimension, f"{dim} is set twice")
+                for dim, _, _ in _REGION_DIMENSIONS
+            },
+            "weak": (self.weak_level, None),
+        }
+        body = self.block_body(
+            " in region block",
+            "severity, role, capability, status, aggregation, or weak(...)",
+            readers,
+        )
+        missing = [dim for dim in readers if dim != "weak" and dim not in body]
         if missing:
             raise self._fatal(
                 f"region is missing dimension(s): {', '.join(missing)}", keyword
             )
         weak_cells: set[Cell] = set()
-        for level, token in weak_levels:
-            if level not in severities:
+        for level, token in body.get("weak", ()):
+            if level not in body["severity"]:
                 raise self._fatal(
                     f"weak({level.name}) lies outside the region's severity range",
                     token,
                 )
             weak_cells.update(
                 Cell(level, role, cap, status, agg)
-                for role in sets["role"]
-                for cap in sets["capability"]
-                for status in sets["status"]
-                for agg in sets["aggregation"]
+                for role in body["role"]
+                for cap in body["capability"]
+                for status in body["status"]
+                for agg in body["aggregation"]
             )
         return AcSpaceRegion(
-            severities=severities,
+            severities=body["severity"],
             weak_cells=frozenset(weak_cells),
-            **{attribute: sets[dim] for dim, attribute, _ in _REGION_DIMENSIONS},
+            **{attribute: body[dim] for dim, attribute, _ in _REGION_DIMENSIONS},
         )
 
-    def parse_indicator(self) -> Indicator:
-        self.take("indicator")
+    def severity_range(self, _keyword: _Token) -> frozenset[SeverityLevel]:
+        self.take("=")
+        low, _ = self.severity()
+        self.take("..")
+        high, high_token = self.severity()
+        if high < low:
+            raise self._fatal(
+                f"severity range {low.name}..{high.name} is reversed", high_token
+            )
+        return frozenset(level for level in SeverityLevel if low <= level <= high)
+
+    def region_dimension(self, keyword: _Token) -> frozenset:
+        dim = keyword.text
+        table = _DIMENSION_NAMES[dim]
+        return self.assigned_list(
+            lambda: self.enum_value(
+                self.expect("IDENT", f"a {dim} value"), table, f"{dim} value"
+            )
+        )
+
+    def weak_level(self, _keyword: _Token) -> tuple[SeverityLevel, _Token]:
+        self.take("(")
+        weak = self.severity()
+        self.take(")")
+        return weak
+
+    def parse_indicator(self, _keyword: _Token) -> Indicator:
         ident = self.expect("IDENT", "an indicator identifier")
         indicator_id = self.declare(ident)
-        self.take("stage")
-        self.take("=")
+        self.take("stage", "=")
         stage = self.enum_value(
             self.expect("IDENT", "a causal stage"), STAGE_NAMES, "causal stage"
         )
         self.open_block(f"indicator {indicator_id}")
-        description = self._single_string_field("description")
+        description = self.assigned_string(self.take("description"))
         self.close_block()
         return Indicator(id=indicator_id, description=description, causal_stage=stage)
 
-    def parse_criterion(self) -> AcceptanceCriterion:
-        self.take("criterion")
+    def parse_criterion(self, _keyword: _Token) -> AcceptanceCriterion:
         ident = self.expect("IDENT", "a criterion identifier")
         criterion_id = self.declare(ident)
         self.take("hazard")
-        self.take("=")
-        hazard_ids = self.idlist(criterion_id, "hazard_ids")
-        self.take("methodology")
-        self.take("=")
-        methodology_id = self.record_ref(
-            criterion_id, "methodology_id", self.expect("IDENT", "a methodology identifier")
+        hazard_ids = self.assigned_ids(criterion_id, "hazard_ids")
+        self.take("methodology", "=")
+        methodology_id = self.reference(
+            criterion_id, "methodology_id", "a methodology identifier"
         )
-        self.take("aggregation")
-        self.take("=")
+        self.take("aggregation", "=")
         aggregation = self.enum_value(
             self.expect("IDENT", "an aggregation level"), AGGREGATION_NAMES, "aggregation level"
         )
         self.open_block(f"criterion {criterion_id}")
-        statement: str | None = None
-        target: ValidationTarget | None = None
-        region: AcSpaceRegion | None = None
-        indicator_ids: frozenset[str] | None = None
-        while not self.at("}"):
-            if self.at("statement"):
-                if statement is not None:
-                    raise self._fatal("statement is set twice", self.peek())
-                statement = self._single_string_field("statement")
-            elif self.at("target"):
-                if target is not None:
-                    raise self._fatal("target is declared twice", self.peek())
-                target = self.parse_target()
-            elif self.at("region"):
-                if region is not None:
-                    raise self._fatal("region is declared twice", self.peek())
-                region = self.parse_region()
-            elif self.at("indicator"):
-                if indicator_ids is not None:
-                    raise self._fatal("indicator list is set twice", self.peek())
-                self.advance()
-                self.take("=")
-                indicator_ids = self.idlist(criterion_id, "indicator_ids")
-            else:
-                raise self.unknown_keyword(
-                    " in criterion block", "statement, target, region, or indicator"
-                )
-        self.close_block()
-        if statement is None:
+        body = self.block_body(
+            " in criterion block",
+            "statement, target, region, or indicator",
+            {
+                "statement": (self.assigned_string, "statement is set twice"),
+                "target": (self.parse_target, "target is declared twice"),
+                "region": (self.parse_region, "region is declared twice"),
+                "indicator": (
+                    lambda _: self.assigned_ids(criterion_id, "indicator_ids"),
+                    "indicator list is set twice",
+                ),
+            },
+        )
+        if "statement" not in body:
             raise self._fatal(f"criterion {criterion_id} must state a statement", ident)
         try:
             return AcceptanceCriterion(
                 id=criterion_id,
-                statement=statement,
+                statement=body["statement"],
                 hazard_ids=hazard_ids,
                 methodology_id=methodology_id,
                 aggregation=aggregation,
-                indicator_ids=indicator_ids or frozenset(),
-                region=region,
-                target=target,
+                indicator_ids=body.get("indicator", frozenset()),
+                region=body.get("region"),
+                target=body.get("target"),
             )
         except ModelError as exc:
             raise self._fatal(str(exc), ident) from exc
 
-    def parse_target(self) -> ValidationTarget:
-        self.take("target")
+    def parse_target(self, _keyword: _Token) -> ValidationTarget:
         kind_token = self.expect("IDENT", "'rate_bound' or 'qualitative'")
         if kind_token.text == "qualitative":
             self.take("(")
@@ -690,45 +646,35 @@ class _Parser:
                 "qualitative",
                 kind_token,
             )
-        self.take("(")
-        self.take("events")
-        self.take("=")
+        self.take("(", "events", "=")
         events = self.expect("STRING", "an event definition").value
-        self.take(",")
-        self.take("max")
-        self.take("=")
-        max_rate = self.expect("NUMBER", "a maximum rate").value
-        self.take(",")
-        self.take("per")
-        self.take("=")
+        self.take(",", "max", "=")
+        max_token = self.expect("NUMBER", "a maximum rate")
+        self.take(",", "per", "=")
         unit = self.expect("STRING", "an exposure unit").value
-        self.take(",")
-        self.take("confidence")
-        self.take("=")
+        self.take(",", "confidence", "=")
         confidence_token = self.expect("NUMBER", "a confidence level")
         self.take(")")
         try:
             return ValidationTarget(
                 kind=TargetKind.RATE_BOUND,
                 event_definition=events,
-                max_rate=max_rate,
+                max_rate=max_token.value,
                 exposure_unit=unit,
                 confidence=confidence_token.value,
             )
         except ModelError as exc:
-            raise self._fatal(str(exc), confidence_token) from exc
+            token = max_token if exc.field_name == "max_rate" else confidence_token
+            raise self._fatal(str(exc), token) from exc
 
-    def parse_evidence(self) -> Evidence:
-        self.take("evidence")
+    def parse_evidence(self, _keyword: _Token) -> Evidence:
         ident = self.expect("IDENT", "an evidence identifier")
         evidence_id = self.declare(ident)
-        self.take("methodology")
-        self.take("=")
-        methodology_id = self.record_ref(
-            evidence_id, "methodology_id", self.expect("IDENT", "a methodology identifier")
+        self.take("methodology", "=")
+        methodology_id = self.reference(
+            evidence_id, "methodology_id", "a methodology identifier"
         )
-        self.take("strength")
-        self.take("=")
+        self.take("strength", "=")
         strength_token = self.expect("IDENT", "'strong' or 'weak'")
         if strength_token.text not in ("strong", "weak"):
             raise self._fatal(
@@ -736,41 +682,31 @@ class _Parser:
                 strength_token,
             )
         self.open_block(f"evidence {evidence_id}")
-        kind: str | None = None
-        uri: str | None = None
-        while not self.at("}"):
-            if self.at("kind"):
-                if kind is not None:
-                    raise self._fatal("kind is set twice", self.peek())
-                kind = self._single_string_field("kind")
-            elif self.at("uri"):
-                if uri is not None:
-                    raise self._fatal("uri is set twice", self.peek())
-                uri = self._single_string_field("uri")
-            else:
-                raise self.unknown_keyword(" in evidence block", "kind or uri")
-        self.close_block()
-        if kind is None or uri is None:
+        body = self.block_body(
+            " in evidence block",
+            "kind or uri",
+            {
+                "kind": (self.assigned_string, "kind is set twice"),
+                "uri": (self.assigned_string, "uri is set twice"),
+            },
+        )
+        if "kind" not in body or "uri" not in body:
             raise self._fatal(
                 f"evidence {evidence_id} must state both kind and uri", ident
             )
         return Evidence(
             id=evidence_id,
             methodology_id=methodology_id,
-            kind=kind,
-            uri=uri,
+            kind=body["kind"],
+            uri=body["uri"],
             strength=EvidenceStrength(strength_token.text),
         )
 
-    def parse_claim(self) -> ClaimNode:
-        self.take("claim")
+    def parse_claim(self, _keyword: _Token) -> ClaimNode:
         ident = self.expect("IDENT", "a claim identifier")
         claim_id = self.declare(ident)
-        self.take("criterion")
-        self.take("=")
-        criterion_id = self.record_ref(
-            claim_id, "criterion_id", self.expect("IDENT", "a criterion identifier")
-        )
+        self.take("criterion", "=")
+        criterion_id = self.reference(claim_id, "criterion_id", "a criterion identifier")
         children, rows = self.parse_claim_body(claim_id, f"claim {claim_id}", depth=1)
         try:
             return ClaimNode(
@@ -840,43 +776,28 @@ class _Parser:
         row_key = f"{parent_key}.{label}" + (f"@{count + 1}" if count else "")
         self.span_index[row_key] = self.span(keyword)
         self.open_block(f"argument {label}")
-        text: str | None = None
-        evidence_ids: frozenset[str] | None = None
-        limitations: str | None = None
-        counter: str | None = None
-        while not self.at("}"):
-            if self.at("text"):
-                if text is not None:
-                    raise self._fatal("text is set twice", self.peek())
-                text = self._single_string_field("text")
-            elif self.at("evidence"):
-                if evidence_ids is not None:
-                    raise self._fatal("evidence list is set twice", self.peek())
-                self.advance()
-                self.take("=")
-                evidence_ids = self.idlist(row_key, "evidence_ids")
-            elif self.at("limitations"):
-                if limitations is not None:
-                    raise self._fatal("limitations is set twice", self.peek())
-                limitations = self._single_string_field("limitations")
-            elif self.at("counter"):
-                if counter is not None:
-                    raise self._fatal("counter is set twice", self.peek())
-                counter = self._single_string_field("counter")
-            else:
-                raise self.unknown_keyword(
-                    " in argument block", "text, evidence, limitations, or counter"
-                )
-        self.close_block()
-        if text is None:
+        body = self.block_body(
+            " in argument block",
+            "text, evidence, limitations, or counter",
+            {
+                "text": (self.assigned_string, "text is set twice"),
+                "evidence": (
+                    lambda _: self.assigned_ids(row_key, "evidence_ids"),
+                    "evidence list is set twice",
+                ),
+                "limitations": (self.assigned_string, "limitations is set twice"),
+                "counter": (self.assigned_string, "counter is set twice"),
+            },
+        )
+        if "text" not in body:
             raise self._fatal(f"argument {label} must state its text", label_token)
         try:
             return ArgumentRow(
                 label=label,
-                argument=text,
-                evidence_ids=evidence_ids or frozenset(),
-                limitations=limitations or "",
-                counter_argument=counter or "",
+                argument=body["text"],
+                evidence_ids=body.get("evidence", frozenset()),
+                limitations=body.get("limitations", ""),
+                counter_argument=body.get("counter", ""),
             )
         except ModelError as exc:
             raise self._fatal(str(exc), label_token) from exc
@@ -926,8 +847,7 @@ def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:
 
 
 def _quote(value: str) -> str:
-    escaped = "".join(_ESCAPE_OUT.get(ch, ch) for ch in value)
-    return f'"{escaped}"'
+    return f'"{value.translate(_ESCAPE_OUT)}"'
 
 
 def _format_number(value: float) -> str:
@@ -976,78 +896,113 @@ def _names(members, table: dict) -> str:
     return ", ".join(member.value for member in table.values() if member in members)
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.depth = 0
-
-    def line(self, text: str = "") -> None:
-        self.lines.append(("  " * self.depth + text) if text else "")
-
-    def block(self, header: str) -> "_BlockCtx":
-        return _BlockCtx(self, header)
+def _block(header: str, *body: str) -> list[str]:
+    """`header {`, the `body` lines one level in, and `}`."""
+    return [f"{header} {{", *[f"  {line}" for line in body], "}"]
 
 
-class _BlockCtx:
-    def __init__(self, writer: _Writer, header: str):
-        self.writer = writer
-        self.header = header
-
-    def __enter__(self) -> _Writer:
-        self.writer.line(self.header + " {")
-        self.writer.depth += 1
-        return self.writer
-
-    def __exit__(self, *exc) -> None:
-        self.writer.depth -= 1
-        self.writer.line("}")
+def _context(context: ContextBlock) -> list[str]:
+    values = [(name, getattr(context, name)) for name in ContextBlock.FIELD_ORDER]
+    return _block("context", *[f"{name} = {_quote(value)}" for name, value in values if value])
 
 
-def _write_region(w: _Writer, region: AcSpaceRegion) -> None:
-    with w.block("region"):
-        w.line(f"severity = {_severity_range(region.severities)}")
-        for dim, attribute, table in _REGION_DIMENSIONS:
-            w.line(f"{dim} = {_names(getattr(region, attribute), table)}")
-        for level in _weak_severities(region):
-            w.line(f"weak({level.name})")
+def _hazard(hazard: Hazard) -> list[str]:
+    header = f"hazard {hazard.id} category = {hazard.primary_category.value}"
+    if hazard.secondary_categories:
+        header += f" also = {_names(hazard.secondary_categories, CATEGORY_NAMES)}"
+    return _block(header, f"description = {_quote(hazard.description)}")
 
 
-def _write_target(w: _Writer, target: ValidationTarget) -> None:
+def _methodology(methodology: Methodology) -> list[str]:
+    body = [f"name = {_quote(methodology.name)}"]
+    if methodology.hazard_categories:
+        body.append(f"category = {_names(methodology.hazard_categories, CATEGORY_NAMES)}")
+    if methodology.region is not None:
+        body += _region(methodology.region)
+    return _block(f"methodology {methodology.id}", *body)
+
+
+def _region(region: AcSpaceRegion) -> list[str]:
+    return _block(
+        "region",
+        f"severity = {_severity_range(region.severities)}",
+        *[
+            f"{dim} = {_names(getattr(region, attribute), table)}"
+            for dim, attribute, table in _REGION_DIMENSIONS
+        ],
+        *[f"weak({level.name})" for level in _weak_severities(region)],
+    )
+
+
+def _indicator(indicator: Indicator) -> list[str]:
+    return _block(
+        f"indicator {indicator.id} stage = {indicator.causal_stage.name.lower()}",
+        f"description = {_quote(indicator.description)}",
+    )
+
+
+def _criterion(criterion: AcceptanceCriterion) -> list[str]:
+    header = (
+        f"criterion {criterion.id} "
+        f"hazard = {', '.join(sorted(criterion.hazard_ids))} "
+        f"methodology = {criterion.methodology_id} "
+        f"aggregation = {criterion.aggregation.value}"
+    )
+    body = [f"statement = {_quote(criterion.statement)}"]
+    if criterion.target is not None:
+        body.append(_target(criterion.target))
+    if criterion.region is not None:
+        body += _region(criterion.region)
+    if criterion.indicator_ids:
+        body.append(f"indicator = {', '.join(sorted(criterion.indicator_ids))}")
+    return _block(header, *body)
+
+
+def _target(target: ValidationTarget) -> str:
     if target.kind is TargetKind.QUALITATIVE:
-        w.line(f"target qualitative({_quote(target.description)})")
+        return f"target qualitative({_quote(target.description)})"
+    return (
+        "target rate_bound("
+        f"events = {_quote(target.event_definition)}, "
+        f"max = {_format_number(target.max_rate)}, "
+        f"per = {_quote(target.exposure_unit)}, "
+        f"confidence = {_format_number(target.confidence)})"
+    )
+
+
+def _evidence(item: Evidence) -> list[str]:
+    return _block(
+        f"evidence {item.id} methodology = {item.methodology_id} "
+        f"strength = {item.strength.value}",
+        f"kind = {_quote(item.kind)}",
+        f"uri = {_quote(item.uri)}",
+    )
+
+
+def _claim(node: ClaimNode) -> list[str]:
+    if node.kind is ClaimKind.TOP_CLAIM:
+        header = f"claim {node.id} criterion = {node.criterion_id}"
     else:
-        w.line(
-            "target rate_bound("
-            f"events = {_quote(target.event_definition)}, "
-            f"max = {_format_number(target.max_rate)}, "
-            f"per = {_quote(target.exposure_unit)}, "
-            f"confidence = {_format_number(target.confidence)})"
-        )
+        if node.kind is ClaimKind.FACET:
+            header = f"facet {_quote(node.facet_label)}"
+        else:
+            header = node.kind.value
+        if node.id:
+            header += f" {node.id}"
+    body = [line for child in node.children for line in _claim(child)]
+    body += [line for row in node.rows for line in _row(row)]
+    return _block(header, *body)
 
 
-def _write_row(w: _Writer, row: ArgumentRow) -> None:
-    with w.block(f"argument {row.label}"):
-        w.line(f"text = {_quote(row.argument)}")
-        if row.evidence_ids:
-            w.line(f"evidence = {', '.join(sorted(row.evidence_ids))}")
-        if row.limitations:
-            w.line(f"limitations = {_quote(row.limitations)}")
-        if row.counter_argument:
-            w.line(f"counter = {_quote(row.counter_argument)}")
-
-
-def _write_claim_node(w: _Writer, node: ClaimNode) -> None:
-    if node.kind is ClaimKind.FACET:
-        header = f"facet {_quote(node.facet_label)}"
-    else:
-        header = node.kind.value
-    if node.id:
-        header += f" {node.id}"
-    with w.block(header):
-        for child in node.children:
-            _write_claim_node(w, child)
-        for row in node.rows:
-            _write_row(w, row)
+def _row(row: ArgumentRow) -> list[str]:
+    body = [f"text = {_quote(row.argument)}"]
+    if row.evidence_ids:
+        body.append(f"evidence = {', '.join(sorted(row.evidence_ids))}")
+    if row.limitations:
+        body.append(f"limitations = {_quote(row.limitations)}")
+    if row.counter_argument:
+        body.append(f"counter = {_quote(row.counter_argument)}")
+    return _block(f"argument {row.label}", *body)
 
 
 def serialize(case: SafetyCase) -> str:
@@ -1059,85 +1014,21 @@ def serialize(case: SafetyCase) -> str:
     (non-contiguous severity sets, partial weak slices).
     """
     require_resolved(case)
-    w = _Writer()
-    w.depth = 1
-    blocks: list[list[str]] = []
-
-    def collect() -> list[str]:
-        lines, w.lines = w.lines, []
-        return lines
-
-    with w.block("context"):
-        for field_name in ContextBlock.FIELD_ORDER:
-            value = getattr(case.context, field_name)
-            if value:
-                w.line(f"{field_name} = {_quote(value)}")
-    blocks.append(collect())
-
-    for hazard in case.hazards:
-        header = f"hazard {hazard.id} category = {hazard.primary_category.value}"
-        if hazard.secondary_categories:
-            header += f" also = {_names(hazard.secondary_categories, CATEGORY_NAMES)}"
-        with w.block(header):
-            w.line(f"description = {_quote(hazard.description)}")
-        blocks.append(collect())
-
-    for methodology in case.methodologies:
-        with w.block(f"methodology {methodology.id}"):
-            w.line(f"name = {_quote(methodology.name)}")
-            if methodology.hazard_categories:
-                w.line(f"category = {_names(methodology.hazard_categories, CATEGORY_NAMES)}")
-            if methodology.region is not None:
-                _write_region(w, methodology.region)
-        blocks.append(collect())
-
-    for indicator in case.indicators:
-        header = (
-            f"indicator {indicator.id} stage = {indicator.causal_stage.name.lower()}"
-        )
-        with w.block(header):
-            w.line(f"description = {_quote(indicator.description)}")
-        blocks.append(collect())
-
-    for criterion in case.criteria:
-        header = (
-            f"criterion {criterion.id} "
-            f"hazard = {', '.join(sorted(criterion.hazard_ids))} "
-            f"methodology = {criterion.methodology_id} "
-            f"aggregation = {criterion.aggregation.value}"
-        )
-        with w.block(header):
-            w.line(f"statement = {_quote(criterion.statement)}")
-            if criterion.target is not None:
-                _write_target(w, criterion.target)
-            if criterion.region is not None:
-                _write_region(w, criterion.region)
-            if criterion.indicator_ids:
-                w.line(f"indicator = {', '.join(sorted(criterion.indicator_ids))}")
-        blocks.append(collect())
-
-    for item in case.evidence:
-        header = (
-            f"evidence {item.id} methodology = {item.methodology_id} "
-            f"strength = {item.strength.value}"
-        )
-        with w.block(header):
-            w.line(f"kind = {_quote(item.kind)}")
-            w.line(f"uri = {_quote(item.uri)}")
-        blocks.append(collect())
-
-    for root in case.claims:
-        with w.block(f"claim {root.id} criterion = {root.criterion_id}"):
-            for child in root.children:
-                _write_claim_node(w, child)
-            for row in root.rows:
-                _write_row(w, row)
-        blocks.append(collect())
-
-    out: list[str] = [f"safety_case {_quote(case.id)} {{"]
+    blocks = chain(
+        [_context(case.context)],
+        map(_hazard, case.hazards),
+        map(_methodology, case.methodologies),
+        map(_indicator, case.indicators),
+        map(_criterion, case.criteria),
+        map(_evidence, case.evidence),
+        map(_claim, case.claims),
+    )
+    # Blocks are built one at a time and indented straight into `lines`,
+    # so that no second copy of the whole text is held before the join.
+    lines = [f"safety_case {_quote(case.id)} {{"]
     for index, block in enumerate(blocks):
         if index:
-            out.append("")
-        out.extend(block)
-    out.append("}")
-    return "\n".join(out) + "\n"
+            lines.append("")
+        lines += [f"  {line}" for line in block]
+    lines.append("}\n")
+    return "\n".join(lines)

@@ -198,7 +198,13 @@ def rate_upper_bound(count: int, exposure: float, confidence: float) -> float:
         raise ValueError("confidence must lie in (0, 1)")
     if count == 0:
         return _finite_bound(-log1p(-confidence) / exposure, exposure)
-    return _finite_bound(_poisson_mean_upper(count, confidence) / exposure, exposure)
+    try:
+        mean = _poisson_mean_upper(count, confidence)
+    except ArithmeticError as exc:
+        raise ValueError(
+            f"rate upper bound cannot be computed for count {count}: {exc}"
+        ) from exc
+    return _finite_bound(mean / exposure, exposure)
 
 
 def _poisson_mean_upper(count: int, confidence: float) -> float:

@@ -116,12 +116,17 @@ AGGREGATION_NAMES = {a.value: a for a in AggregationLevel}
 
 
 class ModelError(ValueError):
-    """A constructed value violates a model invariant."""
+    """A constructed value violates a model invariant; `field_name` names
+    the field at fault, where a check blames one."""
+
+    def __init__(self, message: str, field_name: str = ""):
+        super().__init__(message)
+        self.field_name = field_name
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str, field_name: str = "") -> None:
     if not condition:
-        raise ModelError(message)
+        raise ModelError(message, field_name)
 
 
 @dataclass(frozen=True)
@@ -300,8 +305,14 @@ class ValidationTarget:
 
     def __post_init__(self) -> None:
         if self.kind is TargetKind.RATE_BOUND:
-            _require(self.max_rate > 0, "rate_bound target: max_rate must be > 0")
-            _require(isfinite(self.max_rate), "rate_bound target: max_rate must be finite")
+            _require(
+                self.max_rate > 0, "rate_bound target: max_rate must be > 0", "max_rate"
+            )
+            _require(
+                isfinite(self.max_rate),
+                "rate_bound target: max_rate must be finite",
+                "max_rate",
+            )
             _require(
                 0.0 < self.confidence < 1.0,
                 "rate_bound target: confidence must lie in (0, 1)",
@@ -499,12 +510,6 @@ class SafetyCase:
 
     def hazard_map(self) -> dict[str, Hazard]:
         return {h.id: h for h in self.hazards}
-
-    def methodology_map(self) -> dict[str, Methodology]:
-        return {m.id: m for m in self.methodologies}
-
-    def criterion_map(self) -> dict[str, AcceptanceCriterion]:
-        return {c.id: c for c in self.criteria}
 
 
 @dataclass(frozen=True)

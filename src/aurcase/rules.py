@@ -191,8 +191,6 @@ _CATALOG: tuple[RuleInfo, ...] = (
 
 _CATALOG_BY_ID = {info.rule_id: info for info in _CATALOG}
 
-PARSER_RULES = frozenset({"E009", "E010", "E013"})
-
 
 def rule_catalog() -> tuple[RuleInfo, ...]:
     """The complete rule registry, in stable order."""
@@ -431,26 +429,14 @@ def _check_claim_structure(ctx: _Context) -> None:
                     )
 
 
-def _rows_with_reasonableness_flag(root):
-    """Yield (row, row key, under_reasonableness) in `iter_rows` order."""
-    flags: dict[int, bool] = {}
-
-    def mark(node, inherited: bool) -> None:
-        flag = inherited or node.kind is ClaimKind.REASONABLENESS
-        flags[id(node)] = flag
-        for child in node.children:
-            mark(child, flag)
-
-    mark(root, False)
-    for row, row_key, node, _node_key in iter_rows(root):
-        yield row, row_key, flags[id(node)]
-
-
 def _check_rows(ctx: _Context) -> None:
     skip_reasonableness = ctx.config.e006_scope == E006_SCOPE_SKIP_REASONABLENESS
     for root in ctx.case.claims:
-        for row, row_key, under_reasonableness in _rows_with_reasonableness_flag(root):
-            if not row.evidence_ids and not (skip_reasonableness and under_reasonableness):
+        # Reasonableness nodes have no children, so a row is under one
+        # exactly when its owning node is one.
+        for row, row_key, node, _node_key in iter_rows(root):
+            exempt = skip_reasonableness and node.kind is ClaimKind.REASONABLENESS
+            if not row.evidence_ids and not exempt:
                 ctx.emit(
                     "E006",
                     f"argument row {row_key} cites no evidence",

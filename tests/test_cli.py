@@ -302,3 +302,21 @@ class TestNonFiniteLedgers:
         out = capsys.readouterr().out
         assert "Infinity" not in out and "NaN" not in out
         assert json.loads(out)["status"] == "blocked"
+
+    def test_a_bound_the_solver_cannot_reach_blocks(self, tmp_path, capsys):
+        case = write(
+            tmp_path,
+            "even.aur",
+            fixture_text("golden_cat.aur").replace("confidence = 0.95", "confidence = 0.5"),
+        )
+        ledger = write(
+            tmp_path,
+            "huge.ledger",
+            "release,phase,exposure,exposure_unit,event_definition,count\n"
+            "r1,predicted,1,mi,injury-causing collision,1000000000000000000\n",
+        )
+        assert run(["review", case, "--ledger", ledger]) == 1
+        captured = capsys.readouterr()
+        assert "readiness: blocked" in captured.out
+        assert "rate upper bound" in captured.out
+        assert "Traceback" not in captured.out + captured.err

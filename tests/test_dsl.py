@@ -133,6 +133,127 @@ def test_unknown_keys_are_errors_not_ignored():
     assert "unknown keyword 'note'" in result.diagnostics[0].message
 
 
+# Every block entry on a line of its own; the comments make each anchor line
+# below unique.
+FULL = """safety_case "blocks" {
+  context { use_case = "pilot" }
+  hazard H1 category = behavioral { description = "collision" }
+  methodology M1 {
+    name = "campaign"
+    category = behavioral
+    region {
+      severity = S0..S1
+      role = responder
+      capability = collision_avoidance
+      status = nominal
+      aggregation = event_level
+      weak(S1)
+    } # M1 region
+  }
+  indicator I1 stage = harm { description = "injuries" }
+  criterion AC1 hazard = H1 methodology = M1 aggregation = event_level {
+    statement = "every event dispositioned"
+    target qualitative("board review")
+    region { severity = S0..S3 role = responder capability = collision_avoidance status = nominal aggregation = event_level }
+    indicator = I1
+  }
+  evidence E1 methodology = M1 strength = strong {
+    kind = "minutes"
+    uri = "internal://x"
+  }
+  claim C1 criterion = AC1 {
+    argument A.1 {
+      text = "it holds"
+      evidence = E1
+      limitations = "urban only"
+      counter = "none recorded"
+    }
+  }
+}
+"""
+_AC1_REGION = (
+    "region { severity = S0..S3 role = responder capability = collision_avoidance "
+    "status = nominal aggregation = event_level }"
+)
+
+# (line the entry follows, the entry, the fatal message); the message must
+# point at the entry's first token.
+BLOCK_ENTRY_FATALS = [
+    ('    name = "campaign"', 'name = "again"', "name is set twice"),
+    ("    category = behavioral", "category = behavioral", "category is set twice"),
+    ("    } # M1 region", _AC1_REGION, "region is declared twice"),
+    (
+        "    category = behavioral",
+        "nickname = behavioral",
+        "unknown keyword 'nickname' in methodology block; expected name, category, or "
+        "region",
+    ),
+    ("      severity = S0..S1", "severity = S0..S0", "severity is set twice"),
+    ("      role = responder", "role = initiator", "role is set twice"),
+    (
+        "      capability = collision_avoidance",
+        "capability = collision_avoidance",
+        "capability is set twice",
+    ),
+    ("      status = nominal", "status = nominal", "status is set twice"),
+    ("      aggregation = event_level", "aggregation = event_level", "aggregation is set twice"),
+    (
+        "      weak(S1)",
+        "strong(S1)",
+        "unknown keyword 'strong' in region block; expected severity, role, capability, "
+        "status, aggregation, or weak(...)",
+    ),
+    ('    statement = "every event dispositioned"', 'statement = "x"', "statement is set twice"),
+    ('    target qualitative("board review")', 'target qualitative("y")', "target is declared twice"),
+    (f"    {_AC1_REGION}", _AC1_REGION, "region is declared twice"),
+    ("    indicator = I1", "indicator = I1", "indicator list is set twice"),
+    (
+        "    indicator = I1",
+        'note = "x"',
+        "unknown keyword 'note' in criterion block; expected statement, target, region, "
+        "or indicator",
+    ),
+    ('    kind = "minutes"', 'kind = "log"', "kind is set twice"),
+    ('    uri = "internal://x"', 'uri = "internal://y"', "uri is set twice"),
+    (
+        '    uri = "internal://x"',
+        "strength = weak",
+        "unknown keyword 'strength' in evidence block; expected kind or uri",
+    ),
+    ('      text = "it holds"', 'text = "again"', "text is set twice"),
+    ("      evidence = E1", "evidence = E1", "evidence list is set twice"),
+    ('      limitations = "urban only"', 'limitations = "x"', "limitations is set twice"),
+    ('      counter = "none recorded"', 'counter = "x"', "counter is set twice"),
+    (
+        '      counter = "none recorded"',
+        'rebuttal = "x"',
+        "unknown keyword 'rebuttal' in argument block; expected text, evidence, "
+        "limitations, or counter",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "anchor, entry, message",
+    BLOCK_ENTRY_FATALS,
+    ids=[f"{i}-{entry.split()[0]}" for i, (_, entry, _) in enumerate(BLOCK_ENTRY_FATALS)],
+)
+def test_block_entry_fatals_name_the_entry(anchor, entry, message):
+    lines = FULL.split("\n")
+    at = lines.index(anchor) + 1
+    indent = len(anchor) - len(anchor.lstrip())
+    lines.insert(at, " " * indent + entry)
+    text = "\n".join(lines)
+    result = parse(text, "blocks.aur")
+    assert result.fatal
+    (diagnostic,) = result.diagnostics
+    assert diagnostic.rule_id == "E013"
+    assert diagnostic.message == message
+    keyword = entry.split()[0].split("(")[0]
+    assert (diagnostic.span.start_line, diagnostic.span.start_col) == (at + 1, indent + 1)
+    assert slice_at(text, diagnostic.span) == keyword
+
+
 def test_reversed_severity_range_rejected():
     text = MINIMAL.replace(
         'methodology M1 { name = "campaign" category = behavioral }',
@@ -431,7 +552,32 @@ def test_infinite_rate_bound_maximum_is_a_positioned_e013():
     (diagnostic,) = result.diagnostics
     assert diagnostic.rule_id == "E013"
     assert diagnostic.message == "rate_bound target: max_rate must be finite"
-    assert slice_at(text, diagnostic.span) == "0.95"
+    assert slice_at(text, diagnostic.span) == "1e999"
+
+
+@pytest.mark.parametrize(
+    "max_rate, confidence, message, spanned",
+    [
+        ("0", "0.95", "rate_bound target: max_rate must be > 0", "max = 0"),
+        ("1e-6", "1.5", "rate_bound target: confidence must lie in (0, 1)", "confidence = 1.5"),
+    ],
+)
+def test_rate_bound_errors_point_at_the_field_at_fault(max_rate, confidence, message, spanned):
+    target = (
+        f'    target rate_bound(events = "crash", max = {max_rate}, per = "mi", '
+        f"confidence = {confidence})\n"
+    )
+    text = MINIMAL.replace(
+        '    statement = "every event dispositioned"\n',
+        '    statement = "every event dispositioned"\n' + target,
+    )
+    (diagnostic,) = parse(text, "target.aur").diagnostics
+    assert diagnostic.rule_id == "E013"
+    assert diagnostic.message == message
+    assert diagnostic.span.start_line == text.splitlines().index(target.rstrip("\n")) + 1
+    value = spanned.split(" = ")[1]
+    assert slice_at(text, diagnostic.span) == value
+    assert diagnostic.span.start_col == target.index(spanned) + len(spanned) - len(value) + 1
 
 
 # -- the lexer against its character-at-a-time reference ----------------------
