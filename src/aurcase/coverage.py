@@ -1,58 +1,42 @@
 """Region algebra over the discretized acceptance-criteria space.
 
-The behavioral space is the cartesian product of five dimensions
-(4 severities x 2 roles x 3 capabilities x 2 statuses x 2 aggregation
-levels = 96 cells).  Methodology regions are rectangular subsets; the
-case-wide coverage map joins their per-cell signal (none < weak < strong)
-and the gap report summarizes what remains uncovered, per dimension value.
+The behavioral space is the cartesian product of five dimensions, laid
+out once in `model.SPACE_DIMENSIONS`.  In canonical order they are
+severity, role, capability, status and aggregation (4 x 2 x 3 x 2 x 2 = 96
+cells).  A severity is spelled by its name (`S0`..`S3`), any other value by
+its lowercase value (`responder`, `collision_avoidance`, ...).  Methodology
+regions are rectangular subsets; the case-wide coverage map joins their
+per-cell signal (none < weak < strong) and the gap report summarizes what
+remains uncovered, per dimension value.  `FULL_SPACE` and the report's
+`uncovered` list cells in canonical order: by severity first, then role,
+and so on, each dimension in its enum's order.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product, starmap
 from typing import Mapping
 
 from .model import (
+    SPACE_DIMENSIONS,
     AcSpaceRegion,
     AggregationLevel,
-    BehavioralCapability,
     Cell,
-    ConflictRole,
-    FunctionalityStatus,
     HazardCategory,
     SafetyCase,
-    SeverityLevel,
     require_resolved,
+    value_name,
 )
 
-DIMENSIONS: dict[str, tuple] = {
-    "severity": tuple(SeverityLevel),
-    "role": tuple(ConflictRole),
-    "capability": tuple(BehavioralCapability),
-    "status": tuple(FunctionalityStatus),
-    "aggregation": tuple(AggregationLevel),
-}
+DIMENSIONS: dict[str, tuple] = {dim: tuple(members) for dim, _, members in SPACE_DIMENSIONS}
 
-FULL_SPACE: tuple[Cell, ...] = tuple(
-    Cell(*combo)
-    for combo in itertools.product(
-        tuple(SeverityLevel),
-        tuple(ConflictRole),
-        tuple(BehavioralCapability),
-        tuple(FunctionalityStatus),
-        tuple(AggregationLevel),
-    )
-)
+# In canonical order, so any filtered subsequence of it is sorted too.
+FULL_SPACE: tuple[Cell, ...] = tuple(starmap(Cell, product(*DIMENSIONS.values())))
 
-FULL_REGION = AcSpaceRegion(
-    severities=frozenset(SeverityLevel),
-    roles=frozenset(ConflictRole),
-    capabilities=frozenset(BehavioralCapability),
-    statuses=frozenset(FunctionalityStatus),
-    aggregations=frozenset(AggregationLevel),
-)
+FULL_REGION = AcSpaceRegion(*map(frozenset, DIMENSIONS.values()))
 
 
 class InvalidRegionError(ValueError):
@@ -106,17 +90,11 @@ def region_cells(region: AcSpaceRegion) -> frozenset[Cell]:
     Raises `InvalidRegionError` if any dimension set is empty (the
     cartesian product would be empty, which no valid region is).
     """
-    for name, values in region.dimension_sets.items():
+    sets = region.dimension_sets
+    for name, values in sets.items():
         if not values:
             raise InvalidRegionError(f"invalid region: empty dimension set '{name}'")
-    return frozenset(
-        Cell(sev, role, cap, status, agg)
-        for sev in region.severities
-        for role in region.roles
-        for cap in region.capabilities
-        for status in region.statuses
-        for agg in region.aggregations
-    )
+    return frozenset(starmap(Cell, product(*sets.values())))
 
 
 @dataclass(frozen=True)
@@ -198,52 +176,31 @@ class GapReport:
 
     def uncovered_by_dimension(self) -> dict[str, dict[str, tuple[Cell, ...]]]:
         """Group the uncovered cells by each dimension value they fall under."""
-        grouped: dict[str, dict[str, list[Cell]]] = {
-            dim: {_value_name(v): [] for v in values} for dim, values in DIMENSIONS.items()
-        }
-        for cell in self.uncovered:
-            grouped["severity"][cell.severity.name].append(cell)
-            grouped["role"][cell.role.value].append(cell)
-            grouped["capability"][cell.capability.value].append(cell)
-            grouped["status"][cell.status.value].append(cell)
-            grouped["aggregation"][cell.aggregation.value].append(cell)
         return {
-            dim: {name: tuple(cells) for name, cells in by_value.items()}
-            for dim, by_value in grouped.items()
+            dim: {
+                value_name(value): tuple(c for c in self.uncovered if getattr(c, dim) is value)
+                for value in values
+            }
+            for dim, values in DIMENSIONS.items()
         }
-
-
-def _value_name(value) -> str:
-    return value.name if isinstance(value, SeverityLevel) else value.value
-
-
-def _cell_value(cell: Cell, dimension: str):
-    return getattr(cell, dimension)
 
 
 def gap_report(coverage: CoverageMap) -> GapReport:
     total = len(FULL_SPACE)
-    covered_cells = [c for c in FULL_SPACE if coverage.signal(c) is not Signal.NONE]
-    strong_cells = [c for c in FULL_SPACE if coverage.signal(c) is Signal.STRONG]
-    uncovered = tuple(
-        sorted(
-            (c for c in FULL_SPACE if coverage.signal(c) is Signal.NONE),
-            key=Cell.sort_key,
-        )
-    )
-    marginals: dict[str, dict[str, Fraction]] = {}
-    for dimension, values in DIMENSIONS.items():
-        per_value: dict[str, Fraction] = {}
-        for value in values:
-            cells = [c for c in FULL_SPACE if _cell_value(c, dimension) is value]
-            hit = sum(1 for c in cells if coverage.signal(c) is not Signal.NONE)
-            per_value[_value_name(value)] = Fraction(hit, len(cells))
-        marginals[dimension] = per_value
+    covered = [c for c in FULL_SPACE if c in coverage.signals]
+    hits = Counter((dim, getattr(c, dim)) for c in covered for dim in DIMENSIONS)
     return GapReport(
-        covered=Fraction(len(covered_cells), total),
-        strong=Fraction(len(strong_cells), total),
-        uncovered=uncovered,
-        marginals=marginals,
+        covered=Fraction(len(covered), total),
+        strong=Fraction(sum(coverage.signal(c) is Signal.STRONG for c in covered), total),
+        uncovered=tuple(c for c in FULL_SPACE if c not in coverage.signals),
+        # Each value of a dimension labels the same share of the product.
+        marginals={
+            dim: {
+                value_name(value): Fraction(hits[dim, value], total // len(values))
+                for value in values
+            }
+            for dim, values in DIMENSIONS.items()
+        },
     )
 
 

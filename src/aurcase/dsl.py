@@ -22,17 +22,15 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product, starmap
+from math import prod
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, dangling_references
 from .model import (
-    AGGREGATION_NAMES,
     CATEGORY_NAMES,
-    CAPABILITY_NAMES,
-    ROLE_NAMES,
-    SEVERITY_NAMES,
+    DIMENSION_NAMES,
+    SPACE_DIMENSIONS,
     STAGE_NAMES,
-    STATUS_NAMES,
     AcceptanceCriterion,
     AcSpaceRegion,
     ArgumentRow,
@@ -66,15 +64,6 @@ _SUBCLAIM_KINDS = {
     "confidence_assessment": ClaimKind.CONFIDENCE_ASSESSMENT,
     "facet": ClaimKind.FACET,
 }
-
-# The non-severity region dimensions: keyword, AcSpaceRegion field, names.
-_REGION_DIMENSIONS = (
-    ("role", "roles", ROLE_NAMES),
-    ("capability", "capabilities", CAPABILITY_NAMES),
-    ("status", "statuses", STATUS_NAMES),
-    ("aggregation", "aggregations", AGGREGATION_NAMES),
-)
-_DIMENSION_NAMES = {dim: table for dim, _, table in _REGION_DIMENSIONS}
 
 
 @dataclass(frozen=True)
@@ -385,7 +374,7 @@ class _Parser:
 
     def severity(self) -> tuple[SeverityLevel, _Token]:
         token = self.expect("IDENT", "a severity level")
-        return self.enum_value(token, SEVERITY_NAMES, "severity level"), token
+        return self.enum_value(token, DIMENSION_NAMES["severity"], "severity level"), token
 
     def assigned_string(self, keyword: _Token) -> str:
         """`= "..."`, the value of `keyword`."""
@@ -514,43 +503,30 @@ class _Parser:
 
     def parse_region(self, keyword: _Token) -> AcSpaceRegion:
         self.open_block("region block")
-        readers = {
-            "severity": (self.severity_range, "severity is set twice"),
-            **{
-                dim: (self.region_dimension, f"{dim} is set twice")
-                for dim, _, _ in _REGION_DIMENSIONS
-            },
-            "weak": (self.weak_level, None),
-        }
+        readers = {dim: (self.region_dimension, f"{dim} is set twice") for dim in DIMENSION_NAMES}
+        readers["severity"] = (self.severity_range, "severity is set twice")
+        readers["weak"] = (self.weak_level, None)
         body = self.block_body(
             " in region block",
             "severity, role, capability, status, aggregation, or weak(...)",
             readers,
         )
-        missing = [dim for dim in readers if dim != "weak" and dim not in body]
+        missing = [dim for dim in DIMENSION_NAMES if dim not in body]
         if missing:
             raise self._fatal(
                 f"region is missing dimension(s): {', '.join(missing)}", keyword
             )
-        weak_cells: set[Cell] = set()
+        severities, *others = (body[dim] for dim in DIMENSION_NAMES)
+        weak_levels = []
         for level, token in body.get("weak", ()):
-            if level not in body["severity"]:
+            if level not in severities:
                 raise self._fatal(
                     f"weak({level.name}) lies outside the region's severity range",
                     token,
                 )
-            weak_cells.update(
-                Cell(level, role, cap, status, agg)
-                for role in body["role"]
-                for cap in body["capability"]
-                for status in body["status"]
-                for agg in body["aggregation"]
-            )
-        return AcSpaceRegion(
-            severities=body["severity"],
-            weak_cells=frozenset(weak_cells),
-            **{attribute: body[dim] for dim, attribute, _ in _REGION_DIMENSIONS},
-        )
+            weak_levels.append(level)
+        weak_cells = frozenset(starmap(Cell, product(weak_levels, *others)))
+        return AcSpaceRegion(severities, *others, weak_cells=weak_cells)
 
     def severity_range(self, _keyword: _Token) -> frozenset[SeverityLevel]:
         self.take("=")
@@ -565,7 +541,7 @@ class _Parser:
 
     def region_dimension(self, keyword: _Token) -> frozenset:
         dim = keyword.text
-        table = _DIMENSION_NAMES[dim]
+        table = DIMENSION_NAMES[dim]
         return self.assigned_list(
             lambda: self.enum_value(
                 self.expect("IDENT", f"a {dim} value"), table, f"{dim} value"
@@ -601,7 +577,9 @@ class _Parser:
         )
         self.take("aggregation", "=")
         aggregation = self.enum_value(
-            self.expect("IDENT", "an aggregation level"), AGGREGATION_NAMES, "aggregation level"
+            self.expect("IDENT", "an aggregation level"),
+            DIMENSION_NAMES["aggregation"],
+            "aggregation level",
         )
         self.open_block(f"criterion {criterion_id}")
         body = self.block_body(
@@ -876,12 +854,7 @@ def _weak_severities(region: AcSpaceRegion) -> list[SeverityLevel]:
     by_level: dict[SeverityLevel, set[Cell]] = {}
     for cell in region.weak_cells:
         by_level.setdefault(cell.severity, set()).add(cell)
-    slice_size = (
-        len(region.roles)
-        * len(region.capabilities)
-        * len(region.statuses)
-        * len(region.aggregations)
-    )
+    slice_size = prod(map(len, region.dimension_sets.values())) // len(region.severities)
     for level, cells in by_level.items():
         if len(cells) != slice_size:
             raise ValueError(
@@ -893,7 +866,7 @@ def _weak_severities(region: AcSpaceRegion) -> list[SeverityLevel]:
 
 def _names(members, table: dict) -> str:
     """`members` as a comma list of their names, in the name table's order."""
-    return ", ".join(member.value for member in table.values() if member in members)
+    return ", ".join(name for name, member in table.items() if member in members)
 
 
 def _block(header: str, *body: str) -> list[str]:
@@ -926,9 +899,10 @@ def _region(region: AcSpaceRegion) -> list[str]:
     return _block(
         "region",
         f"severity = {_severity_range(region.severities)}",
+        # Severity, first, is written as a range; the rest as name lists.
         *[
-            f"{dim} = {_names(getattr(region, attribute), table)}"
-            for dim, attribute, table in _REGION_DIMENSIONS
+            f"{dim} = {_names(getattr(region, attribute), DIMENSION_NAMES[dim])}"
+            for dim, attribute, _ in SPACE_DIMENSIONS[1:]
         ],
         *[f"weak({level.name})" for level in _weak_severities(region)],
     )

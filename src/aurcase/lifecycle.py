@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import sys
 from dataclasses import dataclass, field
 from math import exp, inf, isfinite, lgamma, log, log1p, sqrt
 from typing import Mapping, TYPE_CHECKING
@@ -186,7 +187,10 @@ def rate_upper_bound(count: int, exposure: float, confidence: float) -> float:
     """Exact one-sided upper confidence bound on a Poisson event rate.
 
     Returns the smallest rate ``lam`` with
-    ``P(X <= count | mean = lam * exposure) = 1 - confidence``.
+    ``P(X <= count | mean = lam * exposure) = 1 - confidence``.  Raises
+    `ValueError` for a bound that is not a finite normal float, and for a
+    solved mean below ``count`` at ``confidence >= 0.5``, which no exact
+    bound can be.
     """
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ValueError("count must be a non-negative integer")
@@ -204,6 +208,13 @@ def rate_upper_bound(count: int, exposure: float, confidence: float) -> float:
         raise ValueError(
             f"rate upper bound cannot be computed for count {count}: {exc}"
         ) from exc
+    # An integer Poisson mean is also a median, so P(X <= count | count) >= 1/2
+    # and the exact mean at confidence >= 0.5 is at least the count.
+    if confidence >= 0.5 and not mean >= count:
+        raise ValueError(
+            f"rate upper bound cannot be certified for count {count}: "
+            f"the solved mean {mean!r} lies below it"
+        )
     return _finite_bound(mean / exposure, exposure)
 
 
@@ -299,6 +310,8 @@ def _gamma_log_tails(a: float, x: float) -> tuple[float, float, float]:
 def _finite_bound(bound: float, exposure: float) -> float:
     if not isfinite(bound):
         raise ValueError(f"rate upper bound overflows at exposure {exposure!r}")
+    if not bound >= sys.float_info.min:
+        raise ValueError(f"rate upper bound underflows at exposure {exposure!r}")
     return bound
 
 

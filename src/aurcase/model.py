@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import isfinite
 from typing import Iterator
 
@@ -108,11 +108,28 @@ _ALLOWED_CHILDREN: dict[ClaimKind, frozenset[ClaimKind]] = {
 # DSL / ledger spellings for each enum, in canonical order.
 STAGE_NAMES = {s.name.lower(): s for s in CausalStage}
 CATEGORY_NAMES = {c.value: c for c in HazardCategory}
-SEVERITY_NAMES = {s.name: s for s in SeverityLevel}
-ROLE_NAMES = {r.value: r for r in ConflictRole}
-CAPABILITY_NAMES = {c.value: c for c in BehavioralCapability}
-STATUS_NAMES = {s.value: s for s in FunctionalityStatus}
-AGGREGATION_NAMES = {a.value: a for a in AggregationLevel}
+
+# The behavioral acceptance-criteria space, in canonical order: each
+# dimension's name (a `Cell` field), its `AcSpaceRegion` field and its enum.
+SPACE_DIMENSIONS: tuple[tuple[str, str, type[enum.Enum]], ...] = (
+    ("severity", "severities", SeverityLevel),
+    ("role", "roles", ConflictRole),
+    ("capability", "capabilities", BehavioralCapability),
+    ("status", "statuses", FunctionalityStatus),
+    ("aggregation", "aggregations", AggregationLevel),
+)
+
+
+def value_name(member: enum.Enum) -> str:
+    """A dimension value's spelling: a severity's name, any other's value."""
+    return member.name if isinstance(member, SeverityLevel) else member.value
+
+
+# Spelling -> member, per dimension, both in canonical order.
+DIMENSION_NAMES: dict[str, dict[str, enum.Enum]] = {
+    dim: {value_name(member): member for member in members}
+    for dim, _, members in SPACE_DIMENSIONS
+}
 
 
 class ModelError(ValueError):
@@ -139,20 +156,9 @@ class Cell:
     status: FunctionalityStatus
     aggregation: AggregationLevel
 
-    def sort_key(self) -> tuple[int, ...]:
-        return (
-            self.severity.value,
-            list(ConflictRole).index(self.role),
-            list(BehavioralCapability).index(self.capability),
-            list(FunctionalityStatus).index(self.status),
-            list(AggregationLevel).index(self.aggregation),
-        )
-
     def __str__(self) -> str:
-        return (
-            f"({self.severity.name}, {self.role.value}, {self.capability.value}, "
-            f"{self.status.value}, {self.aggregation.value})"
-        )
+        names = (value_name(getattr(self, dim)) for dim, _, _ in SPACE_DIMENSIONS)
+        return f"({', '.join(names)})"
 
 
 @dataclass(frozen=True)
@@ -173,15 +179,8 @@ class AcSpaceRegion:
     weak_cells: frozenset[Cell] = frozenset()
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("severities", self.severities),
-            ("roles", self.roles),
-            ("capabilities", self.capabilities),
-            ("statuses", self.statuses),
-            ("aggregations", self.aggregations),
-            ("weak_cells", self.weak_cells),
-        ):
-            object.__setattr__(self, name, frozenset(value))
+        for spec in fields(self):
+            object.__setattr__(self, spec.name, frozenset(getattr(self, spec.name)))
         _require(
             all(self.contains(c) for c in self.weak_cells),
             "weak_cells must be a subset of the region's own cells",
@@ -189,21 +188,12 @@ class AcSpaceRegion:
 
     @property
     def dimension_sets(self) -> dict[str, frozenset]:
-        return {
-            "severity": self.severities,
-            "role": self.roles,
-            "capability": self.capabilities,
-            "status": self.statuses,
-            "aggregation": self.aggregations,
-        }
+        return {dim: getattr(self, attribute) for dim, attribute, _ in SPACE_DIMENSIONS}
 
     def contains(self, cell: Cell) -> bool:
-        return (
-            cell.severity in self.severities
-            and cell.role in self.roles
-            and cell.capability in self.capabilities
-            and cell.status in self.statuses
-            and cell.aggregation in self.aggregations
+        return all(
+            getattr(cell, dim) in getattr(self, attribute)
+            for dim, attribute, _ in SPACE_DIMENSIONS
         )
 
 

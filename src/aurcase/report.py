@@ -18,6 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import product
 from typing import Mapping
 
 from ._version import __version__
@@ -35,16 +36,12 @@ from .coverage import (
 from .diagnostics import Diagnostic, Severity, sort_diagnostics
 from .lifecycle import ReadinessDecision
 from .model import (
-    AggregationLevel,
-    BehavioralCapability,
     Cell,
-    ConflictRole,
-    FunctionalityStatus,
     HazardCategory,
     SafetyCase,
-    SeverityLevel,
     iter_rows,
     require_resolved,
+    value_name,
 )
 
 NO_SPACE_NOTE = (
@@ -399,9 +396,9 @@ _FILL = {Signal.NONE: "#d9d9d9", Signal.WEAK: "#9ecae1", Signal.STRONG: "#08519c
 
 _CELL = 34
 _LEFT = 170
-_GRID_W = _CELL * len(SeverityLevel)
+_GRID_W = _CELL * len(DIMENSIONS["severity"])
 _SLICE_W = _LEFT + _GRID_W + 24
-_SLICE_H = 40 + len(BehavioralCapability) * _CELL + 24
+_SLICE_H = 40 + len(DIMENSIONS["capability"]) * _CELL + 24
 _LEGEND_H = 46
 
 
@@ -417,12 +414,7 @@ def render_heatmap(coverage: CoverageMap) -> str:
     Every cell rect carries data attributes naming its five coordinates
     and its signal, so the drawing can be checked against the map.
     """
-    slices = [
-        (role, status, aggregation)
-        for role in ConflictRole
-        for status in FunctionalityStatus
-        for aggregation in AggregationLevel
-    ]
+    slices = list(product(DIMENSIONS["role"], DIMENSIONS["status"], DIMENSIONS["aggregation"]))
     columns = 2
     rows = (len(slices) + columns - 1) // columns
     width = columns * _SLICE_W + 16
@@ -449,25 +441,26 @@ def render_heatmap(coverage: CoverageMap) -> str:
         oy = _LEGEND_H + (index // columns) * _SLICE_H
         title = f"{role.value} / {status.value} / {aggregation.value}"
         out.append(f'<text x="{ox}" y="{oy + 14}">{_xml_escape(title)}</text>')
-        for row_index, capability in enumerate(BehavioralCapability):
+        for row_index, capability in enumerate(DIMENSIONS["capability"]):
             label_y = oy + 40 + row_index * _CELL + _CELL // 2 + 4
             out.append(
                 f'<text x="{ox}" y="{label_y}" font-size="10">'
                 f"{_xml_escape(capability.value)}</text>"
             )
-            for col_index, severity in enumerate(SeverityLevel):
+            for col_index, severity in enumerate(DIMENSIONS["severity"]):
                 cell_x = ox + _LEFT + col_index * _CELL
                 cell_y = oy + 40 + row_index * _CELL
                 cell = Cell(severity, role, capability, status, aggregation)
                 signal = coverage.signal(cell)
+                coordinates = " ".join(
+                    f'data-{dim}="{value_name(getattr(cell, dim))}"' for dim in DIMENSIONS
+                )
                 out.append(
                     f'<rect x="{cell_x}" y="{cell_y}" width="{_CELL}" height="{_CELL}" '
                     f'fill="{_FILL[signal]}" stroke="#555555" '
-                    f'data-severity="{severity.name}" data-role="{role.value}" '
-                    f'data-capability="{capability.value}" data-status="{status.value}" '
-                    f'data-aggregation="{aggregation.value}" data-signal="{signal.name.lower()}"/>'
+                    f'{coordinates} data-signal="{signal.name.lower()}"/>'
                 )
-        for col_index, severity in enumerate(SeverityLevel):
+        for col_index, severity in enumerate(DIMENSIONS["severity"]):
             label_x = ox + _LEFT + col_index * _CELL + _CELL // 2 - 6
             label_y = oy + 36
             out.append(f'<text x="{label_x}" y="{label_y}">{severity.name}</text>')

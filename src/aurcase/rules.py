@@ -34,6 +34,8 @@ from .model import (
 
 E006_SCOPE_ALL = "all"
 E006_SCOPE_SKIP_REASONABLENESS = "skip_reasonableness"
+_E006_SCOPES = (E006_SCOPE_ALL, E006_SCOPE_SKIP_REASONABLENESS)
+_SEVERITY_OVERRIDES = ("error", "warning", "off")
 
 
 @dataclass(frozen=True)
@@ -219,15 +221,8 @@ class RuleConfig:
         for rule_id, value in self.severity_overrides.items():
             if rule_id not in _CATALOG_BY_ID:
                 raise ValueError(f"severity override for unregistered rule {rule_id!r}")
-            if value not in ("error", "warning", "off"):
-                raise ValueError(
-                    f"severity for {rule_id} must be error, warning, or off; got {value!r}"
-                )
-        if self.e006_scope not in (E006_SCOPE_ALL, E006_SCOPE_SKIP_REASONABLENESS):
-            raise ValueError(
-                f"rule.E006.scope must be {E006_SCOPE_ALL!r} or "
-                f"{E006_SCOPE_SKIP_REASONABLENESS!r}"
-            )
+            _check_severity(rule_id, value)
+        _check_e006_scope(self.e006_scope)
         if self.coverage_threshold is not None and not (
             0.0 <= self.coverage_threshold <= 1.0
         ):
@@ -248,12 +243,28 @@ class RuleConfig:
         return _CATALOG_BY_ID[rule_id].default_severity
 
 
+def _check_severity(rule_id: str, value: str) -> None:
+    if value not in _SEVERITY_OVERRIDES:
+        raise ValueError(
+            f"severity for {rule_id} must be error, warning, or off; got {value!r}"
+        )
+
+
+def _check_e006_scope(value: str) -> None:
+    if value not in _E006_SCOPES:
+        raise ValueError(
+            f"rule.E006.scope must be {E006_SCOPE_ALL!r} or "
+            f"{E006_SCOPE_SKIP_REASONABLENESS!r}"
+        )
+
+
 def parse_config(text: str, source: str = "<config>") -> RuleConfig:
     """Read the key=value rule configuration format.
 
     Recognized keys: `rule.<ID>.severity` (error|warning|off),
     `rule.E006.scope` (all|skip_reasonableness), `facets.required`
-    (comma-separated labels), and `review_ready` (true|false).
+    (comma-separated labels), and `review_ready` (true|false).  Every error
+    names its line.
     """
     overrides: dict[str, str] = {}
     facets: set[str] = set()
@@ -263,33 +274,35 @@ def parse_config(text: str, source: str = "<config>") -> RuleConfig:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"{source}:{line_no}: expected key = value")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key == "facets.required":
-            facets.update(label.strip() for label in value.split(",") if label.strip())
-        elif key == "review_ready":
-            if value not in ("true", "false"):
-                raise ValueError(f"{source}:{line_no}: review_ready must be true or false")
-            review_ready = value == "true"
-        elif key == "rule.E006.scope":
-            e006_scope = value
-        elif key.startswith("rule.") and key.endswith(".severity"):
-            rule_id = key[len("rule.") : -len(".severity")]
-            if rule_id not in _CATALOG_BY_ID:
-                raise ValueError(f"{source}:{line_no}: unknown rule {rule_id!r}")
-            overrides[rule_id] = value
-        else:
-            raise ValueError(f"{source}:{line_no}: unknown configuration key {key!r}")
-    try:
-        return RuleConfig(
-            severity_overrides=overrides,
-            required_facets=frozenset(facets),
-            review_ready=review_ready,
-            e006_scope=e006_scope,
-        )
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from exc
+        try:
+            if "=" not in line:
+                raise ValueError("expected key = value")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key == "facets.required":
+                facets.update(label.strip() for label in value.split(",") if label.strip())
+            elif key == "review_ready":
+                if value not in ("true", "false"):
+                    raise ValueError("review_ready must be true or false")
+                review_ready = value == "true"
+            elif key == "rule.E006.scope":
+                _check_e006_scope(value)
+                e006_scope = value
+            elif key.startswith("rule.") and key.endswith(".severity"):
+                rule_id = key[len("rule.") : -len(".severity")]
+                if rule_id not in _CATALOG_BY_ID:
+                    raise ValueError(f"unknown rule {rule_id!r}")
+                _check_severity(rule_id, value)
+                overrides[rule_id] = value
+            else:
+                raise ValueError(f"unknown configuration key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"{source}:{line_no}: {exc}") from exc
+    return RuleConfig(
+        severity_overrides=overrides,
+        required_facets=frozenset(facets),
+        review_ready=review_ready,
+        e006_scope=e006_scope,
+    )
 
 
 @dataclass
@@ -301,18 +314,14 @@ class _Context:
     found: list[Diagnostic] = field(default_factory=list)
 
     def emit(
-        self,
-        rule_id: str,
-        message: str,
-        subject_id: str = "",
-        span_key: str | None = None,
-        span: SourceSpan | None = None,
+        self, rule_id: str, message: str, subject_id: str, span: SourceSpan | None = None
     ) -> None:
+        """Record a finding, spanned at its subject unless `span` is given."""
         severity = self.config.severity_of(rule_id)
         if severity is None:
             return
-        if span is None and span_key is not None:
-            span = self.span_index.get(span_key)
+        if span is None:
+            span = self.span_index.get(subject_id)
         self.found.append(
             Diagnostic(rule_id, severity, message, subject_id=subject_id, span=span)
         )
@@ -345,7 +354,6 @@ def validate(
             f"analysis refused: case has {len(findings)} unresolved reference(s); "
             "resolve them and re-run",
             subject_id=case.id,
-            span_key=case.id,
         )
         return sort_diagnostics(ctx.found)
 
@@ -375,7 +383,6 @@ def _check_criteria_exist(ctx: _Context) -> None:
             "no acceptance criteria declared: absence of unreasonable risk "
             "cannot be argued without at least one explicit criterion",
             subject_id=ctx.case.id,
-            span_key=ctx.case.id,
         )
 
 
@@ -387,7 +394,6 @@ def _check_claim_structure(ctx: _Context) -> None:
                 f"top claim {root.id} lacks a reasonableness subclaim justifying "
                 "its acceptance criterion",
                 subject_id=root.id,
-                span_key=root.id,
             )
         if root.child_of_kind(ClaimKind.SATISFACTION) is None:
             ctx.emit(
@@ -395,7 +401,6 @@ def _check_claim_structure(ctx: _Context) -> None:
                 f"top claim {root.id} lacks a satisfaction subclaim arguing the "
                 "criterion is met by credible evidence",
                 subject_id=root.id,
-                span_key=root.id,
             )
         for node, key in iter_claim_nodes(root):
             if node.kind is ClaimKind.SATISFACTION:
@@ -404,14 +409,12 @@ def _check_claim_structure(ctx: _Context) -> None:
                         "E004",
                         f"satisfaction subclaim {key} lacks a coverage assessment",
                         subject_id=key,
-                        span_key=key,
                     )
                 if node.child_of_kind(ClaimKind.CONFIDENCE_ASSESSMENT) is None:
                     ctx.emit(
                         "E005",
                         f"satisfaction subclaim {key} lacks a confidence assessment",
                         subject_id=key,
-                        span_key=key,
                     )
             if node.kind is ClaimKind.CONFIDENCE_ASSESSMENT and ctx.config.required_facets:
                 present = {
@@ -425,7 +428,6 @@ def _check_claim_structure(ctx: _Context) -> None:
                         f"confidence assessment {key} is missing required facet "
                         f"{label!r}",
                         subject_id=key,
-                        span_key=key,
                     )
 
 
@@ -441,7 +443,6 @@ def _check_rows(ctx: _Context) -> None:
                     "E006",
                     f"argument row {row_key} cites no evidence",
                     subject_id=row_key,
-                    span_key=row_key,
                 )
             if not row.counter_argument:
                 ctx.emit(
@@ -449,14 +450,12 @@ def _check_rows(ctx: _Context) -> None:
                     f"argument row {row_key} states no counter-argument (no "
                     "rejected alternatives recorded)",
                     subject_id=row_key,
-                    span_key=row_key,
                 )
             if not row.limitations:
                 ctx.emit(
                     "W102",
                     f"argument row {row_key} states no limitations or scope",
                     subject_id=row_key,
-                    span_key=row_key,
                 )
 
 
@@ -470,7 +469,6 @@ def _check_hazard_traceability(ctx: _Context) -> None:
                 "E007",
                 f"hazard {hazard.id} is not covered by any acceptance criterion",
                 subject_id=hazard.id,
-                span_key=hazard.id,
             )
 
 
@@ -484,7 +482,6 @@ def _check_context(ctx: _Context) -> None:
                 f"review-ready case is missing required context field "
                 f"'{field_name}'",
                 subject_id=f"context.{field_name}",
-                span_key=f"context.{field_name}",
                 span=ctx.span_index.get(f"context.{field_name}")
                 or ctx.span_index.get("context"),
             )
@@ -498,7 +495,6 @@ def _check_claimless_criteria(ctx: _Context) -> None:
                 "E012",
                 f"acceptance criterion {criterion.id} has no top claim",
                 subject_id=criterion.id,
-                span_key=criterion.id,
             )
 
 
@@ -513,7 +509,6 @@ def _check_orphan_evidence(ctx: _Context) -> None:
                 "W103",
                 f"evidence {item.id} is declared but never cited by any argument",
                 subject_id=item.id,
-                span_key=item.id,
             )
 
 
@@ -527,9 +522,9 @@ def _check_aggregation_balance(ctx: _Context) -> None:
         }
     )
     if balance is coverage_mod.BalanceClass.AGGREGATE_ONLY:
-        ctx.emit("W104", balance.advisory, subject_id=ctx.case.id, span_key=ctx.case.id)
+        ctx.emit("W104", balance.advisory, subject_id=ctx.case.id)
     elif balance is coverage_mod.BalanceClass.EVENT_ONLY:
-        ctx.emit("W105", balance.advisory, subject_id=ctx.case.id, span_key=ctx.case.id)
+        ctx.emit("W105", balance.advisory, subject_id=ctx.case.id)
 
 
 def _check_coverage_threshold(ctx: _Context) -> None:
@@ -543,5 +538,4 @@ def _check_coverage_threshold(ctx: _Context) -> None:
             f"coverage {report.covered} of the behavioral criteria space is "
             f"below the configured threshold {threshold:g}",
             subject_id=ctx.case.id,
-            span_key=ctx.case.id,
         )

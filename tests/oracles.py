@@ -72,6 +72,79 @@ def enumerate_cells(severities, roles, capabilities, statuses, aggregations) -> 
     return cells
 
 
+def gap_rows(case, severities, roles, capabilities, statuses, aggregations) -> tuple:
+    """The gap report of `case`'s methodology regions, cell by cell.
+
+    The five arguments list each dimension's members in canonical order.
+    Returns `(covered, strong, uncovered, marginals, by_dimension)`:
+    `covered` and `strong` are `(cells, 96)` pairs; `uncovered` holds the
+    uncovered cells as 5-tuples in nested-loop order; `marginals` is
+    `((dimension, ((name, hit, total), ...)), ...)`, and `by_dimension`
+    is `((dimension, ((name, cells), ...)), ...)` over the uncovered
+    cells.  A severity is spelled by its name, any other value by its
+    value.  Signals are 0 (none), 1 (weak) and 2 (strong).
+    """
+    order = (
+        ("severity", tuple(severities)),
+        ("role", tuple(roles)),
+        ("capability", tuple(capabilities)),
+        ("status", tuple(statuses)),
+        ("aggregation", tuple(aggregations)),
+    )
+
+    def spelled(dimension, member) -> str:
+        return member.name if dimension == "severity" else member.value
+
+    signals = []
+    for severity in order[0][1]:
+        for role in order[1][1]:
+            for capability in order[2][1]:
+                for status in order[3][1]:
+                    for aggregation in order[4][1]:
+                        cell = (severity, role, capability, status, aggregation)
+                        signal = 0
+                        for methodology in case.methodologies:
+                            region = methodology.region
+                            if region is None:
+                                continue
+                            if (
+                                severity in region.severities
+                                and role in region.roles
+                                and capability in region.capabilities
+                                and status in region.statuses
+                                and aggregation in region.aggregations
+                            ):
+                                weak = any(
+                                    (c.severity, c.role, c.capability, c.status, c.aggregation)
+                                    == cell
+                                    for c in region.weak_cells
+                                )
+                                signal = max(signal, 1 if weak else 2)
+                        signals.append((cell, signal))
+    total = len(signals)
+    covered = (sum(1 for _, s in signals if s > 0), total)
+    strong = (sum(1 for _, s in signals if s == 2), total)
+    uncovered = tuple(cell for cell, s in signals if s == 0)
+    marginals = []
+    by_dimension = []
+    for index, (dimension, members) in enumerate(order):
+        per_value = []
+        grouped = []
+        for member in members:
+            hit = sum(1 for cell, s in signals if cell[index] is member and s > 0)
+            size = sum(1 for cell, _ in signals if cell[index] is member)
+            per_value.append((spelled(dimension, member), hit, size))
+            grouped.append(
+                (
+                    spelled(dimension, member),
+                    tuple(cell for cell in uncovered if cell[index] is member),
+                )
+            )
+        marginals.append((dimension, tuple(per_value)))
+        by_dimension.append((dimension, tuple(grouped)))
+    return covered, strong, uncovered, tuple(marginals), tuple(by_dimension)
+
+
 def trace_rows(case) -> list[tuple]:
     """Hazard -> criteria -> top claims -> cited evidence, one tuple per
     hazard.  Rescans every criterion and claim for each hazard and walks

@@ -320,3 +320,21 @@ class TestNonFiniteLedgers:
         assert "readiness: blocked" in captured.out
         assert "rate upper bound" in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    def test_a_bound_below_the_observed_rate_blocks(self, tmp_path, capsys):
+        case = write(
+            tmp_path,
+            "loose.aur",
+            fixture_text("golden_cat.aur").replace("max = 5e-06", "max = 0.99999995"),
+        )
+        ledger = write(
+            tmp_path,
+            "dense.ledger",
+            "release,phase,exposure,exposure_unit,event_definition,count\n"
+            "r1,predicted,1e16,mi,injury-causing collision,10000000000000000\n",
+        )
+        assert run(["review", case, "--ledger", ledger]) == 1
+        captured = capsys.readouterr()
+        assert "readiness: blocked" in captured.out
+        assert "cannot be certified" in captured.out
+        assert "Traceback" not in captured.out + captured.err

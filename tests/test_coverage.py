@@ -23,6 +23,7 @@ from aurcase.model import (
     AcSpaceRegion,
     AggregationLevel,
     BehavioralCapability,
+    Cell,
     ConflictRole,
     FunctionalityStatus,
     HazardCategory,
@@ -30,7 +31,7 @@ from aurcase.model import (
 )
 
 from conftest import fixture_text
-from oracles import enumerate_cells
+from oracles import enumerate_cells, gap_rows
 from strategies import regions, safety_cases
 
 CAMPAIGN_REGION = AcSpaceRegion(
@@ -44,6 +45,10 @@ CAMPAIGN_REGION = AcSpaceRegion(
 
 def as_tuples(cells) -> set[tuple]:
     return {(c.severity, c.role, c.capability, c.status, c.aggregation) for c in cells}
+
+
+def as_tuple(c: Cell) -> tuple:
+    return (c.severity, c.role, c.capability, c.status, c.aggregation)
 
 
 class TestRegionCells:
@@ -248,6 +253,30 @@ safety_case "full" {
         assert sum(len(cells) for cells in grouped["severity"].values()) == 96
         assert len(grouped["role"]["initiator"]) == 48
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=safety_cases())
+    def test_matches_the_cell_by_cell_oracle(self, case):
+        gaps = gap_report(coverage_map(case))
+        covered, strong, uncovered, marginals, by_dimension = gap_rows(
+            case,
+            SeverityLevel,
+            ConflictRole,
+            BehavioralCapability,
+            FunctionalityStatus,
+            AggregationLevel,
+        )
+        assert (gaps.covered.numerator, gaps.covered.denominator) == covered
+        assert (gaps.strong.numerator, gaps.strong.denominator) == strong
+        assert tuple(map(as_tuple, gaps.uncovered)) == uncovered
+        assert tuple(
+            (dim, tuple((name, f.numerator, f.denominator) for name, f in per_value.items()))
+            for dim, per_value in gaps.marginals.items()
+        ) == marginals
+        assert tuple(
+            (dim, tuple((name, tuple(map(as_tuple, cells))) for name, cells in groups.items()))
+            for dim, groups in gaps.uncovered_by_dimension().items()
+        ) == by_dimension
+
 
 class TestAggregationBalance:
     @pytest.mark.parametrize(
@@ -316,3 +345,26 @@ safety_case "ops" {
 def test_signal_lattice_order():
     assert Signal.NONE < Signal.WEAK < Signal.STRONG
     assert max(Signal.WEAK, Signal.STRONG) is Signal.STRONG
+
+
+def test_cell_prints_its_values_in_dimension_order():
+    cell = Cell(
+        SeverityLevel.S2,
+        ConflictRole.RESPONDER,
+        BehavioralCapability.COLLISION_AVOIDANCE,
+        FunctionalityStatus.DEGRADED,
+        AggregationLevel.EVENT_LEVEL,
+    )
+    assert str(cell) == "(S2, responder, collision_avoidance, degraded, event_level)"
+
+
+def test_dimension_sets_follow_the_canonical_order():
+    sets = CAMPAIGN_REGION.dimension_sets
+    assert list(sets) == ["severity", "role", "capability", "status", "aggregation"]
+    assert list(sets.values()) == [
+        CAMPAIGN_REGION.severities,
+        CAMPAIGN_REGION.roles,
+        CAMPAIGN_REGION.capabilities,
+        CAMPAIGN_REGION.statuses,
+        CAMPAIGN_REGION.aggregations,
+    ]

@@ -511,6 +511,18 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="overflows"):
             rate_upper_bound(0, 1e-320, 0.95)
 
+    @pytest.mark.parametrize(
+        "count, exposure, confidence",
+        [(1, 1e300, 1e-300), (3, 1e308, 1e-200), (0, 1e300, 1e-300)],
+    )
+    def test_bound_rejects_underflowing_results(self, count, exposure, confidence):
+        with pytest.raises(ValueError, match="underflows"):
+            rate_upper_bound(count, exposure, confidence)
+
+    def test_bound_rejects_a_solved_mean_below_the_count(self):
+        with pytest.raises(ValueError, match="below"):
+            rate_upper_bound(10**16, 1.0, 0.95)
+
     def test_overflowing_summed_exposure_blocks_the_release(self, golden_cat_text):
         case = parse(golden_cat_text, "golden_cat.aur").case
         ledger = parse_ledger(

@@ -186,6 +186,25 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="must be error, warning, or off"):
             parse_config("rule.E006.severity = fatal")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (
+                "rule.E001.severity = loud",
+                "c.cfg:2: severity for E001 must be error, warning, or off; got 'loud'",
+            ),
+            (
+                "rule.E006.scope = some",
+                "c.cfg:2: rule.E006.scope must be 'all' or 'skip_reasonableness'",
+            ),
+        ],
+        ids=["severity", "scope"],
+    )
+    def test_bad_values_name_their_line(self, line, message):
+        with pytest.raises(ValueError) as info:
+            parse_config(f"# c\n{line}\n", "c.cfg")
+        assert str(info.value) == message
+
     def test_config_overrides_reference_registered_rules_only(self):
         with pytest.raises(ValueError, match="unregistered rule"):
             RuleConfig(severity_overrides={"E099": "off"})
