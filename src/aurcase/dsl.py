@@ -6,11 +6,14 @@ region of the acceptance-criteria space), indicators, criteria with their
 validation targets, evidence, and claim trees whose argument rows carry
 text, evidence links, limitations, and counter-arguments.
 
-Parsing records a precise source span for every declared element (and for
-every cross-reference), never raises on malformed input, and reports the
-first fatal problem as a diagnostic.  Dangling references are not fatal:
-the case is still returned, carrying one E009 diagnostic per unresolved
-reference so downstream analyses can refuse with context.
+Parsing never raises on malformed input, and reports the first fatal
+problem as a diagnostic.  Dangling references are not fatal: the case is
+still returned, carrying one E009 diagnostic per unresolved reference so
+downstream analyses can refuse with context.  The lexer makes no object
+per token: one scan yields parallel sequences of token kinds, words and
+start offsets, and the parser is a cursor over them.  It records the
+offsets of every declared element and every cross-reference, and a
+precise source span is made from them only when one is looked up.
 
 Serialization is canonical: stable field order, two-space indentation,
 elements ordered by identifier, and deterministic to the byte.
@@ -19,11 +22,14 @@ elements ordered by identifier, and deterministic to the byte.
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_right
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product, starmap
+from itertools import accumulate, chain, islice, product, starmap
 from math import prod
+from operator import itemgetter
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, dangling_references
 from .model import (
@@ -75,13 +81,15 @@ class ParseResult:
     row keys, `context.<field>`) to its source span.  `reference_spans`
     pins each cross-reference (referrer key, field, referenced id) to the
     exact token that made it, so reference diagnostics can point at the
-    reference rather than at the element containing it.
+    reference rather than at the element containing it.  Both are
+    read-only mappings in declaration order that make each span when it
+    is looked up; they compare equal to a `dict` of the same spans.
     """
 
     case: SafetyCase | None
     diagnostics: tuple[Diagnostic, ...]
-    span_index: dict[str, SourceSpan] = field(default_factory=dict)
-    reference_spans: dict[tuple[str, str, str], SourceSpan] = field(default_factory=dict)
+    span_index: Mapping[str, SourceSpan] = field(default_factory=dict)
+    reference_spans: Mapping[tuple[str, str, str], SourceSpan] = field(default_factory=dict)
 
     @property
     def fatal(self) -> bool:
@@ -107,34 +115,42 @@ _ESCAPE_OUT = str.maketrans(
 # break or an escape the format does not know.
 _STRING_BODY = re.compile(r'[^"\\\n]*(?:\\[\\"ntr][^"\\\n]*)*')
 
-# One alternative per token kind, tried in order at each offset.  `\d` is a
-# Unicode decimal digit and `\w` a character for which `str.isalnum()` is
-# true, or `_`.  A number starts with a digit, a sign before a digit or a
-# dot, or a dot before a digit; a dot joins an identifier only when another
-# identifier character follows it, so `..` stays the range operator.
-# ERROR takes any character no other alternative starts with, including a
-# quote that opens a malformed string.
+# One token per match.  Group 1 holds the blanks and comments before it,
+# group 2 the token, which is empty at the end of the text.  The token's
+# alternatives are punctuation, an identifier, a string, a number, then any
+# one character.  No two before the last match at the same offset, so their
+# order only sets the speed: the commonest come first.  `\d` is a Unicode
+# decimal digit and `\w` a character for which `str.isalnum()` is true, or
+# `_`.  A number starts with a digit, a sign before a digit or a dot, or a
+# dot before a digit; a dot joins an identifier only when another
+# identifier character follows it, so `..` stays the range operator.  The
+# one-character fallback takes what starts no token, including a quote
+# that opens a malformed string.
 _TOKEN = re.compile(
-    r"(?P<SKIP>[ \t\r\n]+|#[^\n]*)"
-    f'|(?P<STRING>"{_STRING_BODY.pattern}")'
-    r"|(?P<NUMBER>(?:[+-](?=[\d.])|(?=\.?\d))\d*(?:\.(?!\.)\d*)?(?:[eE][+-]?\d*)?)"
-    r"|(?P<IDENT>[^\W\d][\w-]*(?:\.[\w-]+)*)"
-    r"|(?P<PUNCT>\.\.|[{}()=,])"
-    r"|(?P<ERROR>.)",
+    r"([ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)"
+    r"([{}()=,]|\.\."
+    r"|[^\W\d][\w-]*(?:\.[\w-]+)*"
+    f'|"{_STRING_BODY.pattern}"'
+    r"|(?:[+-](?=[\d.])|(?=\.?\d))\d*(?:\.(?!\.)\d*)?(?:[eE][+-]?\d*)?"
+    r"|.|\Z)",
     re.DOTALL,
 )
 _ESCAPE_IN = re.compile(r"\\(.)")
 _EXPONENT_WITHOUT_DIGITS = re.compile(r"[eE][+-]?\Z")
 
+# Token kinds.  A token is its index into the lexer's parallel sequences.
+IDENT, STRING, NUMBER, PUNCT, EOF = "IDENT", "STRING", "NUMBER", "PUNCT", "EOF"
 
-class _Token:
-    __slots__ = ("kind", "text", "value", "start")
-
-    def __init__(self, kind: str, text: str, value: str | float | None, start: int):
-        self.kind = kind  # IDENT | STRING | NUMBER | PUNCT | EOF
-        self.text = text
-        self.value = value
-        self.start = start  # offset of the token's first character
+# The kind of a token by its first character, where that alone tells it.
+# A quote may also be a malformed string; a missing entry needs `_odd_kind`.
+_FIRST_KINDS = {
+    "": EOF,
+    '"': STRING,
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", IDENT),
+    **dict.fromkeys("0123456789", NUMBER),
+    **dict.fromkeys("{}()=,", PUNCT),
+}
+_first = itemgetter(slice(0, 1))  # a word's first character; '' for EOF
 
 
 class _Source:
@@ -160,45 +176,91 @@ class _Source:
         return SourceSpan(self.file, line, col, line, col + end - start)
 
 
-def _lex(text: str, file_name: str) -> list[_Token]:
-    """The tokens of `text`, ending with EOF; raises `_Fatal` at the first
-    character that starts no token."""
-    tokens: list[_Token] = []
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        if kind == "SKIP":
-            continue
-        word, start = match.group(), match.start()
-        if kind == "IDENT" and (word[0].isalpha() or word[0] == "_"):
-            value = word
-        elif kind == "PUNCT":
-            value = None
-        elif kind == "STRING":
-            value = word[1:-1]
-            if "\\" in value:
-                value = _ESCAPE_IN.sub(lambda escape: _ESCAPES[escape[1]], value)
-        elif kind == "NUMBER":
-            try:
-                value = float(word)
-            except ValueError:
-                if _EXPONENT_WITHOUT_DIGITS.search(word):
-                    message = "malformed number: exponent has no digits"
-                else:
-                    message = f"malformed number {word!r}"
-                raise _lex_error(text, file_name, message, start, match.end()) from None
-        elif word == '"':
-            raise _lex_error(text, file_name, *_bad_string(text, start))
-        else:  # ERROR, or a word character that starts no identifier ('²', 'Ⅻ')
-            raise _lex_error(
-                text, file_name, f"unexpected character {word[0]!r}", start, start + 1
-            )
-        tokens.append(_Token(kind, word, value, start))
-    tokens.append(_Token("EOF", "", None, len(text)))
-    return tokens
+def _lex(text: str, file_name: str) -> tuple[list[str], list[str], array]:
+    """The kinds, words and start offsets of the tokens of `text`, ending
+    with EOF; raises `_Fatal` at the first token that fails to lex."""
+    pairs = _TOKEN.findall(text)
+    if len(pairs) > 1 and not pairs[-2][1]:
+        pairs.pop()  # an empty match after trailing blanks: a second EOF
+    # Where each blank run and each token ends; a token starts where the
+    # blank run before it ends.
+    ends = accumulate(map(len, chain.from_iterable(pairs)))
+    starts = array("q", islice(ends, 0, None, 2))
+    words = list(map(itemgetter(1), pairs))
+    del pairs
+    kinds = list(map(_FIRST_KINDS.get, map(_first, words)))
+    # Only a token that `_FIRST_KINDS` cannot place, a quote or a number can
+    # fail; check those in text order.
+    suspects = {*_indices(kinds, None), *_indices(kinds, NUMBER), *_indices(words, '"')}
+    for index in sorted(suspects):
+        word, start = words[index], starts[index]
+        kinds[index] = _checked_kind(text, file_name, word, start, kinds[index])
+    return kinds, words, starts
+
+
+def _indices(items: list, value) -> Iterator[int]:
+    """The indices at which `items` holds `value`, searched for in C."""
+    index = -1
+    try:
+        while True:
+            index = items.index(value, index + 1)
+            yield index
+    except ValueError:
+        return
+
+
+def _checked_kind(
+    text: str, file_name: str, word: str, start: int, kind: str | None
+) -> str:
+    """The kind of the token `word` at offset `start`, `kind` if its first
+    character told it; raises `_Fatal` if the token fails to lex."""
+    if word == '"':
+        raise _lex_error(text, file_name, *_bad_string(text, start))
+    if kind is None:
+        kind = _odd_kind(word, text[start + 1 : start + 2])
+    if kind is None:  # no token, or a word character that starts none ('²', 'Ⅻ')
+        message = f"unexpected character {word[0]!r}"
+        raise _lex_error(text, file_name, message, start, start + 1)
+    if kind == NUMBER:
+        try:
+            float(word)
+        except ValueError:
+            if _EXPONENT_WITHOUT_DIGITS.search(word):
+                message = "malformed number: exponent has no digits"
+            else:
+                message = f"malformed number {word!r}"
+            raise _lex_error(text, file_name, message, start, start + len(word)) from None
+    return kind
+
+
+def _odd_kind(word: str, following: str) -> str | None:
+    """The kind of a token whose first character `_FIRST_KINDS` does not
+    place ('+', '-', '.', non-ASCII and stray characters), given the
+    character `following` it; None for no token."""
+    first = word[0]
+    if word == "..":
+        return PUNCT
+    if first in "+-." and len(word) > 1:
+        return NUMBER
+    if first in "+-" and (following == "." or following.isdecimal()):
+        return NUMBER  # a malformed one; a sign before anything else is no token
+    if first.isalpha():
+        return IDENT
+    if first.isdecimal():
+        return NUMBER
+    return None
 
 
 def _lex_error(text: str, file_name: str, message: str, start: int, end: int) -> _Fatal:
     return _Fatal(_syntax_error(message, _Source(text, file_name).span(start, end)))
+
+
+def _unquote(word: str) -> str:
+    """The value of the string literal `word`."""
+    value = word[1:-1]
+    if "\\" in value:
+        value = _ESCAPE_IN.sub(lambda escape: _ESCAPES[escape[1]], value)
+    return value
 
 
 def _bad_string(text: str, quote: int) -> tuple[str, int, int]:
@@ -215,38 +277,62 @@ def _bad_string(text: str, quote: int) -> tuple[str, int, int]:
     return f"unknown escape sequence '\\{escape}'", stop, stop + 2
 
 
-_KIND_HINTS = {"STRING": " (a quoted string)", "NUMBER": " (a number)"}
+_KIND_HINTS = {STRING: " (a quoted string)", NUMBER: " (a number)"}
+
+
+class _Spans(Mapping):
+    """A read-only map from each key to the span of the text it was
+    recorded at.  Only offsets are kept; a span is made on lookup."""
+
+    def __init__(self, offsets: dict[object, tuple[int, int]], source: _Source):
+        self._offsets = offsets
+        self._source = source
+
+    def __getitem__(self, key) -> SourceSpan:
+        return self._source.span(*self._offsets[key])
+
+    def __contains__(self, key) -> bool:
+        return key in self._offsets
+
+    def __iter__(self):
+        return iter(self._offsets)
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __repr__(self) -> str:
+        return f"_Spans({dict(self)!r})"
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], source: _Source):
-        self.tokens = tokens
+    """A cursor over the lexer's sequences; a token is its index."""
+
+    def __init__(self, tokens: tuple[list[str], list[str], array], source: _Source):
+        self.kinds, self.words, self.starts = tokens
         self.source = source
         self.pos = 0
-        self.declared: dict[str, _Token] = {}
-        self.span_index: dict[str, SourceSpan] = {}
-        self.ref_spans: dict[tuple[str, str, str], SourceSpan] = {}
-        self.open_blocks: list[tuple[str, _Token]] = []
+        self.declared: dict[str, int] = {}
+        self.span_index: dict[str, tuple[int, int]] = {}
+        self.ref_spans: dict[tuple[str, str, str], tuple[int, int]] = {}
+        self.open_blocks: list[tuple[str, int]] = []
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "EOF":
+    def advance(self) -> int:
+        token = self.pos
+        if self.kinds[token] != EOF:
             self.pos += 1
         return token
 
-    def span(self, token: _Token) -> SourceSpan:
-        return self.source.span(token.start, token.start + len(token.text))
+    def offsets(self, token: int) -> tuple[int, int]:
+        start = self.starts[token]
+        return start, start + len(self.words[token])
 
-    def where(self, token: _Token) -> str:
-        return "%d:%d" % self.source.position(token.start)
+    def where(self, token: int) -> str:
+        return "%d:%d" % self.source.position(self.starts[token])
 
-    def _fatal(self, message: str, token: _Token) -> _Fatal:
-        return _Fatal(_syntax_error(message, self.span(token)))
+    def _fatal(self, message: str, token: int) -> _Fatal:
+        return _Fatal(_syntax_error(message, self.source.span(*self.offsets(token))))
 
     def _eof_message(self, expected: str) -> str:
         if self.open_blocks:
@@ -257,37 +343,44 @@ class _Parser:
             )
         return f"expected {expected}, found end of document"
 
-    def expect(self, kind: str, what: str, text: str | None = None) -> _Token:
+    def expect(self, kind: str, what: str, text: str | None = None) -> int:
         """Consume the next token if it is a `kind` (spelt `text`, when
         given); otherwise fail, saying `what` was expected."""
-        token = self.tokens[self.pos]
-        if token.kind == kind and (text is None or token.text == text):
-            self.pos += 1
+        token = self.pos
+        if self.kinds[token] == kind and (text is None or self.words[token] == text):
+            self.pos = token + 1
             return token
-        if token.kind == "EOF":
+        if self.kinds[token] == EOF:
             raise self._fatal(self._eof_message(what), token)
         hint = _KIND_HINTS.get(kind, "")
-        raise self._fatal(f"expected {what}{hint}, found {token.text!r}", token)
+        raise self._fatal(f"expected {what}{hint}, found {self.words[token]!r}", token)
 
-    def take(self, *texts: str) -> _Token:
+    def string(self, what: str) -> str:
+        """Consume a string literal; return its value."""
+        return _unquote(self.words[self.expect(STRING, what)])
+
+    def take(self, *texts: str) -> int:
         """Consume the keywords or punctuation `texts` in turn; return the
         first token."""
-        first = self.tokens[self.pos]
+        first = self.pos
         for text in texts:
-            self.expect("IDENT" if text[0].isalpha() else "PUNCT", f"'{text}'", text)
+            if self.words[self.pos] == text:  # then it is of `text`'s kind
+                self.pos += 1
+            else:
+                self.expect(IDENT if text[0].isalpha() else PUNCT, f"'{text}'", text)
         return first
 
-    def at(self, *texts: str) -> bool:
-        # A token's text alone tells its kind: strings keep their quotes,
+    def at(self, text: str) -> bool:
+        # A token's word alone tells its kind: strings keep their quotes,
         # and words, numbers and punctuation start with different characters.
-        return self.tokens[self.pos].text in texts
+        return self.words[self.pos] == text
 
     def unknown_keyword(self, block: str, expected: str) -> _Fatal:
         """The fatal for a token that starts nothing allowed in `block`."""
-        token = self.peek()
-        if token.kind == "EOF":
+        token = self.pos
+        if self.kinds[token] == EOF:
             return self._fatal(self._eof_message("'}'"), token)
-        message = f"unknown keyword {token.text!r}{block}; expected {expected}"
+        message = f"unknown keyword {self.words[token]!r}{block}; expected {expected}"
         return self._fatal(message, token)
 
     def comma_list(self, item) -> list:
@@ -316,24 +409,24 @@ class _Parser:
         a list of values for a keyword that may repeat.
         """
         values: dict = {}
-        while not self.at("}"):
-            keyword = self.peek()
-            if keyword.text not in readers:
+        words = self.words
+        while (keyword := words[self.pos]) != "}":
+            if keyword not in readers:
                 raise self.unknown_keyword(block, expected)
-            read, twice = readers[keyword.text]
+            read, twice = readers[keyword]
             if twice is None:
-                values.setdefault(keyword.text, []).append(read(self.advance()))
-            elif keyword.text in values:
-                raise self._fatal(twice, keyword)
+                values.setdefault(keyword, []).append(read(self.advance()))
+            elif keyword in values:
+                raise self._fatal(twice, self.pos)
             else:
-                values[keyword.text] = read(self.advance())
+                values[keyword] = read(self.advance())
         self.close_block()
         return values
 
     # -- declarations and references ----------------------------------------
 
-    def declare(self, token: _Token) -> str:
-        name = token.text
+    def declare(self, token: int) -> str:
+        name = self.words[token]
         previous = self.declared.get(name)
         if previous is not None:
             raise _Fatal(
@@ -343,43 +436,43 @@ class _Parser:
                     f"duplicate identifier {name!r}; first declared at "
                     f"{self.where(previous)}",
                     subject_id=name,
-                    span=self.span(token),
+                    span=self.source.span(*self.offsets(token)),
                 )
             )
         self.declared[name] = token
-        self.span_index[name] = self.span(token)
+        self.span_index[name] = self.offsets(token)
         return name
 
     def reference(self, referrer: str, field_name: str, what: str) -> str:
-        """The identifier `referrer` names in `field_name`; its token's span
-        is kept for reference diagnostics."""
-        token = self.expect("IDENT", what)
-        key = (referrer, field_name, token.text)
+        """The identifier `referrer` names in `field_name`; its token's
+        offsets are kept for reference diagnostics."""
+        token = self.expect(IDENT, what)
+        name = self.words[token]
+        key = (referrer, field_name, name)
         if key not in self.ref_spans:
-            self.ref_spans[key] = self.span(token)
-        return token.text
+            self.ref_spans[key] = self.offsets(token)
+        return name
 
-    def enum_value(self, token: _Token, table: dict, what: str):
-        if token.text not in table:
+    def enum_value(self, token: int, table: dict, what: str):
+        word = self.words[token]
+        if word not in table:
             expected = ", ".join(sorted(table))
-            raise self._fatal(
-                f"unknown {what} {token.text!r}; expected one of: {expected}", token
-            )
-        return table[token.text]
+            raise self._fatal(f"unknown {what} {word!r}; expected one of: {expected}", token)
+        return table[word]
 
     def category(self):
         return self.enum_value(
-            self.expect("IDENT", "a hazard category"), CATEGORY_NAMES, "hazard category"
+            self.expect(IDENT, "a hazard category"), CATEGORY_NAMES, "hazard category"
         )
 
-    def severity(self) -> tuple[SeverityLevel, _Token]:
-        token = self.expect("IDENT", "a severity level")
+    def severity(self) -> tuple[SeverityLevel, int]:
+        token = self.expect(IDENT, "a severity level")
         return self.enum_value(token, DIMENSION_NAMES["severity"], "severity level"), token
 
-    def assigned_string(self, keyword: _Token) -> str:
+    def assigned_string(self, keyword: int) -> str:
         """`= "..."`, the value of `keyword`."""
         self.take("=")
-        return self.expect("STRING", f"a value for {keyword.text}").value
+        return self.string(f"a value for {self.words[keyword]}")
 
     def assigned_list(self, item) -> frozenset:
         """`= item, item, ...`."""
@@ -395,9 +488,9 @@ class _Parser:
 
     def parse_document(self) -> SafetyCase:
         header = self.take("safety_case")
-        case_id = self.expect("STRING", "the case identifier")
-        self.span_index[case_id.value] = self.span(header)
-        self.open_block(f"safety_case {case_id.value!r}")
+        case_id = self.string("the case identifier")
+        self.span_index[case_id] = self.offsets(header)
+        self.open_block(f"safety_case {case_id!r}")
         readers = {
             "context": (self.parse_context, "context is declared twice"),
             "hazard": (self.parse_hazard, None),
@@ -409,10 +502,10 @@ class _Parser:
         }
         body = self.block_body("", "one of: " + ", ".join(readers), readers)
 
-        trailing = self.peek()
-        if trailing.kind != "EOF":
+        trailing = self.pos
+        if self.kinds[trailing] != EOF:
             raise self._fatal(
-                f"unexpected {trailing.text!r} after the closing '}}' of the case",
+                f"unexpected {self.words[trailing]!r} after the closing '}}' of the case",
                 trailing,
             )
         if "context" not in body:
@@ -420,7 +513,7 @@ class _Parser:
 
         try:
             return SafetyCase(
-                id=case_id.value,
+                id=case_id,
                 context=body["context"],
                 hazards=tuple(body.get("hazard", ())),
                 methodologies=tuple(body.get("methodology", ())),
@@ -432,27 +525,27 @@ class _Parser:
         except ModelError as exc:
             raise self._fatal(f"invalid case: {exc}", header) from exc
 
-    def parse_context(self, keyword: _Token) -> ContextBlock:
-        self.span_index["context"] = self.span(keyword)
+    def parse_context(self, keyword: int) -> ContextBlock:
+        self.span_index["context"] = self.offsets(keyword)
         self.open_block("context block")
         values: dict[str, str] = {}
         while not self.at("}"):
-            key = self.expect("IDENT", "a context field name")
-            if key.text not in ContextBlock.FIELD_ORDER:
+            key = self.expect(IDENT, "a context field name")
+            name = self.words[key]
+            if name not in ContextBlock.FIELD_ORDER:
                 expected = ", ".join(ContextBlock.FIELD_ORDER)
                 raise self._fatal(
-                    f"unknown context field {key.text!r}; expected one of: {expected}",
-                    key,
+                    f"unknown context field {name!r}; expected one of: {expected}", key
                 )
-            if key.text in values:
-                raise self._fatal(f"context field {key.text!r} is set twice", key)
-            values[key.text] = self.assigned_string(key)
-            self.span_index[f"context.{key.text}"] = self.span(key)
+            if name in values:
+                raise self._fatal(f"context field {name!r} is set twice", key)
+            values[name] = self.assigned_string(key)
+            self.span_index[f"context.{name}"] = self.offsets(key)
         self.close_block()
         return ContextBlock(**values)
 
-    def parse_hazard(self, _keyword: _Token) -> Hazard:
-        ident = self.expect("IDENT", "a hazard identifier")
+    def parse_hazard(self, _keyword: int) -> Hazard:
+        ident = self.expect(IDENT, "a hazard identifier")
         hazard_id = self.declare(ident)
         self.take("category", "=")
         primary = self.category()
@@ -473,8 +566,8 @@ class _Parser:
         except ModelError as exc:
             raise self._fatal(str(exc), ident) from exc
 
-    def parse_methodology(self, _keyword: _Token) -> Methodology:
-        ident = self.expect("IDENT", "a methodology identifier")
+    def parse_methodology(self, _keyword: int) -> Methodology:
+        ident = self.expect(IDENT, "a methodology identifier")
         methodology_id = self.declare(ident)
         self.open_block(f"methodology {methodology_id}")
         body = self.block_body(
@@ -501,7 +594,7 @@ class _Parser:
         except ModelError as exc:
             raise self._fatal(str(exc), ident) from exc
 
-    def parse_region(self, keyword: _Token) -> AcSpaceRegion:
+    def parse_region(self, keyword: int) -> AcSpaceRegion:
         self.open_block("region block")
         readers = {dim: (self.region_dimension, f"{dim} is set twice") for dim in DIMENSION_NAMES}
         readers["severity"] = (self.severity_range, "severity is set twice")
@@ -528,7 +621,7 @@ class _Parser:
         weak_cells = frozenset(starmap(Cell, product(weak_levels, *others)))
         return AcSpaceRegion(severities, *others, weak_cells=weak_cells)
 
-    def severity_range(self, _keyword: _Token) -> frozenset[SeverityLevel]:
+    def severity_range(self, _keyword: int) -> frozenset[SeverityLevel]:
         self.take("=")
         low, _ = self.severity()
         self.take("..")
@@ -539,35 +632,35 @@ class _Parser:
             )
         return frozenset(level for level in SeverityLevel if low <= level <= high)
 
-    def region_dimension(self, keyword: _Token) -> frozenset:
-        dim = keyword.text
+    def region_dimension(self, keyword: int) -> frozenset:
+        dim = self.words[keyword]
         table = DIMENSION_NAMES[dim]
         return self.assigned_list(
             lambda: self.enum_value(
-                self.expect("IDENT", f"a {dim} value"), table, f"{dim} value"
+                self.expect(IDENT, f"a {dim} value"), table, f"{dim} value"
             )
         )
 
-    def weak_level(self, _keyword: _Token) -> tuple[SeverityLevel, _Token]:
+    def weak_level(self, _keyword: int) -> tuple[SeverityLevel, int]:
         self.take("(")
         weak = self.severity()
         self.take(")")
         return weak
 
-    def parse_indicator(self, _keyword: _Token) -> Indicator:
-        ident = self.expect("IDENT", "an indicator identifier")
+    def parse_indicator(self, _keyword: int) -> Indicator:
+        ident = self.expect(IDENT, "an indicator identifier")
         indicator_id = self.declare(ident)
         self.take("stage", "=")
         stage = self.enum_value(
-            self.expect("IDENT", "a causal stage"), STAGE_NAMES, "causal stage"
+            self.expect(IDENT, "a causal stage"), STAGE_NAMES, "causal stage"
         )
         self.open_block(f"indicator {indicator_id}")
         description = self.assigned_string(self.take("description"))
         self.close_block()
         return Indicator(id=indicator_id, description=description, causal_stage=stage)
 
-    def parse_criterion(self, _keyword: _Token) -> AcceptanceCriterion:
-        ident = self.expect("IDENT", "a criterion identifier")
+    def parse_criterion(self, _keyword: int) -> AcceptanceCriterion:
+        ident = self.expect(IDENT, "a criterion identifier")
         criterion_id = self.declare(ident)
         self.take("hazard")
         hazard_ids = self.assigned_ids(criterion_id, "hazard_ids")
@@ -577,7 +670,7 @@ class _Parser:
         )
         self.take("aggregation", "=")
         aggregation = self.enum_value(
-            self.expect("IDENT", "an aggregation level"),
+            self.expect(IDENT, "an aggregation level"),
             DIMENSION_NAMES["aggregation"],
             "aggregation level",
         )
@@ -611,53 +704,53 @@ class _Parser:
         except ModelError as exc:
             raise self._fatal(str(exc), ident) from exc
 
-    def parse_target(self, _keyword: _Token) -> ValidationTarget:
-        kind_token = self.expect("IDENT", "'rate_bound' or 'qualitative'")
-        if kind_token.text == "qualitative":
+    def parse_target(self, _keyword: int) -> ValidationTarget:
+        kind_token = self.expect(IDENT, "'rate_bound' or 'qualitative'")
+        kind = self.words[kind_token]
+        if kind == "qualitative":
             self.take("(")
-            description = self.expect("STRING", "a description").value
+            description = self.string("a description")
             self.take(")")
             return ValidationTarget(kind=TargetKind.QUALITATIVE, description=description)
-        if kind_token.text != "rate_bound":
+        if kind != "rate_bound":
             raise self._fatal(
-                f"unknown target kind {kind_token.text!r}; expected rate_bound or "
-                "qualitative",
+                f"unknown target kind {kind!r}; expected rate_bound or qualitative",
                 kind_token,
             )
         self.take("(", "events", "=")
-        events = self.expect("STRING", "an event definition").value
+        events = self.string("an event definition")
         self.take(",", "max", "=")
-        max_token = self.expect("NUMBER", "a maximum rate")
+        max_token = self.expect(NUMBER, "a maximum rate")
         self.take(",", "per", "=")
-        unit = self.expect("STRING", "an exposure unit").value
+        unit = self.string("an exposure unit")
         self.take(",", "confidence", "=")
-        confidence_token = self.expect("NUMBER", "a confidence level")
+        confidence_token = self.expect(NUMBER, "a confidence level")
         self.take(")")
         try:
             return ValidationTarget(
                 kind=TargetKind.RATE_BOUND,
                 event_definition=events,
-                max_rate=max_token.value,
+                max_rate=float(self.words[max_token]),
                 exposure_unit=unit,
-                confidence=confidence_token.value,
+                confidence=float(self.words[confidence_token]),
             )
         except ModelError as exc:
             token = max_token if exc.field_name == "max_rate" else confidence_token
             raise self._fatal(str(exc), token) from exc
 
-    def parse_evidence(self, _keyword: _Token) -> Evidence:
-        ident = self.expect("IDENT", "an evidence identifier")
+    def parse_evidence(self, _keyword: int) -> Evidence:
+        ident = self.expect(IDENT, "an evidence identifier")
         evidence_id = self.declare(ident)
         self.take("methodology", "=")
         methodology_id = self.reference(
             evidence_id, "methodology_id", "a methodology identifier"
         )
         self.take("strength", "=")
-        strength_token = self.expect("IDENT", "'strong' or 'weak'")
-        if strength_token.text not in ("strong", "weak"):
+        strength_token = self.expect(IDENT, "'strong' or 'weak'")
+        strength = self.words[strength_token]
+        if strength not in ("strong", "weak"):
             raise self._fatal(
-                f"strength must be strong or weak, got {strength_token.text!r}",
-                strength_token,
+                f"strength must be strong or weak, got {strength!r}", strength_token
             )
         self.open_block(f"evidence {evidence_id}")
         body = self.block_body(
@@ -677,11 +770,11 @@ class _Parser:
             methodology_id=methodology_id,
             kind=body["kind"],
             uri=body["uri"],
-            strength=EvidenceStrength(strength_token.text),
+            strength=EvidenceStrength(strength),
         )
 
-    def parse_claim(self, _keyword: _Token) -> ClaimNode:
-        ident = self.expect("IDENT", "a claim identifier")
+    def parse_claim(self, _keyword: int) -> ClaimNode:
+        ident = self.expect(IDENT, "a claim identifier")
         claim_id = self.declare(ident)
         self.take("criterion", "=")
         criterion_id = self.reference(claim_id, "criterion_id", "a criterion identifier")
@@ -702,15 +795,14 @@ class _Parser:
     ) -> tuple[tuple[ClaimNode, ...], tuple[ArgumentRow, ...]]:
         if depth > _MAX_CLAIM_DEPTH:
             raise self._fatal(
-                f"claim nesting exceeds the depth limit of {_MAX_CLAIM_DEPTH}",
-                self.peek(),
+                f"claim nesting exceeds the depth limit of {_MAX_CLAIM_DEPTH}", self.pos
             )
         self.open_block(description)
         children: list[ClaimNode] = []
         rows: list[ArgumentRow] = []
         row_labels: dict[str, int] = {}
         while not self.at("}"):
-            if self.at(*_SUBCLAIM_KINDS):
+            if self.words[self.pos] in _SUBCLAIM_KINDS:
                 children.append(self.parse_subclaim(parent_key, len(children) + 1, depth))
             elif self.at("argument"):
                 rows.append(self.parse_row(parent_key, row_labels))
@@ -722,17 +814,18 @@ class _Parser:
 
     def parse_subclaim(self, parent_key: str, ordinal: int, depth: int) -> ClaimNode:
         keyword = self.advance()
-        kind = _SUBCLAIM_KINDS[keyword.text]
+        word = self.words[keyword]
+        kind = _SUBCLAIM_KINDS[word]
         facet_label = ""
         if kind is ClaimKind.FACET:
-            facet_label = self.expect("STRING", "a facet label").value
+            facet_label = self.string("a facet label")
         node_id = ""
-        if self.peek().kind == "IDENT":
+        if self.kinds[self.pos] == IDENT:
             node_id = self.declare(self.advance())
         key = node_id or f"{parent_key}.{ordinal}"
         if key not in self.span_index:
-            self.span_index[key] = self.span(keyword)
-        description = f"{keyword.text} subclaim" + (f" {node_id}" if node_id else "")
+            self.span_index[key] = self.offsets(keyword)
+        description = f"{word} subclaim" + (f" {node_id}" if node_id else "")
         children, rows = self.parse_claim_body(key, description, depth + 1)
         try:
             return ClaimNode(
@@ -747,12 +840,12 @@ class _Parser:
 
     def parse_row(self, parent_key: str, row_labels: dict[str, int]) -> ArgumentRow:
         keyword = self.take("argument")
-        label_token = self.expect("IDENT", "an argument label")
-        label = label_token.text
+        label_token = self.expect(IDENT, "an argument label")
+        label = self.words[label_token]
         count = row_labels.get(label, 0)
         row_labels[label] = count + 1
         row_key = f"{parent_key}.{label}" + (f"@{count + 1}" if count else "")
-        self.span_index[row_key] = self.span(keyword)
+        self.span_index[row_key] = self.offsets(keyword)
         self.open_block(f"argument {label}")
         body = self.block_body(
             " in argument block",
@@ -798,8 +891,9 @@ def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:
                 SourceSpan(file_name, 1, 1, 1, 1),
             )
             return ParseResult(case=None, diagnostics=(diagnostic,))
+    source = _Source(text, file_name)
     try:
-        parser = _Parser(_lex(text, file_name), _Source(text, file_name))
+        parser = _Parser(_lex(text, file_name), source)
         case = parser.parse_document()
     except _Fatal as fatal:
         return ParseResult(case=None, diagnostics=(fatal.diagnostic,))
@@ -809,15 +903,17 @@ def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:
         )
         return ParseResult(case=None, diagnostics=(diagnostic,))
 
+    span_index = _Spans(parser.span_index, source)
+    reference_spans = _Spans(parser.ref_spans, source)
     diagnostics = dangling_references(
-        resolve_references(case), Severity.ERROR, parser.ref_spans, parser.span_index
+        resolve_references(case), Severity.ERROR, reference_spans, span_index
     )
     diagnostics.sort(key=Diagnostic.sort_key)
     return ParseResult(
         case=case,
         diagnostics=tuple(diagnostics),
-        span_index=parser.span_index,
-        reference_spans=parser.ref_spans,
+        span_index=span_index,
+        reference_spans=reference_spans,
     )
 
 
@@ -896,6 +992,11 @@ def _methodology(methodology: Methodology) -> list[str]:
 
 
 def _region(region: AcSpaceRegion) -> list[str]:
+    for dim, attribute, _ in SPACE_DIMENSIONS:
+        if not getattr(region, attribute):
+            raise ValueError(
+                f"region has no {dim} value and cannot be written in the aurcase format"
+            )
     return _block(
         "region",
         f"severity = {_severity_range(region.severities)}",
@@ -985,7 +1086,8 @@ def serialize(case: SafetyCase) -> str:
 
     Requires a reference-resolved case; raises `UnresolvedCaseError`
     otherwise, and `ValueError` for regions the format cannot express
-    (non-contiguous severity sets, partial weak slices).
+    (an empty dimension, non-contiguous severity sets, partial weak
+    slices).
     """
     require_resolved(case)
     blocks = chain(

@@ -7,9 +7,10 @@ events has probability ``1 - confidence`` under a Poisson law with mean
 ``lam * exposure``.  With zero events this has the closed form
 ``-ln(1 - confidence) / exposure``.  Otherwise Garwood's identity gives
 the mean as the inverse regularized incomplete gamma function at
-``count + 1``, which Newton's method solves with `math` alone.  More
-exposure at the same count always tightens the bound, which is what lets
-confidence grow with scale.
+``count + 1``, which Newton's method solves with `math` alone, for counts
+up to `MAX_BOUND_COUNT`; larger counts are refused.  More exposure at the
+same count always tightens the bound, which is what lets confidence grow
+with scale.
 
 The readiness gate is deliberately wider than the rate checks alone: it
 blocks on any error-severity structural finding and on incomplete
@@ -23,7 +24,7 @@ import enum
 import io
 import sys
 from dataclasses import dataclass, field
-from math import exp, inf, isfinite, lgamma, log, log1p, sqrt
+from math import exp, inf, isfinite, lgamma, log, log1p, pi, sqrt
 from typing import Mapping, TYPE_CHECKING
 
 from .model import (
@@ -38,6 +39,10 @@ if TYPE_CHECKING:
     from .rules import RuleConfig
 
 _MEAN_REL_TOL = 1e-12
+# The largest event count the Poisson bound is computed for.  Up to it,
+# tests check the solved mean against an independent sum of Poisson terms:
+# the defining equation holds to 1e-9 of the smaller tail.
+MAX_BOUND_COUNT = 10**9
 
 
 class Phase(enum.Enum):
@@ -188,12 +193,17 @@ def rate_upper_bound(count: int, exposure: float, confidence: float) -> float:
 
     Returns the smallest rate ``lam`` with
     ``P(X <= count | mean = lam * exposure) = 1 - confidence``.  Raises
-    `ValueError` for a bound that is not a finite normal float, and for a
-    solved mean below ``count`` at ``confidence >= 0.5``, which no exact
-    bound can be.
+    `ValueError` for a count above `MAX_BOUND_COUNT`, for a bound that is
+    not a finite normal float, and for a solved mean below ``count`` at
+    ``confidence >= 0.5``, which no exact bound can be.
     """
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ValueError("count must be a non-negative integer")
+    if count > MAX_BOUND_COUNT:
+        raise ValueError(
+            f"rate upper bound cannot be certified for count {count}: the "
+            f"solver is verified only for counts at or below {MAX_BOUND_COUNT}"
+        )
     if not exposure > 0:
         raise ValueError("exposure must be > 0")
     if not isfinite(exposure):
@@ -254,8 +264,8 @@ def _poisson_mean_upper(count: int, confidence: float) -> float:
         else:
             hi = mu
         step = f / slope if slope > 0.0 else inf
-        # f is a difference of terms as large as a * ln(mu); once it is
-        # below their rounding error, a further step is noise.
+        # A generous bound on the rounding error of f; once f is below it,
+        # a further step is noise.
         noise = 1e-15 * (a * abs(log(mu)) + mu + lgamma(a))
         if abs(step) <= _MEAN_REL_TOL * mu or (slope > 0.0 and abs(f) <= noise):
             return mu - step
@@ -272,7 +282,7 @@ def _gamma_log_tails(a: float, x: float) -> tuple[float, float, float]:
     of Numerical Recipes section 6.2 gives the smaller tail directly; the
     other is one minus it.  The prefactor is taken in log space.
     """
-    log_prefactor = a * log(x) - x - lgamma(a)
+    log_prefactor = _log_gamma_prefactor(a, x)
     if x < a + 1.0:
         term = total = 1.0 / a
         denominator = a
@@ -307,6 +317,19 @@ def _gamma_log_tails(a: float, x: float) -> tuple[float, float, float]:
     return log_p, log_q, log_prefactor - log(x)
 
 
+def _log_gamma_prefactor(a: float, x: float) -> float:
+    """``ln(x**a * exp(-x) / Gamma(a))``.  For large ``a``, Stirling's
+    series for ``lgamma(a)`` cancels the terms as large as ``a * ln(x)`` by
+    hand: ``a * ln(x/a) - (x - a)`` is ``-a * (t - ln(1 + t))`` with
+    ``t = (x - a) / a``, which is small near the answer and keeps its
+    digits."""
+    if a < 100.0:
+        return a * log(x) - x - lgamma(a)
+    t = (x - a) / a
+    stirling = 1.0 / (12.0 * a) - 1.0 / (360.0 * a**3) + 1.0 / (1260.0 * a**5)
+    return -a * (t - log1p(t)) + 0.5 * log(a / (2.0 * pi)) - stirling
+
+
 def _finite_bound(bound: float, exposure: float) -> float:
     if not isfinite(bound):
         raise ValueError(f"rate upper bound overflows at exposure {exposure!r}")
@@ -331,6 +354,16 @@ class TargetCheck:
             met = self.upper_bound <= self.target
             if met != (self.status is TargetStatus.MET):
                 raise ValueError("status must agree with upper_bound vs target")
+
+    def figures(self) -> tuple[str, str]:
+        """The upper bound ("n/a" if none) and the target as printed: to six
+        significant digits, or in full where those would read the same."""
+        if self.upper_bound is None:
+            return "n/a", f"{self.target:.6g}"
+        bound, target = f"{self.upper_bound:.6g}", f"{self.target:.6g}"
+        if bound == target:
+            return repr(self.upper_bound), repr(self.target)
+        return bound, target
 
 
 class TargetNotApplicableError(ValueError):
@@ -495,14 +528,14 @@ def readiness_review(
             continue
         checks.append(check)
         if check.status is TargetStatus.UNMET:
+            bound, target = check.figures()
             blockers.append(
                 Blocker(
                     subject_id=criterion.id,
                     reason=(
-                        f"target unmet: upper bound {check.upper_bound:.6g} per "
+                        f"target unmet: upper bound {bound} per "
                         f"{criterion.target.exposure_unit} exceeds "
-                        f"{check.target:.6g} at confidence "
-                        f"{criterion.target.confidence}"
+                        f"{target} at confidence {criterion.target.confidence}"
                     ),
                 )
             )

@@ -230,10 +230,10 @@ def render_trace_text(trace: TraceMatrix) -> str:
 def render_review_text(review: ReadinessDecision) -> str:
     lines = [f"readiness: {review.status}"]
     for check in review.target_checks:
-        bound = "n/a" if check.upper_bound is None else f"{check.upper_bound:.6g}"
+        bound, target = check.figures()
         lines.append(
             f"  target {check.criterion_id}: {check.status.value} "
-            f"(upper bound {bound}, target {check.target:.6g}, "
+            f"(upper bound {bound}, target {target}, "
             f"exposure {check.exposure:g}, events {check.count})"
         )
     for blocker in review.blockers:

@@ -12,7 +12,7 @@ only and no dataclasses.
 
 from __future__ import annotations
 
-from math import exp, fsum, lgamma, log
+from math import exp, fsum, lgamma, log, log1p, pi
 from typing import NamedTuple
 
 
@@ -36,6 +36,36 @@ def poisson_sf(count: int, mean: float) -> float:
         k += 1
         term *= mean / k
     return fsum(terms)
+
+
+def poisson_smaller_tail(count: int, mean: float) -> tuple[float, bool]:
+    """`(P(X <= count), True)` for `mean >= count`, else `(P(X > count),
+    False)`, for X ~ Poisson(mean) and a large count.  The terms are summed
+    outward from `count`, where they are largest, by their ratios; the term
+    at `count` is taken from Stirling's series, so no digits are lost to
+    `count * log(mean)`."""
+    x = (mean - count) / count
+    if abs(x) < 0.01:
+        excess = fsum((-x) ** n / n for n in range(2, 14))  # x - log(1 + x)
+    else:
+        excess = x - log1p(x)
+    stirling = 1 / (12 * count) - 1 / (360 * count**3) + 1 / (1260 * count**5)
+    peak = exp(-count * excess - 0.5 * log(2 * pi * count) - stirling)
+    terms = []
+    if mean >= count:
+        k, term = count, peak
+        while k >= 0 and term > 1e-20 * peak:
+            terms.append(term)
+            term *= k / mean
+            k -= 1
+        return fsum(terms), True
+    k, term = count + 1, peak * mean / (count + 1)
+    first = term
+    while term > 1e-20 * first:
+        terms.append(term)
+        k += 1
+        term *= mean / k
+    return fsum(terms), False
 
 
 def upper_bound_bisect(

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from aurcase.cli import run
+from aurcase.lifecycle import rate_upper_bound
 
 from conftest import FIXTURES, fixture_text
 from mutations import MUTATIONS
@@ -338,3 +339,43 @@ class TestNonFiniteLedgers:
         assert "readiness: blocked" in captured.out
         assert "cannot be certified" in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    def test_a_count_above_the_ceiling_blocks(self, tmp_path, capsys):
+        # The solver's margin over the count falls 88 % short at 1e15, and
+        # the short bound, 1e15 + 6e6, met a target of 1e15 + 2e7.
+        case = write(
+            tmp_path,
+            "tight.aur",
+            fixture_text("golden_cat.aur").replace("max = 5e-06", "max = 1000000020000000.0"),
+        )
+        ledger = write(
+            tmp_path,
+            "dense.ledger",
+            "release,phase,exposure,exposure_unit,event_definition,count\n"
+            "r1,predicted,1,mi,injury-causing collision,1000000000000000\n",
+        )
+        assert run(["review", case, "--ledger", ledger]) == 1
+        captured = capsys.readouterr()
+        assert "readiness: blocked" in captured.out
+        assert "at or below 1000000000" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_a_bound_a_hair_off_its_target_prints_both_in_full(self, tmp_path, capsys):
+        bound = rate_upper_bound(3, 1e6, 0.95)
+        target = bound * (1.0 - 1e-9)
+        assert f"{bound:.6g}" == f"{target:.6g}" and bound > target
+        case = write(
+            tmp_path,
+            "hair.aur",
+            fixture_text("golden_cat.aur").replace("max = 5e-06", f"max = {target!r}"),
+        )
+        ledger = write(
+            tmp_path,
+            "three.ledger",
+            "release,phase,exposure,exposure_unit,event_definition,count\n"
+            "r1,predicted,1000000,mi,injury-causing collision,3\n",
+        )
+        assert run(["review", case, "--ledger", ledger]) == 1
+        out = capsys.readouterr().out
+        assert f"target AC1: unmet (upper bound {bound!r}, target {target!r}," in out
+        assert f"target unmet: upper bound {bound!r} per mi exceeds {target!r} " in out

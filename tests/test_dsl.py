@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import random
 import sys
@@ -10,8 +11,9 @@ from hypothesis import HealthCheck, given, settings
 
 import oracles
 from aurcase.diagnostics import Diagnostic, Severity, SourceSpan
-from aurcase.dsl import ParseResult, _Fatal, _lex, _Source, parse, serialize
+from aurcase.dsl import ParseResult, _Fatal, _lex, _Source, _unquote, parse, serialize
 from aurcase.model import (
+    SPACE_DIMENSIONS,
     AcSpaceRegion,
     AggregationLevel,
     BehavioralCapability,
@@ -481,6 +483,21 @@ def test_serialize_rejects_partial_weak_slices():
         serialize(case)
 
 
+@pytest.mark.parametrize("attribute", [attribute for _, attribute, _ in SPACE_DIMENSIONS])
+def test_serialize_refuses_a_region_with_an_empty_dimension(golden_case, attribute):
+    methodology, *others = golden_case.methodologies
+    region = dataclasses.replace(
+        methodology.region, weak_cells=frozenset(), **{attribute: frozenset()}
+    )
+    case = dataclasses.replace(
+        golden_case,
+        methodologies=(dataclasses.replace(methodology, region=region), *others),
+    )
+    dim = next(dim for dim, field, _ in SPACE_DIMENSIONS if field == attribute)
+    with pytest.raises(ValueError, match=f"region has no {dim} value"):
+        serialize(case)
+
+
 def test_serialize_is_deterministic(golden_case):
     assert serialize(golden_case) == serialize(golden_case)
 
@@ -626,14 +643,74 @@ def _reference_lex(text: str):
 
 def _library_lex(text: str):
     try:
-        tokens = _lex(text, "d.aur")
+        kinds, words, starts = _lex(text, "d.aur")
     except _Fatal as fatal:
         return None, fatal.diagnostic
     source = _Source(text, "d.aur")
+    values = {"IDENT": str, "STRING": _unquote, "NUMBER": float}
     return [
-        (t.kind, t.text, t.value, source.span(t.start, t.start + len(t.text)))
-        for t in tokens
+        (kind, word, values[kind](word) if kind in values else None,
+         source.span(start, start + len(word)))
+        for kind, word, start in zip(kinds, words, starts)
     ], None
+
+
+SCANNER_EDGES = [
+    "",
+    " \t\r\n ",
+    "# only a comment",
+    "a # a trailing comment with no newline",
+    "a\r\nb\r\n",
+    '"a # not a comment" b',
+    "+", "-", ".",
+    "+..", "-..", "...", "a ..",
+    "+1", "-2", ".3", "+.4", "-.5e1",
+    "+ 1", "- x", ". 1", "a +", "a -", "a .",
+    "+.", "-.", "1e", "1e+", "2.e-",
+    "+..1", '"', 'a "b', 'a "b\nc"', "1 +. \"", "\" +.",
+]
+
+NON_DECIMAL_DIGITS = ["²", "a ²", "x = ² 1e"]
+
+
+@pytest.mark.parametrize("text", SCANNER_EDGES)
+def test_scanner_edges_lex_like_the_reference(text):
+    assert _library_lex(text) == _reference_lex(text)
+
+
+@pytest.mark.parametrize("text", NON_DECIMAL_DIGITS)
+def test_a_non_decimal_digit_is_an_unexpected_character(text):
+    """The reference took '²' for a number digit; both reject the text."""
+    tokens, diagnostic = _library_lex(text)
+    assert tokens is None
+    assert diagnostic.message == "unexpected character '²'"
+    col = text.index("²") + 1
+    assert diagnostic.span == SourceSpan("d.aur", 1, col, 1, col + 1)
+    assert _reference_lex(text)[1].rule_id == "E013"
+
+
+def test_span_maps_are_read_only_mappings_in_declaration_order():
+    result = parse(MINIMAL, "m.aur")
+    spans, references = result.span_index, result.reference_spans
+    assert spans == dict(spans) and references == dict(references)
+    assert list(spans) == [
+        "minimal", "context", "context.use_case", "H1", "M1", "AC1", "E1", "C1", "C1.A.1"
+    ]
+    assert list(references) == [
+        ("AC1", "hazard_ids", "H1"),
+        ("AC1", "methodology_id", "M1"),
+        ("E1", "methodology_id", "M1"),
+        ("C1", "criterion_id", "AC1"),
+        ("C1.A.1", "evidence_ids", "E1"),
+    ]
+    assert spans["H1"] == SourceSpan("m.aur", 4, 10, 4, 12)
+    assert references[("C1.A.1", "evidence_ids", "E1")] == SourceSpan("m.aur", 11, 49, 11, 51)
+    assert spans.get("H9") is None and "H9" not in spans
+    assert references.get(("C1", "criterion_id", "AC9")) is None
+    with pytest.raises(TypeError):
+        spans["H9"] = spans["H1"]
+    with pytest.raises(TypeError):
+        references[("C1", "criterion_id", "AC9")] = spans["H1"]
 
 
 def _lexer_corpus(name: str) -> list[str]:

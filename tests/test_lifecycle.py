@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aurcase import lifecycle
 from aurcase.dsl import parse
 from aurcase.lifecycle import (
     DriftStatus,
@@ -29,7 +30,7 @@ from aurcase.model import (
 from aurcase.rules import RuleConfig
 
 from mutations import MUTATIONS
-from oracles import poisson_cdf, poisson_sf, upper_bound_bisect
+from oracles import poisson_cdf, poisson_sf, poisson_smaller_tail, upper_bound_bisect
 
 
 _LEDGER_HEADER = "release,phase,exposure,exposure_unit,event_definition,count\n"
@@ -181,6 +182,48 @@ class TestRateUpperBound:
         assert math.isclose(
             bound * exposure, rate_upper_bound(count, other, low) * other, rel_tol=1e-12
         )
+
+
+class TestCountCeiling:
+    """Up to `MAX_BOUND_COUNT` the solved mean meets its defining equation,
+    checked against a sum of Poisson terms; above it the bound is refused."""
+
+    @pytest.mark.parametrize("confidence", [1e-12, 0.01, 0.5, 0.95, 0.999999, 1.0 - 1e-12])
+    @pytest.mark.parametrize("count", [10**7, 10**8, "ceiling"])
+    def test_the_defining_equation_holds_up_to_the_ceiling(self, count, confidence):
+        if count == "ceiling":
+            count = lifecycle.MAX_BOUND_COUNT
+        mean = rate_upper_bound(count, 1.0, confidence)
+        tail, below_mean = poisson_smaller_tail(count, mean)
+        expected = 1.0 - confidence if below_mean else confidence
+        assert rel_err(tail, expected) < 1e-9
+
+    def test_counts_above_the_ceiling_are_refused(self):
+        ceiling = lifecycle.MAX_BOUND_COUNT
+        assert ceiling <= 10**9
+        rate_upper_bound(ceiling, 1.0, 0.95)
+        with pytest.raises(ValueError, match=f"at or below {ceiling}"):
+            rate_upper_bound(ceiling + 1, 1.0, 0.95)
+
+    def test_a_solved_mean_below_the_count_is_refused(self, monkeypatch):
+        monkeypatch.setattr(lifecycle, "_poisson_mean_upper", lambda count, _: count - 0.5)
+        with pytest.raises(ValueError, match="lies below it"):
+            rate_upper_bound(100, 1.0, 0.95)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        count=st.integers(min_value=0, max_value=2**62),
+        confidence=st.floats(
+            min_value=1e-300, max_value=1.0 - 1e-16, exclude_min=True, exclude_max=True
+        ),
+        exposure=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_returns_a_positive_finite_bound_or_refuses(self, count, confidence, exposure):
+        try:
+            bound = rate_upper_bound(count, exposure, confidence)
+        except ValueError:
+            return
+        assert math.isfinite(bound) and bound > 0.0
 
 
 class TestLedgerParsing:
