@@ -11,11 +11,16 @@ same `report` builders; it is strict JSON, never `NaN` or `Infinity`.
 Exit codes: 0 when nothing error-severity was found (and, for `review`,
 the gate approved); 1 for error diagnostics or a blocked review; 2 for
 usage errors and documents that do not parse.
+
+A command runs with the cyclic garbage collector paused (see `run`): the
+parsed case is an acyclic tree, so collections during a command scan a
+growing heap and free nothing, and reference counting frees it anyway.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -118,13 +123,19 @@ def _read_bytes(path: str, digests: dict | None = None, role: str = "") -> bytes
     return data
 
 
+def _read_text(path: str, digests: dict | None = None, role: str = "") -> str:
+    """`_read_bytes` decoded as UTF-8; a decoding error names the file."""
+    try:
+        return _read_bytes(path, digests, role).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{path}: {exc}") from exc
+
+
 def _load_config(args: argparse.Namespace, digests: dict | None = None) -> RuleConfig:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if path:
         try:
-            config = parse_config(
-                _read_bytes(path, digests, "config").decode("utf-8"), source=path
-            )
+            config = parse_config(_read_text(path, digests, "config"), source=path)
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
     else:
@@ -241,9 +252,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _load_ledger(path: str, digests: dict | None = None) -> ExposureLedger:
+    text = _read_text(path, digests, "ledger")
     try:
-        return parse_ledger(_read_bytes(path, digests, "ledger").decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+        return parse_ledger(text)
+    except ValueError as exc:
         raise _CliError(f"{path}: {exc}") from exc
 
 
@@ -319,17 +331,32 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    # Cyclic GC is paused for the command. The case is an acyclic graph,
+    # so the collector only rescans it: one x300 parse (53,711 lines) ran
+    # 262 gen-0, 23 gen-1 and 1 gen-2 collections, and after a whole
+    # command on the golden case, a dirty x100 case or the x300 case,
+    # `gc.collect()` finds the same 318-351 unreachable objects, which
+    # are argparse's own cycles. Cold, over 8 alternating rounds, the
+    # pause took `check` to 0.92x, `report` to 0.88x and `fmt` to 0.92x
+    # of the time with GC on, at the same peak RSS. GC is re-enabled
+    # only if it was enabled on entry.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 for --help/--version.
-        return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        print(f"aurcase: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors and 0 for --help/--version.
+            return int(exc.code or 0)
+        try:
+            return _COMMANDS[args.command](args)
+        except _CliError as exc:
+            print(f"aurcase: error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def main() -> None:

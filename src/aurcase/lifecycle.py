@@ -87,6 +87,8 @@ class LedgerEntry:
 
 @dataclass(frozen=True)
 class ExposureLedger:
+    """Every ledger entry, at most one per (release, phase)."""
+
     entries: tuple[LedgerEntry, ...] = ()
 
     def __post_init__(self) -> None:
@@ -112,9 +114,10 @@ def parse_ledger(text: str) -> ExposureLedger:
 
     One row per (release, phase, event definition); rows for the same
     release and phase must agree on exposure and unit, and merge into one
-    entry.  No unit conversion is ever attempted.
+    entry.  No unit conversion is ever attempted.  One leading UTF-8 byte
+    order mark, as spreadsheets write into "CSV UTF-8", is dropped.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         rows = [
             (reader.line_num, row)
@@ -452,12 +455,16 @@ def drift_check(criterion: AcceptanceCriterion, ledger: ExposureLedger) -> Drift
 
 @dataclass(frozen=True)
 class Blocker:
+    """One reason the gate refuses a release, and what it concerns."""
+
     subject_id: str
     reason: str
 
 
 @dataclass(frozen=True)
 class ReadinessDecision:
+    """The gate's verdict: its blockers and every target it checked."""
+
     blockers: tuple[Blocker, ...] = ()
     target_checks: tuple[TargetCheck, ...] = ()
 

@@ -234,6 +234,8 @@ class ContextBlock:
 
 @dataclass(frozen=True)
 class Hazard:
+    """An identified hazard and the categories it counts under."""
+
     id: str
     description: str
     primary_category: HazardCategory
@@ -256,6 +258,8 @@ class Hazard:
 
 @dataclass(frozen=True)
 class Indicator:
+    """A safety indicator, placed on the causal chain."""
+
     id: str
     description: str
     causal_stage: CausalStage
@@ -263,6 +267,9 @@ class Indicator:
 
 @dataclass(frozen=True)
 class Methodology:
+    """A validation methodology, its hazard categories and, for
+    behavioral ones, the region of the criteria space it addresses."""
+
     id: str
     name: str
     hazard_categories: frozenset[HazardCategory] = frozenset()
@@ -319,6 +326,9 @@ class ValidationTarget:
 
 @dataclass(frozen=True)
 class AcceptanceCriterion:
+    """An acceptance criterion: the hazards it covers, the methodology
+    that validates it, and its region and target."""
+
     id: str
     statement: str
     hazard_ids: frozenset[str]
@@ -356,7 +366,8 @@ class ArgumentRow:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "evidence_ids", frozenset(self.evidence_ids))
-        _require(bool(self.argument), f"argument row {self.label}: text must be non-empty")
+        if not self.argument:
+            raise ModelError(f"argument row {self.label}: text must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -377,34 +388,38 @@ class ClaimNode:
     rows: tuple[ArgumentRow, ...] = ()
 
     def __post_init__(self) -> None:
+        # Test before formatting: `_require` would build each message for
+        # every node of every parse.
         object.__setattr__(self, "children", tuple(self.children))
         object.__setattr__(self, "rows", tuple(self.rows))
-        where = self.id or self.kind.value
-        if self.kind is ClaimKind.TOP_CLAIM:
-            _require(bool(self.id), "a top claim must carry an identifier")
-            _require(
-                bool(self.criterion_id),
-                f"top claim {where}: must reference exactly one acceptance criterion",
+        kind = self.kind
+        if kind is ClaimKind.TOP_CLAIM:
+            if not self.id:
+                raise ModelError("a top claim must carry an identifier")
+            if not self.criterion_id:
+                raise ModelError(
+                    f"top claim {self.id}: must reference exactly one acceptance criterion"
+                )
+        elif self.criterion_id:
+            raise ModelError(
+                f"claim node {self._where}: only a top claim references a criterion"
             )
-        else:
-            _require(
-                not self.criterion_id,
-                f"claim node {where}: only a top claim references a criterion",
-            )
-        if self.kind is ClaimKind.FACET:
-            _require(bool(self.facet_label), f"facet {where}: label must be non-empty")
-        else:
-            _require(
-                not self.facet_label,
-                f"claim node {where}: only facets carry a facet label",
-            )
-        allowed = _ALLOWED_CHILDREN[self.kind]
+        if kind is ClaimKind.FACET:
+            if not self.facet_label:
+                raise ModelError(f"facet {self._where}: label must be non-empty")
+        elif self.facet_label:
+            raise ModelError(f"claim node {self._where}: only facets carry a facet label")
+        allowed = _ALLOWED_CHILDREN[kind]
         for child in self.children:
-            _require(
-                child.kind in allowed,
-                f"claim node {where}: a {child.kind.value} node cannot sit "
-                f"beneath a {self.kind.value} node",
-            )
+            if child.kind not in allowed:
+                raise ModelError(
+                    f"claim node {self._where}: a {child.kind.value} node cannot sit "
+                    f"beneath a {kind.value} node"
+                )
+
+    @property
+    def _where(self) -> str:
+        return self.id or self.kind.value
 
     def child_of_kind(self, kind: ClaimKind) -> ClaimNode | None:
         for child in self.children:
@@ -415,6 +430,8 @@ class ClaimNode:
 
 @dataclass(frozen=True)
 class Evidence:
+    """An evidence item produced by a methodology."""
+
     id: str
     methodology_id: str
     kind: str

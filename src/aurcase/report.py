@@ -14,10 +14,8 @@ instead of printing `NaN` or `Infinity`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from itertools import product
 from typing import Mapping
 
@@ -52,6 +50,8 @@ NO_SPACE_NOTE = (
 
 @dataclass(frozen=True)
 class TraceRow:
+    """One hazard chained to its criteria, top claims and cited evidence."""
+
     hazard_id: str
     criterion_ids: tuple[str, ...]
     claim_ids: tuple[str, ...]
@@ -64,6 +64,8 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class TraceMatrix:
+    """The traceability matrix, one row per hazard."""
+
     rows: tuple[TraceRow, ...]
 
 
@@ -99,6 +101,8 @@ def trace_matrix(case: SafetyCase) -> TraceMatrix:
 
 @dataclass(frozen=True)
 class CoverageBundle:
+    """The coverage analyses of one case, as `coverage_bundle` builds them."""
+
     map: CoverageMap
     gaps: GapReport
     balance: BalanceClass
@@ -137,6 +141,8 @@ def build_report(
     review: ReadinessDecision | None = None,
     input_digests: Mapping[str, Mapping[str, str]] | None = None,
 ) -> ReportDocument:
+    from datetime import datetime, timezone  # deferred: keeps CLI start-up light
+
     return ReportDocument(
         case=case,
         file_name=file_name,
@@ -150,6 +156,8 @@ def build_report(
 
 
 def digest_of(path: str, data: bytes) -> dict[str, str]:
+    import hashlib  # deferred: keeps CLI start-up light
+
     return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 

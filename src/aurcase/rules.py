@@ -307,6 +307,8 @@ def parse_config(text: str, source: str = "<config>") -> RuleConfig:
 
 @dataclass
 class _Context:
+    """One `validate` run: its inputs and the findings so far."""
+
     case: SafetyCase
     config: RuleConfig
     span_index: Mapping[str, SourceSpan]

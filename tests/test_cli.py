@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import gc
+import hashlib
+import importlib.util
 import json
+import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
+from aurcase import cli
 from aurcase.cli import run
 from aurcase.lifecycle import rate_upper_bound
 
@@ -14,6 +20,7 @@ from mutations import MUTATIONS
 
 GOLDEN = str(FIXTURES / "golden_cat.aur")
 LEDGER = str(FIXTURES / "golden.ledger")
+PERFBENCH_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -25,6 +32,33 @@ def write(tmp_path: Path, name: str, text: str) -> str:
 def mutate(rule_id: str) -> str:
     mutation = [m for m in MUTATIONS if m.rule_id == rule_id][0]
     return mutation.apply(fixture_text(mutation.base_fixture))
+
+
+def perfbench_gen():
+    spec = importlib.util.spec_from_file_location("_perfbench_gen", PERFBENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses look their module up
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def scaled_golden(copies: int) -> str:
+    """The golden case cloned `copies` times by perfbench's generator."""
+    gen = perfbench_gen()
+    model = gen.Golden.load(FIXTURES / "golden_cat.aur")
+    return gen.assemble(model.header, gen.scaled(model, copies))
+
+
+def scaled_findings(copies: int) -> str:
+    """Like `scaled_golden`, with every counter, limitations and evidence
+    row dropped and half the evidence references dangling, so each clone
+    adds W101, W102, E006, E009 and W103 findings."""
+    gen = perfbench_gen()
+    model = gen.Golden.load(FIXTURES / "golden_cat.aur")
+    case = gen.findings_case(
+        model, random.Random(9), "dirty", dangling=True, copies=copies, drop=1.0, dangle=0.5
+    )
+    return case.text
 
 
 class TestCheck:
@@ -87,6 +121,14 @@ class TestCheck:
     def test_missing_file_is_a_usage_error(self, capsys):
         assert run(["check", "/nonexistent/case.aur"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_a_config_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"rule.W103.severity = off\n# \xff\n")
+        assert run(["check", "--config", str(config), GOLDEN]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"aurcase: error: {config}: 'utf-8' codec can't decode byte 0xff"
+        )
 
 
 class TestCoverage:
@@ -151,6 +193,22 @@ class TestReview:
         ledger = write(tmp_path, "bad.ledger", "not,a,ledger\n")
         assert run(["review", GOLDEN, "--ledger", ledger]) == 2
         assert "header" in capsys.readouterr().err
+
+    def test_a_ledger_with_a_byte_order_mark_reads_like_the_plain_one(
+        self, tmp_path, capsys
+    ):
+        bom = tmp_path / "bom.ledger"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(LEDGER).read_bytes())
+        assert run(["review", GOLDEN, "--ledger", LEDGER]) == 0
+        plain = capsys.readouterr()
+        assert run(["review", GOLDEN, "--ledger", str(bom)]) == 0
+        assert capsys.readouterr() == plain
+        out_dir = tmp_path / "out"
+        assert run(["report", GOLDEN, "--ledger", str(bom), "--out", str(out_dir)]) == 0
+        payload = json.loads((out_dir / "report.json").read_text())
+        assert payload["inputs"]["ledger"]["sha256"] == hashlib.sha256(
+            bom.read_bytes()
+        ).hexdigest()
 
 
 class TestReport:
@@ -379,3 +437,93 @@ class TestNonFiniteLedgers:
         out = capsys.readouterr().out
         assert f"target AC1: unmet (upper bound {bound!r}, target {target!r}," in out
         assert f"target unmet: upper bound {bound!r} per mi exceeds {target!r} " in out
+
+
+class TestGarbageCollectorPause:
+    """`run` pauses cyclic GC for one command; the case graph is acyclic,
+    so nothing it builds waits for the collector."""
+
+    @pytest.fixture()
+    def gc_during_parse(self, monkeypatch) -> list[bool]:
+        seen: list[bool] = []
+        parse = cli.parse
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse", recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        "command, make_case, code",
+        [
+            ("check", scaled_golden, 0),
+            ("report", scaled_golden, 0),
+            ("fmt", scaled_golden, 0),
+            ("check", scaled_findings, 1),
+            ("report", scaled_findings, 1),
+        ],
+        ids=["check", "report", "fmt", "check-findings", "report-findings"],
+    )
+    def test_a_command_leaves_no_cycles_that_grow_with_the_case(
+        self, tmp_path, capsys, command, make_case, code
+    ):
+        small = write(tmp_path, "x1.aur", make_case(1))
+        large = write(tmp_path, "x20.aur", make_case(20))
+        extra = ["--out", str(tmp_path / "out")] if command == "report" else []
+
+        def unreachable_after(path: str) -> int:
+            gc.collect()
+            gc.disable()
+            try:
+                assert run([command, path, *extra]) == code
+            finally:
+                found = gc.collect()
+                gc.enable()
+            return found
+
+        unreachable_after(small)  # first-use imports leave cycles of their own
+        assert abs(unreachable_after(large) - unreachable_after(small)) <= 20
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            (fixture_text("golden_cat.aur"), 0),
+            (mutate("E002"), 1),
+            ('safety_case "x" {', 2),
+        ],
+        ids=["ok", "findings", "fatal"],
+    )
+    def test_gc_is_paused_for_the_command_and_resumed_after(
+        self, tmp_path, capsys, gc_during_parse, text, code
+    ):
+        assert gc.isenabled()
+        assert run(["check", write(tmp_path, "case.aur", text)]) == code
+        assert gc_during_parse == [False]
+        assert gc.isenabled()
+
+    def test_gc_is_resumed_after_a_usage_error(self, capsys):
+        assert run(["check", "--no-such-flag", GOLDEN]) == 2
+        assert gc.isenabled()
+
+    def test_gc_is_resumed_when_the_command_raises(self, monkeypatch):
+        seen: list[bool] = []
+
+        def failing(*args, **kwargs):
+            seen.append(gc.isenabled())
+            raise RuntimeError("parser crashed")
+
+        monkeypatch.setattr(cli, "parse", failing)
+        with pytest.raises(RuntimeError, match="parser crashed"):
+            run(["check", GOLDEN])
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_gc_stays_disabled_when_it_was_disabled_on_entry(self, capsys):
+        gc.disable()
+        try:
+            assert run(["check", GOLDEN]) == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

@@ -248,6 +248,13 @@ class TestLedgerParsing:
         with pytest.raises(ValueError, match="header"):
             parse_ledger("a,b,c\n")
 
+    def test_one_leading_byte_order_mark_is_dropped(self, golden_ledger_text):
+        assert parse_ledger("\ufeff" + golden_ledger_text) == parse_ledger(
+            golden_ledger_text
+        )
+        with pytest.raises(ValueError, match="header"):
+            parse_ledger("\ufeff\ufeff" + golden_ledger_text)
+
     def test_conflicting_exposure_rejected(self):
         with pytest.raises(ValueError, match="conflicts with line"):
             parse_ledger(
