@@ -11,9 +11,11 @@ problem as a diagnostic.  Dangling references are not fatal: the case is
 still returned, carrying one E009 diagnostic per unresolved reference so
 downstream analyses can refuse with context.  The lexer makes no object
 per token: one scan yields parallel sequences of token kinds, words and
-start offsets, and the parser is a cursor over them.  It records the
-offsets of every declared element and every cross-reference, and a
-precise source span is made from them only when one is looked up.
+start offsets, and the parser is a cursor over them.  A span keeps only
+the start offset of the token that declares an element or makes a
+cross-reference; the token is matched again there, and its precise
+source span made, only when the span is looked up.  One leading byte
+order mark is dropped, and positions count from after it.
 
 Serialization is canonical: stable field order, two-space indentation,
 elements ordered by identifier, and deterministic to the byte.
@@ -179,15 +181,16 @@ class _Source:
 def _lex(text: str, file_name: str) -> tuple[list[str], list[str], array]:
     """The kinds, words and start offsets of the tokens of `text`, ending
     with EOF; raises `_Fatal` at the first token that fails to lex."""
-    pairs = _TOKEN.findall(text)
-    if len(pairs) > 1 and not pairs[-2][1]:
-        pairs.pop()  # an empty match after trailing blanks: a second EOF
-    # Where each blank run and each token ends; a token starts where the
-    # blank run before it ends.
-    ends = accumulate(map(len, chain.from_iterable(pairs)))
-    starts = array("q", islice(ends, 0, None, 2))
-    words = list(map(itemgetter(1), pairs))
-    del pairs
+    # Each match splits off three parts: its blanks, its token and the empty
+    # text up to the next match, after the empty text before the first.
+    parts = _TOKEN.split(text)
+    words = parts[2::3]
+    # A token starts where the blank run before it ends.
+    starts = array("q", islice(accumulate(map(len, parts)), 1, None, 3))
+    del parts
+    if len(words) > 1 and not words[-2]:
+        words.pop()  # an empty match after trailing blanks: a second EOF
+        starts.pop()
     kinds = list(map(_FIRST_KINDS.get, map(_first, words)))
     # Only a token that `_FIRST_KINDS` cannot place, a quote or a number can
     # fail; check those in text order.
@@ -281,15 +284,18 @@ _KIND_HINTS = {STRING: " (a quoted string)", NUMBER: " (a number)"}
 
 
 class _Spans(Mapping):
-    """A read-only map from each key to the span of the text it was
-    recorded at.  Only offsets are kept; a span is made on lookup."""
+    """A read-only map from each key to the span of the token it was
+    recorded at.  Only the token's start offset is kept; on lookup the
+    token is matched again there, and its span made."""
 
-    def __init__(self, offsets: dict[object, tuple[int, int]], source: _Source):
+    def __init__(self, offsets: dict[object, int], source: _Source):
         self._offsets = offsets
         self._source = source
 
     def __getitem__(self, key) -> SourceSpan:
-        return self._source.span(*self._offsets[key])
+        start = self._offsets[key]
+        # At a token's start no blanks come first, so group 2 is the token.
+        return self._source.span(start, _TOKEN.match(self._source.text, start).end(2))
 
     def __contains__(self, key) -> bool:
         return key in self._offsets
@@ -312,8 +318,8 @@ class _Parser:
         self.source = source
         self.pos = 0
         self.declared: dict[str, int] = {}
-        self.span_index: dict[str, tuple[int, int]] = {}
-        self.ref_spans: dict[tuple[str, str, str], tuple[int, int]] = {}
+        self.span_index: dict[str, int] = {}
+        self.ref_spans: dict[tuple[str, str, str], int] = {}
         self.open_blocks: list[tuple[str, int]] = []
 
     # -- token plumbing ----------------------------------------------------
@@ -440,7 +446,7 @@ class _Parser:
                 )
             )
         self.declared[name] = token
-        self.span_index[name] = self.offsets(token)
+        self.span_index[name] = self.starts[token]
         return name
 
     def reference(self, referrer: str, field_name: str, what: str) -> str:
@@ -450,7 +456,7 @@ class _Parser:
         name = self.words[token]
         key = (referrer, field_name, name)
         if key not in self.ref_spans:
-            self.ref_spans[key] = self.offsets(token)
+            self.ref_spans[key] = self.starts[token]
         return name
 
     def enum_value(self, token: int, table: dict, what: str):
@@ -489,7 +495,7 @@ class _Parser:
     def parse_document(self) -> SafetyCase:
         header = self.take("safety_case")
         case_id = self.string("the case identifier")
-        self.span_index[case_id] = self.offsets(header)
+        self.span_index[case_id] = self.starts[header]
         self.open_block(f"safety_case {case_id!r}")
         readers = {
             "context": (self.parse_context, "context is declared twice"),
@@ -526,7 +532,7 @@ class _Parser:
             raise self._fatal(f"invalid case: {exc}", header) from exc
 
     def parse_context(self, keyword: int) -> ContextBlock:
-        self.span_index["context"] = self.offsets(keyword)
+        self.span_index["context"] = self.starts[keyword]
         self.open_block("context block")
         values: dict[str, str] = {}
         while not self.at("}"):
@@ -540,7 +546,7 @@ class _Parser:
             if name in values:
                 raise self._fatal(f"context field {name!r} is set twice", key)
             values[name] = self.assigned_string(key)
-            self.span_index[f"context.{name}"] = self.offsets(key)
+            self.span_index[f"context.{name}"] = self.starts[key]
         self.close_block()
         return ContextBlock(**values)
 
@@ -824,7 +830,7 @@ class _Parser:
             node_id = self.declare(self.advance())
         key = node_id or f"{parent_key}.{ordinal}"
         if key not in self.span_index:
-            self.span_index[key] = self.offsets(keyword)
+            self.span_index[key] = self.starts[keyword]
         description = f"{word} subclaim" + (f" {node_id}" if node_id else "")
         children, rows = self.parse_claim_body(key, description, depth + 1)
         try:
@@ -845,7 +851,7 @@ class _Parser:
         count = row_labels.get(label, 0)
         row_labels[label] = count + 1
         row_key = f"{parent_key}.{label}" + (f"@{count + 1}" if count else "")
-        self.span_index[row_key] = self.offsets(keyword)
+        self.span_index[row_key] = self.starts[keyword]
         self.open_block(f"argument {label}")
         body = self.block_body(
             " in argument block",
@@ -881,6 +887,7 @@ def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:
     invalid structure) yields no case and exactly one diagnostic pointing
     at the offending source.  Dangling references yield the case plus one
     E009 diagnostic per unresolved reference, spanned at the reference.
+    One leading byte order mark, in `text` or its UTF-8 bytes, is dropped.
     """
     if isinstance(text, bytes):
         try:
@@ -891,6 +898,7 @@ def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:
                 SourceSpan(file_name, 1, 1, 1, 1),
             )
             return ParseResult(case=None, diagnostics=(diagnostic,))
+    text = text.removeprefix("\ufeff")  # a byte order mark; positions count after it
     source = _Source(text, file_name)
     try:
         parser = _Parser(_lex(text, file_name), source)
@@ -921,7 +929,11 @@ def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:
 
 
 def _quote(value: str) -> str:
-    return f'"{value.translate(_ESCAPE_OUT)}"'
+    # Most values hold nothing to escape, and five scans in C cost less
+    # than copying each value through `translate`.
+    if "\\" in value or '"' in value or "\n" in value or "\t" in value or "\r" in value:
+        value = value.translate(_ESCAPE_OUT)
+    return f'"{value}"'
 
 
 def _format_number(value: float) -> str:

@@ -15,6 +15,7 @@ instead of printing `NaN` or `Infinity`.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping
@@ -141,8 +142,6 @@ def build_report(
     review: ReadinessDecision | None = None,
     input_digests: Mapping[str, Mapping[str, str]] | None = None,
 ) -> ReportDocument:
-    from datetime import datetime, timezone  # deferred: keeps CLI start-up light
-
     return ReportDocument(
         case=case,
         file_name=file_name,
@@ -151,7 +150,7 @@ def build_report(
         trace=trace_matrix(case),
         review=review,
         input_digests=dict(input_digests or {}),
-        generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        generated_at=time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     )
 
 

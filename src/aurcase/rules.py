@@ -264,13 +264,14 @@ def parse_config(text: str, source: str = "<config>") -> RuleConfig:
     Recognized keys: `rule.<ID>.severity` (error|warning|off),
     `rule.E006.scope` (all|skip_reasonableness), `facets.required`
     (comma-separated labels), and `review_ready` (true|false).  Every error
-    names its line.
+    names its line.  One leading byte order mark is dropped.
     """
     overrides: dict[str, str] = {}
     facets: set[str] = set()
     review_ready = False
     e006_scope = E006_SCOPE_ALL
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    lines = text.removeprefix("\ufeff").splitlines()
+    for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

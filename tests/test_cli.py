@@ -29,6 +29,18 @@ def write(tmp_path: Path, name: str, text: str) -> str:
     return str(path)
 
 
+def with_and_without_bom(tmp_path: Path, name: str, text: str) -> tuple[str, str]:
+    """`text` written as `plain/<name>` and, after a UTF-8 byte order mark,
+    as `bom/<name>`; returns both paths."""
+    paths = []
+    for folder, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = tmp_path / folder / name
+        path.parent.mkdir()
+        path.write_bytes(prefix + text.encode("utf-8"))
+        paths.append(str(path))
+    return paths[0], paths[1]
+
+
 def mutate(rule_id: str) -> str:
     mutation = [m for m in MUTATIONS if m.rule_id == rule_id][0]
     return mutation.apply(fixture_text(mutation.base_fixture))
@@ -121,6 +133,31 @@ class TestCheck:
     def test_missing_file_is_a_usage_error(self, capsys):
         assert run(["check", "/nonexistent/case.aur"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rule_id", ["E009", "W103"])
+    def test_a_case_with_a_byte_order_mark_checks_like_the_plain_one(
+        self, tmp_path, capsys, rule_id
+    ):
+        """Findings, their positions and the exit code are those of the
+        plain file: positions count from after the mark."""
+        plain, bom = with_and_without_bom(tmp_path, "case.aur", mutate(rule_id))
+        for extra in ([], ["--format", "machine"]):
+            code = run(["check", plain, *extra])
+            expected = capsys.readouterr()
+            assert rule_id in expected.out
+            assert run(["check", bom, *extra]) == code
+            got = capsys.readouterr()
+            assert got.out.replace(bom, plain) == expected.out
+            assert got.err == expected.err
+
+    def test_a_config_with_a_byte_order_mark_acts_like_the_plain_one(self, tmp_path, capsys):
+        path = write(tmp_path, "warned.aur", mutate("W103"))
+        plain, bom = with_and_without_bom(tmp_path, "rules.cfg", "rule.W103.severity = error\n")
+        assert run(["check", path, "--config", plain]) == 1
+        expected = capsys.readouterr()
+        assert "error[W103]" in expected.out
+        assert run(["check", path, "--config", bom]) == 1
+        assert capsys.readouterr() == expected
 
     def test_a_config_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -233,6 +270,33 @@ class TestReport:
             (second_dir / "report.json").read_text()
         )
 
+    def test_a_case_with_a_byte_order_mark_reports_like_the_plain_one(
+        self, tmp_path, golden_cat_text
+    ):
+        """The artifacts are the plain file's, but the case digest is over
+        the bytes as read, mark included."""
+        plain, bom = with_and_without_bom(tmp_path, "case.aur", golden_cat_text)
+        outputs = {}
+        for path in (plain, bom):
+            out_dir = tmp_path / "out" / Path(path).parent.name
+            assert run(["report", path, "--ledger", LEDGER, "--out", str(out_dir)]) == 0
+            outputs[path] = {
+                name: (out_dir / name).read_text(encoding="utf-8")
+                for name in ("report.txt", "report.json", "heatmap.svg", "trace.txt")
+            }
+        digests = {
+            path: json.loads(outputs[path]["report.json"])["inputs"]["case"]["sha256"]
+            for path in (plain, bom)
+        }
+        assert digests[bom] == hashlib.sha256(Path(bom).read_bytes()).hexdigest()
+        assert digests[bom] != digests[plain]
+        for name, expected in outputs[plain].items():
+            got = outputs[bom][name].replace(bom, plain).replace(digests[bom], digests[plain])
+            if name == "report.json":
+                strip = lambda s: re.sub(r'"generated_at": "[^"]*"', "", s)  # noqa: E731
+                got, expected = strip(got), strip(expected)
+            assert got == expected, name
+
     def test_blocked_review_exits_one_but_still_writes(self, tmp_path):
         ledger = write(
             tmp_path,
@@ -269,6 +333,16 @@ class TestFmt:
         assert run(["fmt", path]) == 0
         out = capsys.readouterr().out
         assert out.index("context {") < out.index("hazard H1") < out.index("hazard H2")
+
+    def test_a_case_with_a_byte_order_mark_formats_like_the_plain_one(
+        self, tmp_path, capsys, golden_cat_text
+    ):
+        plain, bom = with_and_without_bom(tmp_path, "case.aur", golden_cat_text)
+        assert run(["fmt", plain]) == 0
+        expected = capsys.readouterr()
+        assert expected.out == golden_cat_text
+        assert run(["fmt", bom]) == 0
+        assert capsys.readouterr() == expected
 
     def test_unresolved_case_refuses(self, tmp_path, capsys):
         path = write(tmp_path, "dangling.aur", mutate("E009"))

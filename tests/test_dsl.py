@@ -4,14 +4,26 @@ import dataclasses
 import importlib.util
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from aurcase.diagnostics import Diagnostic, Severity, SourceSpan
-from aurcase.dsl import ParseResult, _Fatal, _lex, _Source, _unquote, parse, serialize
+from aurcase.dsl import (
+    _ESCAPE_OUT,
+    ParseResult,
+    _Fatal,
+    _lex,
+    _quote,
+    _Source,
+    _unquote,
+    parse,
+    serialize,
+)
 from aurcase.model import (
     SPACE_DIMENSIONS,
     AcSpaceRegion,
@@ -375,6 +387,25 @@ def test_parse_accepts_bytes_and_rejects_bad_utf8():
     assert "UTF-8" in bad.diagnostics[0].message
 
 
+@pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
+def test_one_leading_byte_order_mark_is_dropped(encode):
+    """The case, its findings and every span are the plain text's:
+    positions count from after the mark."""
+    text = MINIMAL.replace("evidence = E1", "evidence = E7")
+    plain = parse(text, "case.aur")
+    marked = parse(("\ufeff" + text).encode("utf-8") if encode else "\ufeff" + text, "case.aur")
+    assert plain.diagnostics and marked.diagnostics == plain.diagnostics
+    assert marked.case == plain.case
+    assert marked.span_index == plain.span_index
+    assert marked.reference_spans == plain.reference_spans
+
+
+def test_a_second_byte_order_mark_is_an_unexpected_character():
+    (diagnostic,) = parse("\ufeff\ufeff" + MINIMAL, "case.aur").diagnostics
+    assert diagnostic.message == "unexpected character '\\ufeff'"
+    assert diagnostic.span == SourceSpan("case.aur", 1, 1, 1, 2)
+
+
 def test_comments_are_ignored():
     text = MINIMAL.replace(
         'context { use_case = "pilot" }',
@@ -516,6 +547,12 @@ def test_round_trip_parse_of_serialize(case):
     assert result.diagnostics == ()
     assert result.case == case
     assert serialize(result.case) == rendered
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.text(st.one_of(st.sampled_from('\\"\n\t\r'), st.characters())))
+def test_quote_escapes_what_translate_escapes(value):
+    assert _quote(value) == '"' + value.translate(_ESCAPE_OUT) + '"'
 
 
 def test_fuzz_random_bytes_never_crash():
@@ -713,16 +750,21 @@ def test_span_maps_are_read_only_mappings_in_declaration_order():
         references[("C1", "criterion_id", "AC9")] = spans["H1"]
 
 
+def _golden_scaled(copies: int) -> str:
+    """The golden case cloned `copies` times by perfbench's generator."""
+    spec = importlib.util.spec_from_file_location("_perfbench_gen", PERFBENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses look their module up
+    spec.loader.exec_module(gen)
+    model = gen.Golden.load(FIXTURES / "golden_cat.aur")
+    return gen.assemble(model.header, gen.scaled(model, copies))
+
+
 def _lexer_corpus(name: str) -> list[str]:
     if name == "fixtures":
         return [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.aur"))]
     if name == "golden_x10":
-        spec = importlib.util.spec_from_file_location("_perfbench_gen", PERFBENCH_GEN)
-        gen = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = gen  # dataclasses look their module up
-        spec.loader.exec_module(gen)
-        model = gen.Golden.load(FIXTURES / "golden_cat.aur")
-        return [gen.assemble(model.header, gen.scaled(model, 10))]
+        return [_golden_scaled(10)]
     if name == "golden_edits":
         golden = (FIXTURES / "golden_cat.aur").read_text(encoding="utf-8")
         rng = random.Random(31)
@@ -763,3 +805,80 @@ def test_lexer_matches_the_reference(corpus):
         assert got == expected, text
         matched += 1
     assert matched
+
+
+# -- recorded spans against the reference lexer -------------------------------
+
+
+def _golden_line_edits(seed: int, count: int) -> list[str]:
+    """`golden_cat.aur` with one to three whole-line edits each: a line
+    dropped, doubled, reindented, split at a blank, or followed by a
+    comment.  Many edits keep the case parseable and move its tokens."""
+    golden = (FIXTURES / "golden_cat.aur").read_text(encoding="utf-8")
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        lines = golden.splitlines(keepends=True)
+        for _ in range(rng.randrange(1, 4)):
+            at = rng.randrange(len(lines))
+            line = lines[at]
+            edit = rng.randrange(5)
+            if edit == 0:
+                del lines[at]
+            elif edit == 1:
+                lines.insert(at, line)
+            elif edit == 2:
+                indent = "".join(rng.choice(" \t") for _ in range(rng.randrange(0, 9)))
+                lines[at] = indent + line.lstrip(" ")
+            elif edit == 3 and " " in line.strip():
+                blanks = [i for i, ch in enumerate(line) if ch == " " and line[:i].strip()]
+                cut = rng.choice(blanks)
+                lines[at] = line[:cut] + "\n" + " " * rng.randrange(0, 7) + line[cut + 1 :]
+            else:
+                lines[at] = line.rstrip("\n") + " # edited\n"
+        texts.append("".join(lines))
+    return texts
+
+
+def _checked_spans(text: str) -> int:
+    """Check that every recorded span is the span of the reference token
+    that starts where it starts; return how many were checked."""
+    result = parse(text, "d.aur")
+    if result.fatal:
+        return 0
+    ends = {
+        (token.line, token.col): (token.end_line, token.end_col)
+        for token in oracles.Lexer(text, "d.aur").tokens()
+    }
+    checked = 0
+    for spans in (result.span_index, result.reference_spans):
+        for key, span in spans.items():
+            assert span.file == "d.aur"
+            assert (span.end_line, span.end_col) == ends[span.start_line, span.start_col], key
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "golden_x10", "golden_line_edits"])
+def test_recorded_spans_are_the_reference_tokens(corpus):
+    if corpus == "golden_line_edits":
+        texts = _golden_line_edits(47, 300)
+    else:
+        texts = _lexer_corpus(corpus)
+    parsed = sum(1 for text in texts if _checked_spans(text))
+    # Every fixture parses; of the edited texts, 131 do.
+    assert parsed >= (100 if corpus == "golden_line_edits" else len(texts))
+
+
+def test_the_lexer_makes_no_object_per_token():
+    """A tuple per token costs 56 bytes on a 64-bit build; the lexer's
+    peak stays well under the cost that one would add."""
+    text = _golden_scaled(20)
+    tracemalloc.start()
+    try:
+        kinds, _, _ = _lex(text, "x20.aur")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kinds) == 9789
+    assert peak / len(kinds) <= 120, f"{peak / len(kinds):.1f} bytes per token"

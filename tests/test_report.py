@@ -135,6 +135,15 @@ class TestMachineRendering:
         strip = lambda s: re.sub(r'"generated_at": "[^"]*"', '"generated_at": "X"', s)  # noqa: E731
         assert strip(first) == strip(second)
 
+    def test_generated_at_is_the_utc_second_in_iso_8601(self, golden_case):
+        from datetime import datetime, timedelta, timezone
+
+        before = datetime.now(timezone.utc).replace(microsecond=0)
+        stamp = json.loads(render_machine(self.build(golden_case)))["generated_at"]
+        after = datetime.now(timezone.utc)
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp), stamp
+        assert before <= datetime.fromisoformat(stamp) <= after + timedelta(seconds=1)
+
     def test_blocked_review_appears_with_blockers(self, golden_case):
         from aurcase.lifecycle import ExposureLedger
 

@@ -174,6 +174,13 @@ class TestConfigFile:
         assert config.review_ready is True
         assert config.e006_scope == "skip_reasonableness"
 
+    def test_one_leading_byte_order_mark_is_dropped(self):
+        text = "rule.W103.severity = off\nreview_ready = true\n"
+        assert parse_config("\ufeff" + text) == parse_config(text)
+        with pytest.raises(ValueError) as info:
+            parse_config("\ufeff\ufeff" + text, "c.cfg")
+        assert str(info.value) == "c.cfg:1: unknown configuration key '\\ufeffrule.W103.severity'"
+
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError, match="unknown rule"):
             parse_config("rule.E099.severity = off")
