@@ -10,7 +10,11 @@ same `report` builders; it is strict JSON, never `NaN` or `Infinity`.
 
 Exit codes: 0 when nothing error-severity was found (and, for `review`,
 the gate approved); 1 for error diagnostics or a blocked review; 2 for
-usage errors and documents that do not parse.
+usage errors and documents that do not parse. Every early end is an
+`_Exit` that `run` turns into the exit code: a fatal parse prints its
+diagnostic (on stdout; on stderr for `fmt`) and exits 2; a refused case
+(dangling references) prints its findings and E008 to stderr and exits
+1; an unreadable input or an unwritable `--out` is a usage error, exit 2.
 
 A command runs with the cyclic garbage collector paused (see `run`): the
 parsed case is an acyclic tree, so collections during a command scan a
@@ -35,6 +39,7 @@ from .report import (
     coverage_bundle,
     coverage_dict,
     diagnostic_dict,
+    diagnostic_line,
     digest_of,
     render_coverage_text,
     render_diagnostics,
@@ -57,8 +62,14 @@ EXIT_USAGE = 2
 CONFIG_ENV_VAR = "AURCASE_CONFIG"
 
 
-class _CliError(Exception):
-    """A usage-level failure: bad paths, unreadable inputs, bad config."""
+class _Exit(Exception):
+    """Ends a command early with exit `code`. A `usage` message (a bad
+    path, an unreadable input, a bad config) is printed by `run`."""
+
+    def __init__(self, code: int, usage: str = ""):
+        super().__init__(usage)
+        self.code = code
+        self.usage = usage
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,7 +128,7 @@ def _read_bytes(path: str, digests: dict | None = None, role: str = "") -> bytes
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise _Exit(EXIT_USAGE, f"cannot read {path}: {exc.strerror or exc}") from exc
     if digests is not None:
         digests[role] = digest_of(path, data)
     return data
@@ -128,127 +139,96 @@ def _read_text(path: str, digests: dict | None = None, role: str = "") -> str:
     try:
         return _read_bytes(path, digests, role).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise _CliError(f"{path}: {exc}") from exc
+        raise _Exit(EXIT_USAGE, f"{path}: {exc}") from exc
 
 
 def _load_config(args: argparse.Namespace, digests: dict | None = None) -> RuleConfig:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        try:
-            config = parse_config(_read_text(path, digests, "config"), source=path)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
-    else:
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    try:
         config = RuleConfig()
-    if getattr(args, "review_ready", False):
-        config = config.replace(review_ready=True)
-    threshold = getattr(args, "coverage_threshold", None)
-    if threshold is not None:
-        try:
-            config = config.replace(coverage_threshold=threshold)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        if path:
+            config = parse_config(_read_text(path, digests, "config"), source=path)
+        if args.review_ready:
+            config = config.replace(review_ready=True)
+        if args.coverage_threshold is not None:
+            config = config.replace(coverage_threshold=args.coverage_threshold)
+    except ValueError as exc:
+        raise _Exit(EXIT_USAGE, str(exc)) from exc
     return config
 
 
-def _parse_document(path: str, digests: dict | None = None) -> ParseResult:
-    return parse(_read_bytes(path, digests, "case"), file_name=path)
-
-
-def _emit_parse_failure(result: ParseResult, fmt: str, out) -> int:
-    if fmt == "machine":
-        payload = {"diagnostics": [diagnostic_dict(d) for d in result.diagnostics]}
-        print(render_json(payload), end="", file=out)
-    else:
-        print(render_diagnostics(list(result.diagnostics)), end="", file=out)
-    return EXIT_USAGE
+def _parsed(
+    args: argparse.Namespace, digests: dict | None = None, to_stderr: bool = False
+) -> ParseResult:
+    """Parse `args.file`. A fatal parse prints its diagnostics and exits 2:
+    on stdout in `args.format`, or, with `to_stderr` (for `fmt`, whose
+    stdout is the document), as text on stderr."""
+    result = parse(_read_bytes(args.file, digests, "case"), file_name=args.file)
+    if result.fatal:
+        if to_stderr or args.format == "text":
+            text = render_diagnostics(result.diagnostics)
+        else:
+            payload = {"diagnostics": [diagnostic_dict(d) for d in result.diagnostics]}
+            text = render_json(payload)
+        print(text, end="", file=sys.stderr if to_stderr else sys.stdout)
+        raise _Exit(EXIT_USAGE)
+    return result
 
 
 def _validated(result: ParseResult, config: RuleConfig) -> list[Diagnostic]:
-    assert result.case is not None
-    return validate(
-        result.case,
-        config,
-        span_index=result.span_index,
-        reference_spans=result.reference_spans,
-    )
+    return validate(result.case, config, result.span_index, result.reference_spans)
 
 
-def _refusal(result: ParseResult, config: RuleConfig) -> list[Diagnostic] | None:
-    """For analysis commands: E009 details plus the E008 refusal when the
-    case has dangling references, else None."""
-    assert result.case is not None
-    if not resolve_references(result.case):
-        return None
-    diagnostics = _validated(result, config)
-    diagnostics += _validated(result, config.replace(require_resolved=True))
-    return sort_diagnostics(diagnostics)
+def _resolved(
+    args: argparse.Namespace, digests: dict | None = None
+) -> tuple[ParseResult, RuleConfig]:
+    """Config and parse for an analysis command. A case with dangling
+    references is refused: its findings (E009) and E008 go to stderr and
+    the command exits 1."""
+    config = _load_config(args, digests)
+    result = _parsed(args, digests)
+    if resolve_references(result.case):
+        diagnostics = _validated(result, config)
+        diagnostics += _validated(result, config.replace(require_resolved=True))
+        print(render_diagnostics(sort_diagnostics(diagnostics)), end="", file=sys.stderr)
+        raise _Exit(EXIT_FINDINGS)
+    return result, config
 
 
-def _has_errors(diagnostics: list[Diagnostic]) -> bool:
-    return any(d.severity is Severity.ERROR for d in diagnostics)
+def _exit_code(diagnostics: list[Diagnostic], blocked: bool = False) -> int:
+    failed = blocked or any(d.severity is Severity.ERROR for d in diagnostics)
+    return EXIT_FINDINGS if failed else EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    result = _parse_document(args.file)
-    if result.fatal:
-        return _emit_parse_failure(result, args.format, sys.stdout)
-    diagnostics = _validated(result, config)
+    diagnostics = _validated(_parsed(args), config)
     if args.format == "machine":
+        errors = sum(d.severity is Severity.ERROR for d in diagnostics)
         payload = {
             "diagnostics": [diagnostic_dict(d) for d in diagnostics],
-            "summary": {
-                "errors": sum(1 for d in diagnostics if d.severity is Severity.ERROR),
-                "warnings": sum(
-                    1 for d in diagnostics if d.severity is Severity.WARNING
-                ),
-            },
+            "summary": {"errors": errors, "warnings": len(diagnostics) - errors},
         }
         print(render_json(payload), end="")
     else:
         print(render_diagnostics(diagnostics), end="")
-    return EXIT_FINDINGS if _has_errors(diagnostics) else EXIT_OK
+    return _exit_code(diagnostics)
 
 
-def _analysis_preamble(
-    args: argparse.Namespace, digests: dict | None = None
-) -> tuple[ParseResult, RuleConfig, int | None]:
-    config = _load_config(args, digests)
-    result = _parse_document(args.file, digests)
-    if result.fatal:
-        return result, config, _emit_parse_failure(result, args.format, sys.stdout)
-    refusal = _refusal(result, config)
-    if refusal is not None:
-        print(render_diagnostics(refusal), end="", file=sys.stderr)
-        return result, config, EXIT_FINDINGS
-    return result, config, None
-
-
-def _cmd_coverage(args: argparse.Namespace) -> int:
-    result, config, early = _analysis_preamble(args)
-    if early is not None:
-        return early
+def _cmd_analysis(args: argparse.Namespace) -> int:
+    """`coverage` and `trace`: one analysis of the case, in `args.format`."""
+    # Built per call from the module names, so a rebinding of them (as
+    # perfbench's layer tracer does) is what runs.
+    analyse, to_dict, to_text = {
+        "coverage": (coverage_bundle, coverage_dict, render_coverage_text),
+        "trace": (trace_matrix, trace_dict, render_trace_text),
+    }[args.command]
+    result, config = _resolved(args)
     diagnostics = _validated(result, config)
-    bundle = coverage_bundle(result.case)
-    if args.format == "machine":
-        print(render_json(coverage_dict(bundle)), end="")
-    else:
-        print(render_coverage_text(bundle), end="")
-    return EXIT_FINDINGS if _has_errors(diagnostics) else EXIT_OK
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    result, config, early = _analysis_preamble(args)
-    if early is not None:
-        return early
-    matrix = trace_matrix(result.case)
-    diagnostics = _validated(result, config)
-    if args.format == "machine":
-        print(render_json(trace_dict(matrix)), end="")
-    else:
-        print(render_trace_text(matrix), end="")
-    return EXIT_FINDINGS if _has_errors(diagnostics) else EXIT_OK
+    analysis = analyse(result.case)
+    text = render_json(to_dict(analysis)) if args.format == "machine" else to_text(analysis)
+    print(text, end="")
+    return _exit_code(diagnostics)
 
 
 def _load_ledger(path: str, digests: dict | None = None) -> ExposureLedger:
@@ -256,13 +236,11 @@ def _load_ledger(path: str, digests: dict | None = None) -> ExposureLedger:
     try:
         return parse_ledger(text)
     except ValueError as exc:
-        raise _CliError(f"{path}: {exc}") from exc
+        raise _Exit(EXIT_USAGE, f"{path}: {exc}") from exc
 
 
 def _cmd_review(args: argparse.Namespace) -> int:
-    result, config, early = _analysis_preamble(args)
-    if early is not None:
-        return early
+    result, config = _resolved(args)
     decision = readiness_review(result.case, _load_ledger(args.ledger), config)
     if args.format == "machine":
         print(render_json(review_dict(decision)), end="")
@@ -273,57 +251,48 @@ def _cmd_review(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     digests: dict[str, dict[str, str]] = {}
-    result, config, early = _analysis_preamble(args, digests)
-    if early is not None:
-        return early
+    result, config = _resolved(args, digests)
     diagnostics = _validated(result, config)
     review = None
     if args.ledger:
         review = readiness_review(result.case, _load_ledger(args.ledger, digests), config)
     document = build_report(
-        result.case,
-        args.file,
-        diagnostics,
-        review=review,
-        input_digests=digests,
+        result.case, args.file, diagnostics, review=review, input_digests=digests
     )
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _CliError(f"cannot create {args.out}: {exc.strerror or exc}") from exc
     artifacts = {
         "report.txt": render_text(document.diagnostics, document),
         "report.json": render_machine(document),
         "heatmap.svg": render_heatmap(document.coverage.map),
         "trace.txt": render_trace_text(document.trace),
     }
-    for name, text in artifacts.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
+    out_dir = Path(args.out)
+    step = f"create {args.out}"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in artifacts.items():
+            step = f"write {out_dir / name}"
+            (out_dir / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _Exit(EXIT_USAGE, f"cannot {step}: {exc.strerror or exc}") from exc
     print(f"report written to {out_dir}: {' '.join(artifacts)}")
-    blocked = review is not None and not review.approved
-    return EXIT_FINDINGS if (_has_errors(diagnostics) or blocked) else EXIT_OK
+    return _exit_code(diagnostics, blocked=review is not None and not review.approved)
 
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
-    result = _parse_document(args.file)
-    if result.fatal:
-        return _emit_parse_failure(result, "text", sys.stderr)
+    result = _parsed(args, to_stderr=True)
     if resolve_references(result.case):
-        print(render_diagnostics(list(result.diagnostics)), end="", file=sys.stderr)
-        print(
-            "error[E008]: cannot format a case with unresolved references",
-            file=sys.stderr,
-        )
-        return EXIT_FINDINGS
+        refusal = "cannot format a case with unresolved references"
+        print(render_diagnostics(result.diagnostics), end="", file=sys.stderr)
+        print(diagnostic_line(Diagnostic("E008", Severity.ERROR, refusal)), file=sys.stderr)
+        raise _Exit(EXIT_FINDINGS)
     print(serialize(result.case), end="")
     return EXIT_OK
 
 
 _COMMANDS = {
     "check": _cmd_check,
-    "coverage": _cmd_coverage,
-    "trace": _cmd_trace,
+    "coverage": _cmd_analysis,
+    "trace": _cmd_analysis,
     "review": _cmd_review,
     "report": _cmd_report,
     "fmt": _cmd_fmt,
@@ -351,9 +320,10 @@ def run(argv: list[str] | None = None) -> int:
             return int(exc.code or 0)
         try:
             return _COMMANDS[args.command](args)
-        except _CliError as exc:
-            print(f"aurcase: error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        except _Exit as exc:
+            if exc.usage:
+                print(f"aurcase: error: {exc.usage}", file=sys.stderr)
+            return exc.code
     finally:
         if gc_was_enabled:
             gc.enable()

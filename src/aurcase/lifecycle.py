@@ -25,8 +25,9 @@ import io
 import sys
 from dataclasses import dataclass, field
 from math import exp, inf, isfinite, lgamma, log, log1p, pi, sqrt
-from typing import Mapping, TYPE_CHECKING
+from typing import Mapping
 
+from .diagnostics import Severity
 from .model import (
     AcceptanceCriterion,
     SafetyCase,
@@ -34,9 +35,7 @@ from .model import (
     UnresolvedCaseError,
     resolve_references,
 )
-
-if TYPE_CHECKING:
-    from .rules import RuleConfig
+from .rules import RuleConfig, validate
 
 _MEAN_REL_TOL = 1e-12
 # The largest event count the Poisson bound is computed for.  Up to it,
@@ -492,7 +491,7 @@ def quantitative_criteria(case: SafetyCase) -> list[AcceptanceCriterion]:
 def readiness_review(
     case: SafetyCase,
     ledger: ExposureLedger,
-    config: "RuleConfig | None" = None,
+    config: RuleConfig | None = None,
 ) -> ReadinessDecision:
     """Gate a release: structural findings, context, and targets together.
 
@@ -502,8 +501,6 @@ def readiness_review(
     leaves unmet or cannot support.  Qualitative targets gate through the
     claim structure alone.  Blockers enumerate every cause.
     """
-    from .rules import RuleConfig, validate  # deferred: keeps module import light
-
     config = config or RuleConfig()
     gate_config = config.replace(review_ready=True)
 
@@ -514,8 +511,6 @@ def readiness_review(
             Blocker(subject_id=case.id, reason=str(UnresolvedCaseError(findings)))
         )
         return ReadinessDecision(blockers=tuple(blockers))
-
-    from .diagnostics import Severity
 
     for diagnostic in validate(case, gate_config):
         if diagnostic.severity is Severity.ERROR:

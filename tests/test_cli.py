@@ -315,6 +315,16 @@ class TestReport:
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["review"] is None
 
+    def test_an_artifact_it_cannot_write_is_a_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        (out_dir / "report.json").mkdir(parents=True)
+        assert run(["report", GOLDEN, "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"aurcase: error: cannot write {out_dir / 'report.json'}: Is a directory\n"
+        )
+
 
 class TestFmt:
     def test_golden_is_already_canonical(self, capsys, golden_cat_text):
@@ -359,6 +369,59 @@ class TestUsage:
 
     def test_no_arguments_exits_two(self, capsys):
         assert run([]) == 2
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+class TestEarlyExits:
+    """The analysis commands end early the same way: a fatal parse prints
+    its diagnostic to stdout and exits 2; a case with dangling references
+    prints its E009 findings and one E008 to stderr and exits 1."""
+
+    COMMANDS = ["coverage", "trace", "review", "report"]
+
+    @staticmethod
+    def argv(command: str, path: str, tmp_path: Path) -> list[str]:
+        extra = {
+            "review": ["--ledger", LEDGER],
+            "report": ["--ledger", LEDGER, "--out", str(tmp_path / "out")],
+        }
+        return [command, path, *extra.get(command, [])]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_fatal_parse_prints_e013_and_exits_two(self, tmp_path, capsys, command):
+        path = write(tmp_path, "broken.aur", 'safety_case "x" {')
+        assert run(self.argv(command, path, tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert re.match(rf"{re.escape(path)}:\d+:\d+: error\[E013\]: ", captured.out)
+        assert captured.out.endswith("\n1 error(s), 0 warning(s)\n")
+        assert captured.err == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_fatal_parse_in_machine_format_is_strict_json(self, tmp_path, capsys, command):
+        path = write(tmp_path, "broken.aur", 'safety_case "x" {')
+        assert run([*self.argv(command, path, tmp_path), "--format", "machine"]) == 2
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out, parse_constant=_reject_constant)
+        assert list(payload) == ["diagnostics"]
+        assert [d["rule_id"] for d in payload["diagnostics"]] == ["E013"]
+        assert payload["diagnostics"][0]["file"] == path
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_dangling_reference_refuses_on_stderr_and_exits_one(
+        self, tmp_path, capsys, command
+    ):
+        path = write(tmp_path, "dangling.aur", mutate("E009"))
+        assert run(self.argv(command, path, tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(rf"^{re.escape(path)}:\d+:\d+: error\[E009\]: ", captured.err, re.M)
+        assert captured.err.count("error[E008]") == 1
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
