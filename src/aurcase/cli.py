@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .diagnostics import Diagnostic, Severity, sort_diagnostics
+from .diagnostics import Diagnostic, Severity
 from .dsl import ParseResult, parse, serialize
 from .lifecycle import ExposureLedger, parse_ledger, readiness_review
 from .model import resolve_references
@@ -190,7 +190,7 @@ def _resolved(
     if resolve_references(result.case):
         diagnostics = _validated(result, config)
         diagnostics += _validated(result, config.replace(require_resolved=True))
-        print(render_diagnostics(sort_diagnostics(diagnostics)), end="", file=sys.stderr)
+        print(render_diagnostics(diagnostics), end="", file=sys.stderr)
         raise _Exit(EXIT_FINDINGS)
     return result, config
 

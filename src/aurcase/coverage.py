@@ -22,9 +22,11 @@ from typing import Mapping
 
 from .model import (
     SPACE_DIMENSIONS,
+    AcceptanceCriterion,
     AcSpaceRegion,
     AggregationLevel,
     Cell,
+    Hazard,
     HazardCategory,
     SafetyCase,
     require_resolved,
@@ -211,12 +213,20 @@ def behavioral_criteria(case: SafetyCase) -> list:
     return [
         criterion
         for criterion in case.criteria
-        if any(
-            HazardCategory.BEHAVIORAL in hazards[h].categories
-            for h in criterion.hazard_ids
-            if h in hazards
-        )
+        if HazardCategory.BEHAVIORAL in _categories(criterion, hazards)
     ]
+
+
+def _categories(
+    criterion: AcceptanceCriterion, hazards: dict[str, Hazard]
+) -> set[HazardCategory]:
+    """Every category carried by a declared hazard the criterion covers."""
+    return {
+        category
+        for hazard_id in criterion.hazard_ids
+        if hazard_id in hazards
+        for category in hazards[hazard_id].categories
+    }
 
 
 def classify_levels(levels: set[AggregationLevel]) -> BalanceClass:
@@ -250,10 +260,6 @@ def criteria_by_category(case: SafetyCase) -> dict[HazardCategory, int]:
     hazards = case.hazard_map()
     counts = {category: 0 for category in HazardCategory}
     for criterion in case.criteria:
-        categories: set[HazardCategory] = set()
-        for hazard_id in criterion.hazard_ids:
-            if hazard_id in hazards:
-                categories |= hazards[hazard_id].categories
-        for category in categories:
+        for category in _categories(criterion, hazards):
             counts[category] += 1
     return counts

@@ -37,6 +37,7 @@ from .diagnostics import Diagnostic, Severity, SourceSpan, dangling_references
 from .model import (
     CATEGORY_NAMES,
     DIMENSION_NAMES,
+    ELEMENTS,
     SPACE_DIMENSIONS,
     STAGE_NAMES,
     AcceptanceCriterion,
@@ -56,8 +57,10 @@ from .model import (
     SeverityLevel,
     TargetKind,
     ValidationTarget,
+    node_key,
     require_resolved,
     resolve_references,
+    row_key,
 )
 
 _SYNTAX_RULE = "E013"
@@ -65,13 +68,8 @@ _DUPLICATE_RULE = "E010"
 
 _MAX_CLAIM_DEPTH = 64
 
-_SUBCLAIM_KINDS = {
-    "reasonableness": ClaimKind.REASONABLENESS,
-    "satisfaction": ClaimKind.SATISFACTION,
-    "coverage_assessment": ClaimKind.COVERAGE_ASSESSMENT,
-    "confidence_assessment": ClaimKind.CONFIDENCE_ASSESSMENT,
-    "facet": ClaimKind.FACET,
-}
+# Every claim kind but the top claim is a subclaim keyword, spelt as its value.
+_SUBCLAIM_KINDS = {k.value: k for k in ClaimKind if k is not ClaimKind.TOP_CLAIM}
 
 
 @dataclass(frozen=True)
@@ -431,8 +429,11 @@ class _Parser:
 
     # -- declarations and references ----------------------------------------
 
-    def declare(self, token: int) -> str:
-        name = self.words[token]
+    def declare(self, token: int, name: str = "") -> str:
+        """Record `name`, by default the word of `token`, as declared at
+        `token`.  Identifiers, claim-node keys and row keys share one
+        namespace: a name declared before is a fatal E010 at `token`."""
+        name = name or self.words[token]
         previous = self.declared.get(name)
         if previous is not None:
             raise _Fatal(
@@ -497,15 +498,9 @@ class _Parser:
         case_id = self.string("the case identifier")
         self.span_index[case_id] = self.starts[header]
         self.open_block(f"safety_case {case_id!r}")
-        readers = {
-            "context": (self.parse_context, "context is declared twice"),
-            "hazard": (self.parse_hazard, None),
-            "methodology": (self.parse_methodology, None),
-            "indicator": (self.parse_indicator, None),
-            "criterion": (self.parse_criterion, None),
-            "evidence": (self.parse_evidence, None),
-            "claim": (self.parse_claim, None),
-        }
+        readers = {"context": (self.parse_context, "context is declared twice")}
+        for keyword, _ in ELEMENTS:
+            readers[keyword] = (getattr(self, f"parse_{keyword}"), None)
         body = self.block_body("", "one of: " + ", ".join(readers), readers)
 
         trailing = self.pos
@@ -521,12 +516,7 @@ class _Parser:
             return SafetyCase(
                 id=case_id,
                 context=body["context"],
-                hazards=tuple(body.get("hazard", ())),
-                methodologies=tuple(body.get("methodology", ())),
-                indicators=tuple(body.get("indicator", ())),
-                criteria=tuple(body.get("criterion", ())),
-                evidence=tuple(body.get("evidence", ())),
-                claims=tuple(body.get("claim", ())),
+                **{name: tuple(body.get(keyword, ())) for keyword, name in ELEMENTS},
             )
         except ModelError as exc:
             raise self._fatal(f"invalid case: {exc}", header) from exc
@@ -825,12 +815,10 @@ class _Parser:
         facet_label = ""
         if kind is ClaimKind.FACET:
             facet_label = self.string("a facet label")
-        node_id = ""
-        if self.kinds[self.pos] == IDENT:
-            node_id = self.declare(self.advance())
-        key = node_id or f"{parent_key}.{ordinal}"
-        if key not in self.span_index:
-            self.span_index[key] = self.starts[keyword]
+        node_id = self.words[self.pos] if self.kinds[self.pos] == IDENT else ""
+        # An anonymous node is declared under its derived key, at its keyword.
+        token = self.advance() if node_id else keyword
+        key = self.declare(token, node_key(parent_key, ordinal, node_id))
         description = f"{word} subclaim" + (f" {node_id}" if node_id else "")
         children, rows = self.parse_claim_body(key, description, depth + 1)
         try:
@@ -848,10 +836,7 @@ class _Parser:
         keyword = self.take("argument")
         label_token = self.expect(IDENT, "an argument label")
         label = self.words[label_token]
-        count = row_labels.get(label, 0)
-        row_labels[label] = count + 1
-        row_key = f"{parent_key}.{label}" + (f"@{count + 1}" if count else "")
-        self.span_index[row_key] = self.starts[keyword]
+        key = self.declare(keyword, row_key(parent_key, label, row_labels))
         self.open_block(f"argument {label}")
         body = self.block_body(
             " in argument block",
@@ -859,7 +844,7 @@ class _Parser:
             {
                 "text": (self.assigned_string, "text is set twice"),
                 "evidence": (
-                    lambda _: self.assigned_ids(row_key, "evidence_ids"),
+                    lambda _: self.assigned_ids(key, "evidence_ids"),
                     "evidence list is set twice",
                 ),
                 "limitations": (self.assigned_string, "limitations is set twice"),

@@ -105,6 +105,19 @@ _ALLOWED_CHILDREN: dict[ClaimKind, frozenset[ClaimKind]] = {
     ClaimKind.FACET: frozenset({ClaimKind.FACET}),
 }
 
+ELEMENTS: tuple[tuple[str, str], ...] = (
+    ("hazard", "hazards"),
+    ("methodology", "methodologies"),
+    ("indicator", "indicators"),
+    ("criterion", "criteria"),
+    ("evidence", "evidence"),
+    ("claim", "claims"),
+)
+"""The elements a case is built from, in document order, each as its
+keyword in the `.aur` format and the `SafetyCase` field that holds them.
+The parser, the identifier and reference checks and the report's counts
+read the collections from here; `dsl.serialize` writes them in this order."""
+
 # DSL / ledger spellings for each enum, in canonical order.
 STAGE_NAMES = {s.name.lower(): s for s in CausalStage}
 CATEGORY_NAMES = {c.value: c for c in HazardCategory}
@@ -214,15 +227,6 @@ class ContextBlock:
     platform: str = ""
     release: str = ""
 
-    FIELD_ORDER = (
-        "use_case",
-        "vehicle_configuration",
-        "operational_configuration",
-        "odd_selection",
-        "deployment_scale",
-        "platform",
-        "release",
-    )
     # The fields a review-ready case may not leave blank.
     LIFECYCLE_FIELDS = (
         "vehicle_configuration",
@@ -230,6 +234,10 @@ class ContextBlock:
         "odd_selection",
         "deployment_scale",
     )
+
+
+# The context fields in declaration order, which is the order they are written in.
+ContextBlock.FIELD_ORDER = tuple(spec.name for spec in fields(ContextBlock))
 
 
 @dataclass(frozen=True)
@@ -459,7 +467,7 @@ class SafetyCase:
     claims: tuple[ClaimNode, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("hazards", "methodologies", "indicators", "criteria", "evidence", "claims"):
+        for _, name in ELEMENTS:
             items = tuple(sorted(getattr(self, name), key=lambda e: e.id))
             object.__setattr__(self, name, items)
         for root in self.claims:
@@ -473,46 +481,36 @@ class SafetyCase:
             seen.add(element_id)
 
     def _all_ids(self) -> Iterator[str]:
-        for collection in (
-            self.hazards,
-            self.methodologies,
-            self.indicators,
-            self.criteria,
-            self.evidence,
-        ):
-            for element in collection:
-                yield element.id
-        for root in self.claims:
-            for node, _key in iter_claim_nodes(root):
-                if node.id:
-                    yield node.id
+        for _, name in ELEMENTS:
+            for element in getattr(self, name):
+                if name == "claims":
+                    yield from (node.id for node, _key in iter_claim_nodes(element) if node.id)
+                else:
+                    yield element.id
 
     @functools.cached_property
     def _reference_findings(self) -> tuple[ReferenceFinding, ...]:
         # Stored in the instance __dict__, which a frozen dataclass still
         # allows; every field is immutable, so this never goes stale.
-        hazards = {h.id for h in self.hazards}
-        methodologies = {m.id for m in self.methodologies}
-        indicators = {i.id for i in self.indicators}
-        criteria = {c.id for c in self.criteria}
-        evidence = {e.id for e in self.evidence}
+        ids = {keyword: {e.id for e in getattr(self, name)} for keyword, name in ELEMENTS}
         findings: list[ReferenceFinding] = []
 
-        def check(referrer: str, field_name: str, refs, pool: set[str]) -> None:
+        def check(referrer: str, field_name: str, refs) -> None:
+            pool = ids[REFERENCE_NOUNS[field_name]]
             for ref in sorted(refs):
                 if ref not in pool:
                     findings.append(ReferenceFinding(referrer, field_name, ref))
 
         for criterion in self.criteria:
-            check(criterion.id, "hazard_ids", criterion.hazard_ids, hazards)
-            check(criterion.id, "methodology_id", {criterion.methodology_id}, methodologies)
-            check(criterion.id, "indicator_ids", criterion.indicator_ids, indicators)
+            check(criterion.id, "hazard_ids", criterion.hazard_ids)
+            check(criterion.id, "methodology_id", {criterion.methodology_id})
+            check(criterion.id, "indicator_ids", criterion.indicator_ids)
         for item in self.evidence:
-            check(item.id, "methodology_id", {item.methodology_id}, methodologies)
+            check(item.id, "methodology_id", {item.methodology_id})
         for root in self.claims:
-            check(root.id, "criterion_id", {root.criterion_id}, criteria)
+            check(root.id, "criterion_id", {root.criterion_id})
             for row, row_key, _node, _node_key in iter_rows(root):
-                check(row_key, "evidence_ids", row.evidence_ids, evidence)
+                check(row_key, "evidence_ids", row.evidence_ids)
         return tuple(findings)
 
     def hazard_map(self) -> dict[str, Hazard]:
@@ -529,7 +527,7 @@ class ReferenceFinding:
     missing: str
 
 
-# What kind of element each reference field points at, for messages.
+# The element keyword (see `ELEMENTS`) each reference field points at.
 REFERENCE_NOUNS = {
     "hazard_ids": "hazard",
     "methodology_id": "methodology",
@@ -548,36 +546,44 @@ def classify_indicator(stage: CausalStage) -> IndicatorKind:
     return IndicatorKind.LAGGING if stage is CausalStage.HARM else IndicatorKind.LEADING
 
 
+def node_key(parent_key: str, ordinal: int, node_id: str) -> str:
+    """The key of a claim node: its explicit id when it has one, otherwise
+    `<parent key>.<ordinal>`, by its 1-based position among its siblings.
+
+    The parser and the rule engine both spell keys here, so diagnostics
+    and source spans line up.
+    """
+    return node_id or f"{parent_key}.{ordinal}"
+
+
+def row_key(node_key: str, label: str, seen: dict[str, int]) -> str:
+    """The key of the next argument row labelled `label` under the node
+    keyed `node_key`: `<node key>.<label>`, with `@n` added for the n-th
+    row of a label that repeats.  `seen` counts the labels met so far
+    under that node, and this row is added to it.
+    """
+    count = seen.get(label, 0) + 1
+    seen[label] = count
+    return f"{node_key}.{label}@{count}" if count > 1 else f"{node_key}.{label}"
+
+
 def iter_claim_nodes(
     root: ClaimNode, _key: str | None = None
 ) -> Iterator[tuple[ClaimNode, str]]:
-    """Walk a claim tree depth-first, yielding (node, key).
-
-    The key addresses a node stably: an explicit id when declared,
-    otherwise `<parent key>.<ordinal>` by position among siblings.  The
-    parser and the rule engine derive identical keys from the same tree,
-    so diagnostics and source spans line up.
-    """
+    """Walk a claim tree depth-first, yielding (node, key); see `node_key`."""
     key = _key if _key is not None else (root.id or root.kind.value)
     yield root, key
     for ordinal, child in enumerate(root.children, start=1):
-        child_key = child.id or f"{key}.{ordinal}"
-        yield from iter_claim_nodes(child, child_key)
+        yield from iter_claim_nodes(child, node_key(key, ordinal, child.id))
 
 
 def iter_rows(root: ClaimNode) -> Iterator[tuple[ArgumentRow, str, ClaimNode, str]]:
-    """Yield (row, row key, owning node, node key) over a claim tree.
-
-    Row keys are `<node key>.<label>`, disambiguated with `@n` if a label
-    repeats under one node.
-    """
-    for node, node_key in iter_claim_nodes(root):
+    """Yield (row, row key, owning node, node key) over a claim tree; see
+    `row_key`."""
+    for node, key in iter_claim_nodes(root):
         seen: dict[str, int] = {}
         for row in node.rows:
-            count = seen.get(row.label, 0)
-            seen[row.label] = count + 1
-            suffix = f"@{count + 1}" if count else ""
-            yield row, f"{node_key}.{row.label}{suffix}", node, node_key
+            yield row, row_key(key, row.label, seen), node, key
 
 
 def resolve_references(case: SafetyCase) -> list[ReferenceFinding]:

@@ -35,6 +35,7 @@ from .coverage import (
 from .diagnostics import Diagnostic, Severity, sort_diagnostics
 from .lifecycle import ReadinessDecision
 from .model import (
+    ELEMENTS,
     Cell,
     HazardCategory,
     SafetyCase,
@@ -370,14 +371,7 @@ def report_dict(report: ReportDocument) -> dict:
             "release": case.context.release,
             "platform": case.context.platform,
             "use_case": case.context.use_case,
-            "counts": {
-                "hazards": len(case.hazards),
-                "methodologies": len(case.methodologies),
-                "indicators": len(case.indicators),
-                "criteria": len(case.criteria),
-                "evidence": len(case.evidence),
-                "claims": len(case.claims),
-            },
+            "counts": {name: len(getattr(case, name)) for _, name in ELEMENTS},
         },
         "diagnostics": [diagnostic_dict(d) for d in report.diagnostics],
         "coverage": coverage_dict(report.coverage),

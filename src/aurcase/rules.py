@@ -35,7 +35,7 @@ from .model import (
 E006_SCOPE_ALL = "all"
 E006_SCOPE_SKIP_REASONABLENESS = "skip_reasonableness"
 _E006_SCOPES = (E006_SCOPE_ALL, E006_SCOPE_SKIP_REASONABLENESS)
-_SEVERITY_OVERRIDES = ("error", "warning", "off")
+_SEVERITY_OVERRIDES = (*(severity.value for severity in Severity), "off")
 
 
 @dataclass(frozen=True)
@@ -236,11 +236,7 @@ class RuleConfig:
         override = self.severity_overrides.get(rule_id)
         if override == "off":
             return None
-        if override == "error":
-            return Severity.ERROR
-        if override == "warning":
-            return Severity.WARNING
-        return _CATALOG_BY_ID[rule_id].default_severity
+        return Severity(override) if override else _CATALOG_BY_ID[rule_id].default_severity
 
 
 def _check_severity(rule_id: str, value: str) -> None:

@@ -17,6 +17,8 @@ import re
 import subprocess
 import sys
 import time
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from aurcase.coverage import (
@@ -299,6 +301,42 @@ def test_criterion_9_end_to_end(tmp_path):
     assert strip((out_dir / "report.json").read_text()) == strip(
         (golden_dir / "report.json").read_text()
     )
+
+
+# Records the modules a command imports, from before `aurcase` is imported
+# to after `cli.run` returns, and writes them to the file named first.
+_IMPORT_RECORDER = """
+import json, sys
+before = set(sys.modules)
+from aurcase import cli
+code = cli.run(sys.argv[2:])
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+with open(sys.argv[1], "w") as out:
+    json.dump({"code": code, "added": sorted(added)}, out)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "golden_cat.aur"],
+        ["review", "golden_cat.aur", "--ledger", "golden.ledger"],
+        ["report", "golden_cat.aur", "--ledger", "golden.ledger", "--out", "{out}"],
+        ["fmt", "golden_cat.aur"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_import_nothing_outside_the_standard_library(tmp_path, argv):
+    record = tmp_path / "modules.json"
+    argv = [arg.format(out=tmp_path / "out") for arg in argv]
+    command = [sys.executable, "-c", _IMPORT_RECORDER, str(record), *argv]
+    completed, _ = _run_cli_in_fixtures(command)
+    assert completed.returncode == 0, completed.stderr
+    recorded = json.loads(record.read_text())
+    assert recorded["code"] == 0
+    assert "aurcase" in recorded["added"]
+    foreign = set(recorded["added"]) - set(sys.stdlib_module_names) - {"aurcase"}
+    assert not foreign
 
 
 def test_cold_review_with_a_nonzero_count_stays_light(tmp_path):

@@ -25,13 +25,16 @@ from aurcase.dsl import (
     serialize,
 )
 from aurcase.model import (
+    ELEMENTS,
     SPACE_DIMENSIONS,
     AcSpaceRegion,
     AggregationLevel,
     BehavioralCapability,
     Cell,
     ConflictRole,
+    ContextBlock,
     FunctionalityStatus,
+    SafetyCase,
     SeverityLevel,
     iter_claim_nodes,
     iter_rows,
@@ -128,6 +131,62 @@ def test_duplicate_identifier_is_fatal_e010():
     assert "E1" in diagnostic.message
     assert "first declared at" in diagnostic.message
     assert slice_at(text, diagnostic.span) == "E1"
+
+
+# C2's first child, an anonymous reasonableness subclaim, is keyed C2.1 and
+# its second, an anonymous satisfaction subclaim, C2.2.
+_C2_ROW_TAIL = '        limitations = "Review throughput bounds'
+_C2_SATISFACTION = "    satisfaction {\n      coverage_assessment {"
+
+
+@pytest.mark.parametrize(
+    "edits, message, position, token",
+    [
+        pytest.param(
+            [
+                # The complete row D.1 under C2.1 must not take the key, and
+                # so the diagnostics, of the incomplete row D.1 under C2's
+                # anonymous first child.
+                ("        evidence = E3\n" + _C2_ROW_TAIL, _C2_ROW_TAIL),
+                (
+                    _C2_SATISFACTION,
+                    "    satisfaction C2.1 {\n"
+                    '      argument D.1 { text = "complete" evidence = E3 }\n'
+                    "      coverage_assessment {",
+                ),
+            ],
+            "duplicate identifier 'C2.1'; first declared at 161:5",
+            (168, 18),
+            "C2.1",
+            id="explicit-id-after-derived-key",
+        ),
+        pytest.param(
+            [
+                (
+                    "  hazard H1 ",
+                    '  hazard C2.2 category = behavioral { description = "x" }\n  hazard H1 ',
+                )
+            ],
+            "duplicate identifier 'C2.2'; first declared at 12:10",
+            (170, 5),
+            "satisfaction",
+            id="derived-key-after-hazard",
+        ),
+    ],
+)
+def test_claim_keys_share_the_identifier_namespace(
+    golden_cat_text, edits, message, position, token
+):
+    text = golden_cat_text
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    result = parse(text, "case.aur")
+    assert result.fatal
+    (diagnostic,) = result.diagnostics
+    assert (diagnostic.rule_id, diagnostic.message) == ("E010", message)
+    assert (diagnostic.span.start_line, diagnostic.span.start_col) == position
+    assert slice_at(text, diagnostic.span) == token
 
 
 def test_unknown_context_field_rejected():
@@ -415,24 +474,39 @@ def test_comments_are_ignored():
     assert not result.fatal
 
 
-def test_span_index_covers_every_element(golden_cat_text):
-    result = parse(golden_cat_text, "golden_cat.aur")
+# Repeated row labels (keyed `@2`) and anonymous subclaims nested four deep.
+_NESTED_ANONYMOUS = MINIMAL.replace(
+    '    argument A.1 { text = "it holds" evidence = E1 }',
+    """    argument A.1 { text = "it holds" evidence = E1 }
+    argument A.1 { text = "it holds again" evidence = E1 }
+    reasonableness { argument R { text = "r" evidence = E1 } }
+    satisfaction {
+      confidence_assessment {
+        facet "outer" {
+          facet "inner" {
+            argument B { text = "b" evidence = E1 }
+            argument B { text = "b again" evidence = E1 }
+          }
+          argument B { text = "outer b" evidence = E1 }
+        }
+      }
+    }""",
+)
+
+
+@pytest.mark.parametrize("name", ["golden_cat.aur", "nested_anonymous.aur"])
+def test_span_index_covers_every_element(golden_cat_text, name):
+    text = golden_cat_text if name == "golden_cat.aur" else _NESTED_ANONYMOUS
+    result = parse(text, name)
+    assert result.diagnostics == ()
     case = result.case
-    for collection in (
-        case.hazards,
-        case.methodologies,
-        case.indicators,
-        case.criteria,
-        case.evidence,
-    ):
-        for element in collection:
-            assert element.id in result.span_index
-    assert case.id in result.span_index
-    for root in case.claims:
-        for _node, key in iter_claim_nodes(root):
-            assert key in result.span_index
-        for _row, row_key, _n, _k in iter_rows(root):
-            assert row_key in result.span_index
+    top_level = {case.id, "context", *(f"context.{name}" for name in ContextBlock.FIELD_ORDER)}
+    for _, collection in ELEMENTS[:-1]:
+        top_level.update(element.id for element in getattr(case, collection))
+    claim_keys = [key for root in case.claims for _node, key in iter_claim_nodes(root)]
+    row_keys = [key for root in case.claims for _row, key, _n, _k in iter_rows(root)]
+    assert len(set(claim_keys + row_keys)) == len(claim_keys) + len(row_keys)
+    assert set(result.span_index) - top_level == set(claim_keys + row_keys)
 
 
 def test_serialize_requires_resolved_case():
@@ -531,6 +605,20 @@ def test_serialize_refuses_a_region_with_an_empty_dimension(golden_case, attribu
 
 def test_serialize_is_deterministic(golden_case):
     assert serialize(golden_case) == serialize(golden_case)
+
+
+def test_elements_are_the_case_collections_in_serialized_order(golden_case):
+    collections = [spec.name for spec in dataclasses.fields(SafetyCase)][2:]
+    assert [name for _, name in ELEMENTS] == collections
+    # Each top-level block of the canonical text opens with its keyword.
+    openers = [
+        line.split()[0]
+        for line in serialize(golden_case).splitlines()
+        if line.startswith("  ") and not line.startswith("   ") and line != "  }"
+    ]
+    block_order = list(dict.fromkeys(openers))
+    assert block_order == ["context", *(keyword for keyword, _ in ELEMENTS)]
+    assert all(getattr(golden_case, name) for name in collections)
 
 
 def test_golden_file_is_canonical(golden_cat_text):
