@@ -22,11 +22,9 @@ from typing import Mapping
 
 from .model import (
     SPACE_DIMENSIONS,
-    AcceptanceCriterion,
     AcSpaceRegion,
     AggregationLevel,
     Cell,
-    Hazard,
     HazardCategory,
     SafetyCase,
     require_resolved,
@@ -217,16 +215,11 @@ def behavioral_criteria(case: SafetyCase) -> list:
     ]
 
 
-def _categories(
-    criterion: AcceptanceCriterion, hazards: dict[str, Hazard]
-) -> set[HazardCategory]:
-    """Every category carried by a declared hazard the criterion covers."""
-    return {
-        category
-        for hazard_id in criterion.hazard_ids
-        if hazard_id in hazards
-        for category in hazards[hazard_id].categories
-    }
+def _categories(criterion, hazards):
+    """Categories of the declared hazards a criterion covers, repeats kept."""
+    for hazard_id in criterion.hazard_ids:
+        if hazard_id in hazards:
+            yield from hazards[hazard_id].categories
 
 
 def classify_levels(levels: set[AggregationLevel]) -> BalanceClass:
@@ -260,6 +253,6 @@ def criteria_by_category(case: SafetyCase) -> dict[HazardCategory, int]:
     hazards = case.hazard_map()
     counts = {category: 0 for category in HazardCategory}
     for criterion in case.criteria:
-        for category in _categories(criterion, hazards):
+        for category in set(_categories(criterion, hazards)):
             counts[category] += 1
     return counts

@@ -114,7 +114,8 @@ ELEMENTS: tuple[tuple[str, str], ...] = (
     ("claim", "claims"),
 )
 """The elements a case is built from, in document order, each as its
-keyword in the `.aur` format and the `SafetyCase` field that holds them.
+keyword in the `.aur` format and the `SafetyCase` field that holds them;
+claims come last.
 The parser, the identifier and reference checks and the report's counts
 read the collections from here; `dsl.serialize` writes them in this order."""
 
@@ -481,18 +482,20 @@ class SafetyCase:
             seen.add(element_id)
 
     def _all_ids(self) -> Iterator[str]:
-        for _, name in ELEMENTS:
-            for element in getattr(self, name):
-                if name == "claims":
-                    yield from (node.id for node, _key in iter_claim_nodes(element) if node.id)
-                else:
-                    yield element.id
+        for _, name in ELEMENTS[:-1]:
+            yield from (element.id for element in getattr(self, name))
+        for root in self.claims:
+            yield from (node.id for node, _key in iter_claim_nodes(root) if node.id)
 
     @functools.cached_property
     def _reference_findings(self) -> tuple[ReferenceFinding, ...]:
         # Stored in the instance __dict__, which a frozen dataclass still
         # allows; every field is immutable, so this never goes stale.
-        ids = {keyword: {e.id for e in getattr(self, name)} for keyword, name in ELEMENTS}
+        ids = {
+            keyword: {e.id for e in getattr(self, name)}
+            for keyword, name in ELEMENTS
+            if keyword in REFERENCE_NOUNS.values()
+        }
         findings: list[ReferenceFinding] = []
 
         def check(referrer: str, field_name: str, refs) -> None:

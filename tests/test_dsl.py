@@ -500,9 +500,12 @@ def test_span_index_covers_every_element(golden_cat_text, name):
     result = parse(text, name)
     assert result.diagnostics == ()
     case = result.case
-    top_level = {case.id, "context", *(f"context.{name}" for name in ContextBlock.FIELD_ORDER)}
+    element_ids = {case.id}
     for _, collection in ELEMENTS[:-1]:
-        top_level.update(element.id for element in getattr(case, collection))
+        element_ids.update(element.id for element in getattr(case, collection))
+    assert element_ids <= set(result.span_index)
+    context = {"context", *(f"context.{field}" for field in ContextBlock.FIELD_ORDER)}
+    top_level = element_ids | context
     claim_keys = [key for root in case.claims for _node, key in iter_claim_nodes(root)]
     row_keys = [key for root in case.claims for _row, key, _n, _k in iter_rows(root)]
     assert len(set(claim_keys + row_keys)) == len(claim_keys) + len(row_keys)
