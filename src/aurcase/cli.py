@@ -265,15 +265,27 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "heatmap.svg": render_heatmap(document.coverage.map),
         "trace.txt": render_trace_text(document.trace),
     }
+    # Written to temporary names, then renamed: the set is replaced whole.
     out_dir = Path(args.out)
     step = f"create {args.out}"
+    temporaries: dict[Path, Path] = {}
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in artifacts.items():
-            step = f"write {out_dir / name}"
-            (out_dir / name).write_text(text, encoding="utf-8")
+            target = out_dir / name
+            step = f"write {target}"
+            if target.is_dir():
+                raise _Exit(EXIT_USAGE, f"cannot {step}: Is a directory")
+            temporaries[target] = out_dir / f".{name}.{os.getpid()}.tmp"
+            temporaries[target].write_text(text, encoding="utf-8")
+        for target, temporary in temporaries.items():
+            step = f"write {target}"
+            os.replace(temporary, target)
     except OSError as exc:
         raise _Exit(EXIT_USAGE, f"cannot {step}: {exc.strerror or exc}") from exc
+    finally:
+        for temporary in temporaries.values():
+            temporary.unlink(missing_ok=True)
     print(f"report written to {out_dir}: {' '.join(artifacts)}")
     return _exit_code(diagnostics, blocked=review is not None and not review.approved)
 

@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import product, starmap
 from typing import Mapping
 
 from .model import (
     SPACE_DIMENSIONS,
     AcSpaceRegion,
+    EMPTY_MAPPING,
     AggregationLevel,
     Cell,
     HazardCategory,
+    Record,
     SafetyCase,
     require_resolved,
     value_name,
@@ -97,15 +98,14 @@ def region_cells(region: AcSpaceRegion) -> frozenset[Cell]:
     return frozenset(starmap(Cell, product(*sets.values())))
 
 
-@dataclass(frozen=True)
-class CoverageMap:
+class CoverageMap(Record):
     """Cell -> signal over the full space, with contributing methodologies.
 
     Only covered cells are stored; `signal()` reads NONE for the rest.
     """
 
-    signals: Mapping[Cell, Signal] = field(default_factory=dict)
-    contributors: Mapping[Cell, frozenset[str]] = field(default_factory=dict)
+    signals: Mapping[Cell, Signal] = EMPTY_MAPPING
+    contributors: Mapping[Cell, frozenset[str]] = EMPTY_MAPPING
 
     def __post_init__(self) -> None:
         for cell, sig in self.signals.items():
@@ -150,8 +150,7 @@ def coverage_map(case: SafetyCase) -> CoverageMap:
     )
 
 
-@dataclass(frozen=True)
-class Fraction:
+class Fraction(Record):
     """An exact cell-count ratio; reports never round these."""
 
     numerator: int
@@ -165,8 +164,7 @@ class Fraction:
         return f"{self.numerator}/{self.denominator}"
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(Record):
     """What the coverage map leaves uncovered, overall and per dimension."""
 
     covered: Fraction

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .model import REFERENCE_NOUNS, ReferenceFinding
+from .model import REFERENCE_NOUNS, Record, ReferenceFinding
 
 
 class Severity(enum.Enum):
@@ -14,8 +13,7 @@ class Severity(enum.Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """A half-open region of a source document, 1-based lines and columns."""
 
     file: str
@@ -34,8 +32,7 @@ class SourceSpan:
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """A single finding with a stable rule id.
 
     `subject_id` names the element the finding is about (a hazard id, a

@@ -27,7 +27,6 @@ import re
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, islice, product, starmap
 from math import prod
@@ -35,9 +34,12 @@ from operator import itemgetter
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, dangling_references
 from .model import (
+    CASE_SPAN,
+    CONTEXT_SPAN,
     CATEGORY_NAMES,
     DIMENSION_NAMES,
     ELEMENTS,
+    EMPTY_MAPPING,
     SPACE_DIMENSIONS,
     STAGE_NAMES,
     AcceptanceCriterion,
@@ -53,6 +55,7 @@ from .model import (
     Indicator,
     Methodology,
     ModelError,
+    Record,
     SafetyCase,
     SeverityLevel,
     TargetKind,
@@ -72,24 +75,24 @@ _MAX_CLAIM_DEPTH = 64
 _SUBCLAIM_KINDS = {k.value: k for k in ClaimKind if k is not ClaimKind.TOP_CLAIM}
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(Record):
     """Outcome of parsing one document.
 
     `case` is present unless a fatal error stopped the parse; the span
     index maps every declared element key (top-level ids, claim-node keys,
-    row keys, `context.<field>`) to its source span.  `reference_spans`
-    pins each cross-reference (referrer key, field, referenced id) to the
-    exact token that made it, so reference diagnostics can point at the
-    reference rather than at the element containing it.  Both are
-    read-only mappings in declaration order that make each span when it
-    is looked up; they compare equal to a `dict` of the same spans.
+    row keys, `CASE_SPAN`, `CONTEXT_SPAN`, `:context.<field>`) to its
+    source span.  `reference_spans` pins each cross-reference (referrer
+    key, field, referenced id) to the exact token that made it, so
+    reference diagnostics can point at the reference rather than at the
+    element containing it.  Both are read-only mappings in declaration
+    order that make each span when it is looked up; they compare equal to
+    a `dict` of the same spans.
     """
 
     case: SafetyCase | None
     diagnostics: tuple[Diagnostic, ...]
-    span_index: Mapping[str, SourceSpan] = field(default_factory=dict)
-    reference_spans: Mapping[tuple[str, str, str], SourceSpan] = field(default_factory=dict)
+    span_index: Mapping[str, SourceSpan] = EMPTY_MAPPING
+    reference_spans: Mapping[tuple[str, str, str], SourceSpan] = EMPTY_MAPPING
 
     @property
     def fatal(self) -> bool:
@@ -496,7 +499,7 @@ class _Parser:
     def parse_document(self) -> SafetyCase:
         header = self.take("safety_case")
         case_id = self.string("the case identifier")
-        self.span_index[case_id] = self.starts[header]
+        self.span_index[CASE_SPAN] = self.starts[header]
         self.open_block(f"safety_case {case_id!r}")
         readers = {"context": (self.parse_context, "context is declared twice")}
         for keyword, _ in ELEMENTS:
@@ -522,21 +525,21 @@ class _Parser:
             raise self._fatal(f"invalid case: {exc}", header) from exc
 
     def parse_context(self, keyword: int) -> ContextBlock:
-        self.span_index["context"] = self.starts[keyword]
+        self.span_index[CONTEXT_SPAN] = self.starts[keyword]
         self.open_block("context block")
         values: dict[str, str] = {}
         while not self.at("}"):
             key = self.expect(IDENT, "a context field name")
             name = self.words[key]
-            if name not in ContextBlock.FIELD_ORDER:
-                expected = ", ".join(ContextBlock.FIELD_ORDER)
+            if name not in ContextBlock.FIELDS:
+                expected = ", ".join(ContextBlock.FIELDS)
                 raise self._fatal(
                     f"unknown context field {name!r}; expected one of: {expected}", key
                 )
             if name in values:
                 raise self._fatal(f"context field {name!r} is set twice", key)
             values[name] = self.assigned_string(key)
-            self.span_index[f"context.{name}"] = self.starts[key]
+            self.span_index[f"{CONTEXT_SPAN}.{name}"] = self.starts[key]
         self.close_block()
         return ContextBlock(**values)
 
@@ -968,7 +971,7 @@ def _block(header: str, *body: str) -> list[str]:
 
 
 def _context(context: ContextBlock) -> list[str]:
-    values = [(name, getattr(context, name)) for name in ContextBlock.FIELD_ORDER]
+    values = [(name, getattr(context, name)) for name in ContextBlock.FIELDS]
     return _block("context", *[f"{name} = {_quote(value)}" for name, value in values if value])
 
 

@@ -23,13 +23,14 @@ import csv
 import enum
 import io
 import sys
-from dataclasses import dataclass, field
 from math import exp, inf, isfinite, lgamma, log, log1p, pi, sqrt
 from typing import Mapping
 
 from .diagnostics import Severity
 from .model import (
+    EMPTY_MAPPING,
     AcceptanceCriterion,
+    Record,
     SafetyCase,
     TargetKind,
     UnresolvedCaseError,
@@ -61,15 +62,14 @@ class DriftStatus(enum.Enum):
     INSUFFICIENT_DATA = "insufficient_data"
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(Record):
     """Exposure and event counts for one release in one phase."""
 
     release: str
     phase: Phase
     exposure: float
     exposure_unit: str
-    event_counts: Mapping[str, int] = field(default_factory=dict)
+    event_counts: Mapping[str, int] = EMPTY_MAPPING
 
     def __post_init__(self) -> None:
         if not self.exposure > 0:
@@ -84,8 +84,7 @@ class LedgerEntry:
         object.__setattr__(self, "event_counts", dict(self.event_counts))
 
 
-@dataclass(frozen=True)
-class ExposureLedger:
+class ExposureLedger(Record):
     """Every ledger entry, at most one per (release, phase)."""
 
     entries: tuple[LedgerEntry, ...] = ()
@@ -340,8 +339,7 @@ def _finite_bound(bound: float, exposure: float) -> float:
     return bound
 
 
-@dataclass(frozen=True)
-class TargetCheck:
+class TargetCheck(Record):
     """Outcome of checking one criterion's rate bound against the ledger."""
 
     criterion_id: str
@@ -414,8 +412,7 @@ def check_target(
     )
 
 
-@dataclass(frozen=True)
-class DriftCheck:
+class DriftCheck(Record):
     """Whether post-deployment observation still satisfies a target that
     pre-deployment prediction satisfied."""
 
@@ -452,16 +449,14 @@ def drift_check(criterion: AcceptanceCriterion, ledger: ExposureLedger) -> Drift
     )
 
 
-@dataclass(frozen=True)
-class Blocker:
+class Blocker(Record):
     """One reason the gate refuses a release, and what it concerns."""
 
     subject_id: str
     reason: str
 
 
-@dataclass(frozen=True)
-class ReadinessDecision:
+class ReadinessDecision(Record):
     """The gate's verdict: its blockers and every target it checked."""
 
     blockers: tuple[Blocker, ...] = ()

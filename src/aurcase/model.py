@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field, fields
 from math import isfinite
-from typing import Iterator
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 
 class HazardCategory(enum.Enum):
@@ -160,8 +161,55 @@ def _require(condition: bool, message: str, field_name: str = "") -> None:
         raise ModelError(message, field_name)
 
 
-@dataclass(frozen=True)
-class Cell:
+EMPTY_MAPPING: Mapping = MappingProxyType({})  # the default of every mapping field
+
+
+class Record:
+    """An immutable value, compared, hashed and printed by its `FIELDS`, the
+    names a subclass annotates (defaults, shared so immutable, last); its
+    `__init__` sets them and calls any `__post_init__`, as `replace` does."""
+
+    FIELDS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        own = cls.__dict__
+        names = tuple(own.get("__annotations__", ()))
+        defaults = tuple(own[name] for name in names if name in own)
+        last = names[len(names) - len(defaults) :]
+        if any(name not in own or isinstance(own[name], (list, dict, set)) for name in last):
+            raise TypeError(f"{cls.__name__}: defaults must be immutable and come last")
+        # One generated `__init__` per class, as `collections.namedtuple` does.
+        body = "".join(f"\n _setattr(self, {name!r}, {name})" for name in names)
+        post = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        namespace = {"_setattr": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(names)}):{body}{post}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__defaults__ = defaults or None
+        cls.FIELDS = names
+        cls._values = attrgetter(*names)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
+        return f"{self.__class__.__qualname__}({values})"
+
+    def __setattr__(self, name: str, *_value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes):
+        return self.__class__(**{name: getattr(self, name) for name in self.FIELDS} | changes)
+
+
+class Cell(Record):
     """One point of the discretized behavioral acceptance-criteria space."""
 
     severity: SeverityLevel
@@ -175,8 +223,7 @@ class Cell:
         return f"({', '.join(names)})"
 
 
-@dataclass(frozen=True)
-class AcSpaceRegion:
+class AcSpaceRegion(Record):
     """A rectangular subset of the 5D acceptance-criteria space.
 
     Dimension sets may be empty on a draft region; `coverage.region_cells`
@@ -193,8 +240,8 @@ class AcSpaceRegion:
     weak_cells: frozenset[Cell] = frozenset()
 
     def __post_init__(self) -> None:
-        for spec in fields(self):
-            object.__setattr__(self, spec.name, frozenset(getattr(self, spec.name)))
+        for name in self.FIELDS:
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
         _require(
             all(self.contains(c) for c in self.weak_cells),
             "weak_cells must be a subset of the region's own cells",
@@ -211,8 +258,7 @@ class AcSpaceRegion:
         )
 
 
-@dataclass(frozen=True)
-class ContextBlock:
+class ContextBlock(Record):
     """Operational context the whole case is scoped to.
 
     The four lifecycle fields (vehicle configuration, operational
@@ -237,12 +283,7 @@ class ContextBlock:
     )
 
 
-# The context fields in declaration order, which is the order they are written in.
-ContextBlock.FIELD_ORDER = tuple(spec.name for spec in fields(ContextBlock))
-
-
-@dataclass(frozen=True)
-class Hazard:
+class Hazard(Record):
     """An identified hazard and the categories it counts under."""
 
     id: str
@@ -265,8 +306,7 @@ class Hazard:
         return self.secondary_categories | {self.primary_category}
 
 
-@dataclass(frozen=True)
-class Indicator:
+class Indicator(Record):
     """A safety indicator, placed on the causal chain."""
 
     id: str
@@ -274,8 +314,7 @@ class Indicator:
     causal_stage: CausalStage
 
 
-@dataclass(frozen=True)
-class Methodology:
+class Methodology(Record):
     """A validation methodology, its hazard categories and, for
     behavioral ones, the region of the criteria space it addresses."""
 
@@ -294,8 +333,7 @@ class Methodology:
             )
 
 
-@dataclass(frozen=True)
-class ValidationTarget:
+class ValidationTarget(Record):
     """The value against which satisfaction of a criterion is judged.
 
     A rate bound caps the event rate (events per `exposure_unit`) that may
@@ -333,8 +371,7 @@ class ValidationTarget:
             )
 
 
-@dataclass(frozen=True)
-class AcceptanceCriterion:
+class AcceptanceCriterion(Record):
     """An acceptance criterion: the hazards it covers, the methodology
     that validates it, and its region and target."""
 
@@ -362,8 +399,7 @@ class AcceptanceCriterion:
             )
 
 
-@dataclass(frozen=True)
-class ArgumentRow:
+class ArgumentRow(Record):
     """One row of the tabular argument: the argument text, the evidence it
     cites, and the self-critical columns (limitations, counter-argument)."""
 
@@ -379,8 +415,7 @@ class ArgumentRow:
             raise ModelError(f"argument row {self.label}: text must be non-empty")
 
 
-@dataclass(frozen=True)
-class ClaimNode:
+class ClaimNode(Record):
     """A node of the claim tree.
 
     Roots are `top_claim` nodes bound to exactly one acceptance criterion.
@@ -437,8 +472,7 @@ class ClaimNode:
         return None
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(Record):
     """An evidence item produced by a methodology."""
 
     id: str
@@ -448,8 +482,7 @@ class Evidence:
     strength: EvidenceStrength
 
 
-@dataclass(frozen=True)
-class SafetyCase:
+class SafetyCase(Record):
     """The root document.
 
     Top-level collections are stored sorted by identifier so that two cases
@@ -459,7 +492,7 @@ class SafetyCase:
     """
 
     id: str
-    context: ContextBlock = field(default_factory=ContextBlock)
+    context: ContextBlock = ContextBlock()
     hazards: tuple[Hazard, ...] = ()
     methodologies: tuple[Methodology, ...] = ()
     indicators: tuple[Indicator, ...] = ()
@@ -489,8 +522,7 @@ class SafetyCase:
 
     @functools.cached_property
     def _reference_findings(self) -> tuple[ReferenceFinding, ...]:
-        # Stored in the instance __dict__, which a frozen dataclass still
-        # allows; every field is immutable, so this never goes stale.
+        # In the instance __dict__, past `__setattr__`; the fields never change.
         ids = {
             keyword: {e.id for e in getattr(self, name)}
             for keyword, name in ELEMENTS
@@ -520,8 +552,7 @@ class SafetyCase:
         return {h.id: h for h in self.hazards}
 
 
-@dataclass(frozen=True)
-class ReferenceFinding:
+class ReferenceFinding(Record):
     """A cross-reference that does not resolve: who referred, through which
     field, to which missing identifier."""
 
@@ -547,6 +578,12 @@ def classify_indicator(stage: CausalStage) -> IndicatorKind:
     counts and the like) are lagging; everything earlier leads the risk.
     """
     return IndicatorKind.LAGGING if stage is CausalStage.HARM else IndicatorKind.LEADING
+
+
+# Span-index keys of the case header, the context block and (`:context.<field>`)
+# its fields: no identifier, claim key or row key starts with a colon.
+CASE_SPAN = ":safety_case"
+CONTEXT_SPAN = ":context"
 
 
 def node_key(parent_key: str, ordinal: int, node_id: str) -> str:

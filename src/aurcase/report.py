@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping
 
@@ -36,8 +35,10 @@ from .diagnostics import Diagnostic, Severity, sort_diagnostics
 from .lifecycle import ReadinessDecision
 from .model import (
     ELEMENTS,
+    EMPTY_MAPPING,
     Cell,
     HazardCategory,
+    Record,
     SafetyCase,
     iter_rows,
     require_resolved,
@@ -50,8 +51,7 @@ NO_SPACE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(Record):
     """One hazard chained to its criteria, top claims and cited evidence."""
 
     hazard_id: str
@@ -64,8 +64,7 @@ class TraceRow:
         return bool(self.criterion_ids and self.claim_ids and self.evidence_ids)
 
 
-@dataclass(frozen=True)
-class TraceMatrix:
+class TraceMatrix(Record):
     """The traceability matrix, one row per hazard."""
 
     rows: tuple[TraceRow, ...]
@@ -101,8 +100,7 @@ def trace_matrix(case: SafetyCase) -> TraceMatrix:
     return TraceMatrix(rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class CoverageBundle:
+class CoverageBundle(Record):
     """The coverage analyses of one case, as `coverage_bundle` builds them."""
 
     map: CoverageMap
@@ -121,8 +119,7 @@ def coverage_bundle(case: SafetyCase) -> CoverageBundle:
     )
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(Record):
     """Everything one run knows, ready for rendering."""
 
     case: SafetyCase
@@ -131,7 +128,7 @@ class ReportDocument:
     coverage: CoverageBundle
     trace: TraceMatrix
     review: ReadinessDecision | None = None
-    input_digests: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
+    input_digests: Mapping[str, Mapping[str, str]] = EMPTY_MAPPING
     tool_version: str = __version__
     generated_at: str = ""
 

@@ -12,7 +12,6 @@ always produce the same diagnostics in the same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from . import coverage as coverage_mod
@@ -24,8 +23,12 @@ from .diagnostics import (
     sort_diagnostics,
 )
 from .model import (
+    CASE_SPAN,
+    CONTEXT_SPAN,
+    EMPTY_MAPPING,
     ClaimKind,
     ContextBlock,
+    Record,
     SafetyCase,
     iter_claim_nodes,
     iter_rows,
@@ -38,8 +41,7 @@ _E006_SCOPES = (E006_SCOPE_ALL, E006_SCOPE_SKIP_REASONABLENESS)
 _SEVERITY_OVERRIDES = (*(severity.value for severity in Severity), "off")
 
 
-@dataclass(frozen=True)
-class RuleInfo:
+class RuleInfo(Record):
     """Catalog entry: stable id, default severity, and the rationale the
     rule is grounded in."""
 
@@ -199,8 +201,7 @@ def rule_catalog() -> tuple[RuleInfo, ...]:
     return _CATALOG
 
 
-@dataclass(frozen=True)
-class RuleConfig:
+class RuleConfig(Record):
     """Per-run rule configuration.
 
     `severity_overrides` maps rule ids to "error", "warning", or "off";
@@ -208,7 +209,7 @@ class RuleConfig:
     that rule's findings entirely and nothing else).
     """
 
-    severity_overrides: Mapping[str, str] = field(default_factory=dict)
+    severity_overrides: Mapping[str, str] = EMPTY_MAPPING
     required_facets: frozenset[str] = frozenset()
     review_ready: bool = False
     require_resolved: bool = False
@@ -227,9 +228,6 @@ class RuleConfig:
             0.0 <= self.coverage_threshold <= 1.0
         ):
             raise ValueError("coverage threshold must lie in [0, 1]")
-
-    def replace(self, **changes) -> "RuleConfig":
-        return replace(self, **changes)
 
     def severity_of(self, rule_id: str) -> Severity | None:
         """Effective severity for a rule, or None when disabled."""
@@ -302,28 +300,29 @@ def parse_config(text: str, source: str = "<config>") -> RuleConfig:
     )
 
 
-@dataclass
 class _Context:
     """One `validate` run: its inputs and the findings so far."""
 
-    case: SafetyCase
-    config: RuleConfig
-    span_index: Mapping[str, SourceSpan]
-    reference_spans: Mapping[tuple[str, str, str], SourceSpan]
-    found: list[Diagnostic] = field(default_factory=list)
+    def __init__(self, case: SafetyCase, config: RuleConfig, span_index, reference_spans) -> None:
+        self.case, self.config = case, config
+        self.span_index, self.reference_spans = span_index, reference_spans
+        self.found: list[Diagnostic] = []
 
     def emit(
-        self, rule_id: str, message: str, subject_id: str, span: SourceSpan | None = None
+        self, rule_id: str, message: str, subject_id: str, span_key: str | None = None
     ) -> None:
-        """Record a finding, spanned at its subject unless `span` is given."""
+        """Record a finding, spanned at `span_key`, by default its subject."""
         severity = self.config.severity_of(rule_id)
         if severity is None:
             return
-        if span is None:
-            span = self.span_index.get(subject_id)
+        span = self.span_index.get(subject_id if span_key is None else span_key)
         self.found.append(
             Diagnostic(rule_id, severity, message, subject_id=subject_id, span=span)
         )
+
+    def emit_for_case(self, rule_id: str, message: str) -> None:
+        """Record a finding about the whole case, spanned at its header."""
+        self.emit(rule_id, message, self.case.id, CASE_SPAN)
 
 
 def validate(
@@ -339,20 +338,14 @@ def validate(
     single E008 refusal instead of an analysis over missing elements.
     """
     config = config or RuleConfig()
-    ctx = _Context(
-        case=case,
-        config=config,
-        span_index=span_index or {},
-        reference_spans=reference_spans or {},
-    )
+    ctx = _Context(case, config, span_index or {}, reference_spans or {})
     findings = resolve_references(case)
 
     if findings and config.require_resolved:
-        ctx.emit(
+        ctx.emit_for_case(
             "E008",
             f"analysis refused: case has {len(findings)} unresolved reference(s); "
             "resolve them and re-run",
-            subject_id=case.id,
         )
         return sort_diagnostics(ctx.found)
 
@@ -377,11 +370,10 @@ def validate(
 
 def _check_criteria_exist(ctx: _Context) -> None:
     if not ctx.case.criteria:
-        ctx.emit(
+        ctx.emit_for_case(
             "E001",
             "no acceptance criteria declared: absence of unreasonable risk "
             "cannot be argued without at least one explicit criterion",
-            subject_id=ctx.case.id,
         )
 
 
@@ -476,13 +468,13 @@ def _check_context(ctx: _Context) -> None:
         return
     for field_name in ContextBlock.LIFECYCLE_FIELDS:
         if not getattr(ctx.case.context, field_name):
+            field_key = f"{CONTEXT_SPAN}.{field_name}"
             ctx.emit(
                 "E011",
                 f"review-ready case is missing required context field "
                 f"'{field_name}'",
                 subject_id=f"context.{field_name}",
-                span=ctx.span_index.get(f"context.{field_name}")
-                or ctx.span_index.get("context"),
+                span_key=field_key if field_key in ctx.span_index else CONTEXT_SPAN,
             )
 
 
@@ -521,9 +513,9 @@ def _check_aggregation_balance(ctx: _Context) -> None:
         }
     )
     if balance is coverage_mod.BalanceClass.AGGREGATE_ONLY:
-        ctx.emit("W104", balance.advisory, subject_id=ctx.case.id)
+        ctx.emit_for_case("W104", balance.advisory)
     elif balance is coverage_mod.BalanceClass.EVENT_ONLY:
-        ctx.emit("W105", balance.advisory, subject_id=ctx.case.id)
+        ctx.emit_for_case("W105", balance.advisory)
 
 
 def _check_coverage_threshold(ctx: _Context) -> None:
@@ -532,9 +524,8 @@ def _check_coverage_threshold(ctx: _Context) -> None:
         return
     report = coverage_mod.gap_report(coverage_mod.coverage_map(ctx.case))
     if report.covered.value < threshold:
-        ctx.emit(
+        ctx.emit_for_case(
             "W106",
             f"coverage {report.covered} of the behavioral criteria space is "
             f"below the configured threshold {threshold:g}",
-            subject_id=ctx.case.id,
         )

@@ -185,7 +185,7 @@ def claim_trees(draw, claim_id: str, criterion_id: str, evidence_ids: list[str])
 @st.composite
 def safety_cases(draw) -> SafetyCase:
     context = ContextBlock(
-        **{name: draw(text_values) for name in ContextBlock.FIELD_ORDER}
+        **{name: draw(text_values) for name in ContextBlock.FIELDS}
     )
     hazards = []
     for index in range(draw(st.integers(min_value=1, max_value=3))):

@@ -348,6 +348,28 @@ def test_commands_import_nothing_outside_the_standard_library(tmp_path, argv):
     assert not {name for name in foreign if importlib.util.find_spec(name)}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["check", "golden_cat.aur"],
+        ["review", "golden_cat.aur", "--ledger", "{ledger}"],
+        ["report", "golden_cat.aur", "--ledger", "{ledger}", "--out", "{out}"],
+        ["fmt", "golden_cat.aur"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_start_without_generating_classes(tmp_path, argv):
+    """The value classes are `Record`s, built without `dataclasses`, so a
+    cold command imports neither it nor the `inspect` it pulls in."""
+    ledger = tmp_path / "nonzero.ledger"
+    ledger.write_text(_NONZERO_LEDGER)
+    argv = [arg.format(ledger=ledger, out=tmp_path / "out") for arg in argv]
+    _, _, imported = _cold_cli_imports(argv)
+    assert "aurcase.model" in imported
+    assert not imported & {"dataclasses", "inspect"}
+
+
 def test_cold_review_with_a_nonzero_count_stays_light(tmp_path):
     """The golden ledger's zero counts take the closed form; a nonzero
     count exercises the full Poisson solver in a cold process."""

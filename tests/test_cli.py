@@ -318,12 +318,16 @@ class TestReport:
     def test_an_artifact_it_cannot_write_is_a_usage_error(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         (out_dir / "report.json").mkdir(parents=True)
+        (out_dir / "report.txt").write_text("an earlier run\n", encoding="utf-8")
         assert run(["report", GOLDEN, "--out", str(out_dir)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             f"aurcase: error: cannot write {out_dir / 'report.json'}: Is a directory\n"
         )
+        # Nothing of the set was replaced, and no temporary file is left.
+        assert (out_dir / "report.txt").read_text(encoding="utf-8") == "an earlier run\n"
+        assert sorted(path.name for path in out_dir.iterdir()) == ["report.json", "report.txt"]
 
 
 class TestFmt:

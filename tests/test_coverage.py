@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,7 +76,7 @@ class TestRegionCells:
         assert len(FULL_SPACE) == 96
 
     def test_empty_dimension_is_an_invalid_region(self):
-        empty = dataclasses.replace(CAMPAIGN_REGION, severities=frozenset())
+        empty = CAMPAIGN_REGION.replace(severities=frozenset())
         with pytest.raises(InvalidRegionError, match="severity"):
             region_cells(empty)
 
@@ -183,8 +181,7 @@ safety_case "none" {
         from aurcase.model import Methodology
 
         before = coverage_map(case)
-        grown = dataclasses.replace(
-            case,
+        grown = case.replace(
             methodologies=case.methodologies
             + (
                 Methodology(

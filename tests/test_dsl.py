@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import random
 import sys
@@ -500,12 +499,11 @@ def test_span_index_covers_every_element(golden_cat_text, name):
     result = parse(text, name)
     assert result.diagnostics == ()
     case = result.case
-    element_ids = {case.id}
+    element_ids = {":safety_case", ":context"}
     for _, collection in ELEMENTS[:-1]:
         element_ids.update(element.id for element in getattr(case, collection))
     assert element_ids <= set(result.span_index)
-    context = {"context", *(f"context.{field}" for field in ContextBlock.FIELD_ORDER)}
-    top_level = element_ids | context
+    top_level = element_ids | {f":context.{name}" for name in ContextBlock.FIELDS}
     claim_keys = [key for root in case.claims for _node, key in iter_claim_nodes(root)]
     row_keys = [key for root in case.claims for _row, key, _n, _k in iter_rows(root)]
     assert len(set(claim_keys + row_keys)) == len(claim_keys) + len(row_keys)
@@ -538,8 +536,6 @@ safety_case "g" {
 }
 """
     case = parse(text, "case.aur").case
-    import dataclasses
-
     region = case.methodologies[0].region
     gapped = AcSpaceRegion(
         severities=frozenset({SeverityLevel.S0, SeverityLevel.S2}),
@@ -548,8 +544,8 @@ safety_case "g" {
         statuses=region.statuses,
         aggregations=region.aggregations,
     )
-    methodology = dataclasses.replace(case.methodologies[0], region=gapped)
-    broken = dataclasses.replace(case, methodologies=(methodology,))
+    methodology = case.methodologies[0].replace(region=gapped)
+    broken = case.replace(methodologies=(methodology,))
     with pytest.raises(ValueError, match="contiguous"):
         serialize(broken)
 
@@ -594,13 +590,8 @@ def test_serialize_rejects_partial_weak_slices():
 @pytest.mark.parametrize("attribute", [attribute for _, attribute, _ in SPACE_DIMENSIONS])
 def test_serialize_refuses_a_region_with_an_empty_dimension(golden_case, attribute):
     methodology, *others = golden_case.methodologies
-    region = dataclasses.replace(
-        methodology.region, weak_cells=frozenset(), **{attribute: frozenset()}
-    )
-    case = dataclasses.replace(
-        golden_case,
-        methodologies=(dataclasses.replace(methodology, region=region), *others),
-    )
+    region = methodology.region.replace(weak_cells=frozenset(), **{attribute: frozenset()})
+    case = golden_case.replace(methodologies=(methodology.replace(region=region), *others))
     dim = next(dim for dim, field, _ in SPACE_DIMENSIONS if field == attribute)
     with pytest.raises(ValueError, match=f"region has no {dim} value"):
         serialize(case)
@@ -611,7 +602,7 @@ def test_serialize_is_deterministic(golden_case):
 
 
 def test_elements_are_the_case_collections_in_serialized_order(golden_case):
-    collections = [spec.name for spec in dataclasses.fields(SafetyCase)][2:]
+    collections = list(SafetyCase.FIELDS[2:])
     assert [name for _, name in ELEMENTS] == collections
     # Each top-level block of the canonical text opens with its keyword.
     openers = [
@@ -822,7 +813,7 @@ def test_span_maps_are_read_only_mappings_in_declaration_order():
     spans, references = result.span_index, result.reference_spans
     assert spans == dict(spans) and references == dict(references)
     assert list(spans) == [
-        "minimal", "context", "context.use_case", "H1", "M1", "AC1", "E1", "C1", "C1.A.1"
+        ":safety_case", ":context", ":context.use_case", "H1", "M1", "AC1", "E1", "C1", "C1.A.1"
     ]
     assert list(references) == [
         ("AC1", "hazard_ids", "H1"),

@@ -1,9 +1,22 @@
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import aurcase
+from aurcase.diagnostics import Diagnostic, Severity, SourceSpan
+from aurcase.dsl import parse
+from aurcase.lifecycle import (
+    LedgerEntry,
+    Phase,
+    drift_check,
+    parse_ledger,
+    quantitative_criteria,
+    readiness_review,
+)
 from aurcase.model import (
     AcceptanceCriterion,
     AcSpaceRegion,
@@ -21,6 +34,7 @@ from aurcase.model import (
     IndicatorKind,
     Methodology,
     ModelError,
+    Record,
     SafetyCase,
     SeverityLevel,
     TargetKind,
@@ -32,6 +46,8 @@ from aurcase.model import (
     require_resolved,
     resolve_references,
 )
+from aurcase.report import build_report
+from aurcase.rules import RuleConfig, rule_catalog
 
 
 def _hazard(hazard_id="H1", category=HazardCategory.BEHAVIORAL):
@@ -346,3 +362,136 @@ def test_resolve_references_hands_out_a_fresh_list_each_call():
     assert resolve_references(case) == expected
     with pytest.raises(UnresolvedCaseError):
         require_resolved(case)
+
+
+# -- records -----------------------------------------------------------------
+
+RECORD_CLASSES = sorted(
+    (
+        value
+        for value in vars(aurcase).values()
+        if isinstance(value, type) and issubclass(value, Record) and value is not Record
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+def _records(value):
+    """Every record reachable from `value` through fields, collections and
+    mappings, `value` itself included."""
+    if isinstance(value, Record):
+        yield value
+        for name in value.FIELDS:
+            yield from _records(getattr(value, name))
+    elif isinstance(value, Mapping):
+        for key, item in value.items():
+            yield from _records(key)
+            yield from _records(item)
+    elif isinstance(value, (tuple, list, frozenset)):
+        for item in value:
+            yield from _records(item)
+
+
+@pytest.fixture(scope="module")
+def samples(golden_cat_text, golden_ledger_text) -> dict[type, Record]:
+    """One record of each class met on a run over the golden case."""
+    result = parse(golden_cat_text, "golden_cat.aur")
+    ledger = parse_ledger(golden_ledger_text)
+    finding = Diagnostic(
+        "W103", Severity.WARNING, "evidence E9 is never cited", "E9", SourceSpan("c.aur", 3, 5, 3, 7)
+    )
+    document = build_report(
+        result.case, "golden_cat.aur", [finding], review=readiness_review(result.case, ledger)
+    )
+    drift = drift_check(quantitative_criteria(result.case)[0], ledger)
+    found: dict[type, Record] = {}
+    for record in _records((result, document, ledger, drift, RuleConfig(), rule_catalog())):
+        found.setdefault(type(record), record)
+    return found
+
+
+def _hash(record: Record):
+    # A record holding a mapping is unhashable, as its dataclass was.
+    try:
+        return hash(record)
+    except TypeError:
+        return TypeError
+
+
+def test_every_exported_record_class_has_a_sample(samples):
+    assert len(RECORD_CLASSES) > 20
+    assert set(RECORD_CLASSES) <= set(samples)
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+class TestRecord:
+    def test_fields_can_be_neither_set_nor_deleted(self, samples, cls):
+        record = samples[cls]
+        for name in cls.FIELDS:
+            with pytest.raises(AttributeError, match=f"field {name!r}"):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError, match=f"field {name!r}"):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_an_equal_copy_hashes_equal(self, samples, cls):
+        record = samples[cls]
+        copy = record.replace()
+        positional = cls(*(getattr(record, name) for name in cls.FIELDS))
+        for other in (copy, positional):
+            assert other is not record
+            assert other == record and not other != record
+            assert _hash(other) == _hash(record)
+
+    def test_repr_names_the_class_and_each_field(self, samples, cls):
+        record = samples[cls]
+        fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in cls.FIELDS)
+        assert repr(record) == f"{cls.__name__}({fields})"
+
+    def test_records_of_different_classes_never_compare_equal(self, samples, cls):
+        record = samples[cls]
+        assert all(record != other for kind, other in samples.items() if kind is not cls)
+        assert record != tuple(getattr(record, name) for name in cls.FIELDS)
+
+
+def test_records_with_the_same_fields_and_values_differ_by_class():
+    class Left(Record):
+        value: int
+
+    class Right(Record):
+        value: int
+
+    assert Left(1) == Left(1) and Left(1) != Right(1)
+
+
+def test_a_source_span_prints_as_its_dataclass_did():
+    span = SourceSpan("case.aur", 1, 2, 3, 4)
+    assert repr(span) == (
+        "SourceSpan(file='case.aur', start_line=1, start_col=2, end_line=3, end_col=4)"
+    )
+
+
+def test_replace_validates_the_changed_record():
+    row = ArgumentRow(label="A.1", argument="it holds")
+    assert row.replace(limitations="dry roads").limitations == "dry roads"
+    with pytest.raises(ModelError):
+        row.replace(argument="")
+    entry = LedgerEntry("r1", Phase.PREDICTED, 10.0, "mi", {"crash": 1})
+    with pytest.raises(ValueError, match="exposure must be > 0"):
+        entry.replace(exposure=-1.0)
+    with pytest.raises(TypeError):
+        entry.replace(mileage=1.0)
+
+
+def test_a_record_class_refuses_a_mutable_default_or_a_misplaced_one():
+    with pytest.raises(TypeError, match="must be immutable"):
+
+        class Listed(Record):
+            items: list = []
+
+    with pytest.raises(TypeError, match="come last"):
+
+        class Misplaced(Record):
+            first: int = 0
+            second: int

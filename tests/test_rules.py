@@ -215,3 +215,20 @@ class TestConfigFile:
     def test_config_overrides_reference_registered_rules_only(self):
         with pytest.raises(ValueError, match="unregistered rule"):
             RuleConfig(severity_overrides={"E099": "off"})
+
+
+def test_an_identifier_named_like_the_case_does_not_take_its_span():
+    # Case-level findings point at the case header, even when a hazard
+    # carries the case's own identifier.
+    text = fixture_text("balance_aggregate_only.aur").replace('"aggregate-only"', '"H1"')
+    (w104,) = [d for d in pipeline(text) if d.rule_id == "W104"]
+    assert (w104.subject_id, w104.span.start_line, w104.span.start_col) == ("H1", 1, 1)
+
+
+def test_an_identifier_named_context_does_not_take_the_context_span():
+    # A missing context field is reported at the context block, not at a
+    # hazard called `context`.
+    text = fixture_text("balance_aggregate_only.aur").replace("H1", "context")
+    e011 = [d for d in pipeline(text, RuleConfig(review_ready=True)) if d.rule_id == "E011"]
+    assert len(e011) == 4
+    assert {(d.span.start_line, d.span.start_col) for d in e011} == {(2, 3)}
