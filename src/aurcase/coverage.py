@@ -130,9 +130,9 @@ def coverage_map(case: SafetyCase) -> CoverageMap:
     """Join every behavioral methodology's region into one per-cell map.
 
     A cell is strong if any methodology covers it outside that
-    methodology's weak sub-region, weak if it is only covered weakly, and
-    uncovered otherwise.  Contributors list every covering methodology,
-    weak or strong.
+    methodology's weak severity slices, weak if it is only covered in such
+    slices, and uncovered otherwise.  Contributors list every covering
+    methodology, weak or strong.
     """
     require_resolved(case)
     signals: dict[Cell, Signal] = {}
@@ -140,8 +140,9 @@ def coverage_map(case: SafetyCase) -> CoverageMap:
     for methodology in case.methodologies:
         if methodology.region is None:
             continue
+        weak = methodology.region.weak_severities
         for cell in region_cells(methodology.region):
-            sig = Signal.WEAK if cell in methodology.region.weak_cells else Signal.STRONG
+            sig = Signal.WEAK if cell.severity in weak else Signal.STRONG
             signals[cell] = max(signals.get(cell, Signal.NONE), sig)
             contributors.setdefault(cell, set()).add(methodology.id)
     return CoverageMap(

@@ -28,8 +28,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Mapping
 from functools import cached_property
-from itertools import accumulate, chain, islice, product, starmap
-from math import prod
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, dangling_references
@@ -45,7 +44,6 @@ from .model import (
     AcceptanceCriterion,
     AcSpaceRegion,
     ArgumentRow,
-    Cell,
     ClaimKind,
     ClaimNode,
     ContextBlock,
@@ -318,7 +316,6 @@ class _Parser:
         self.kinds, self.words, self.starts = tokens
         self.source = source
         self.pos = 0
-        self.declared: dict[str, int] = {}
         self.span_index: dict[str, int] = {}
         self.ref_spans: dict[tuple[str, str, str], int] = {}
         self.open_blocks: list[tuple[str, int]] = []
@@ -335,8 +332,8 @@ class _Parser:
         start = self.starts[token]
         return start, start + len(self.words[token])
 
-    def where(self, token: int) -> str:
-        return "%d:%d" % self.source.position(self.starts[token])
+    def where(self, offset: int) -> str:
+        return "%d:%d" % self.source.position(offset)
 
     def _fatal(self, message: str, token: int) -> _Fatal:
         return _Fatal(_syntax_error(message, self.source.span(*self.offsets(token))))
@@ -346,7 +343,7 @@ class _Parser:
             desc, opener = self.open_blocks[-1]
             return (
                 f"expected {expected} to close {desc} opened at "
-                f"{self.where(opener)}, found end of document"
+                f"{self.where(self.starts[opener])}, found end of document"
             )
         return f"expected {expected}, found end of document"
 
@@ -437,7 +434,7 @@ class _Parser:
         `token`.  Identifiers, claim-node keys and row keys share one
         namespace: a name declared before is a fatal E010 at `token`."""
         name = name or self.words[token]
-        previous = self.declared.get(name)
+        previous = self.span_index.get(name)
         if previous is not None:
             raise _Fatal(
                 Diagnostic(
@@ -449,7 +446,6 @@ class _Parser:
                     span=self.source.span(*self.offsets(token)),
                 )
             )
-        self.declared[name] = token
         self.span_index[name] = self.starts[token]
         return name
 
@@ -463,7 +459,11 @@ class _Parser:
             self.ref_spans[key] = self.starts[token]
         return name
 
-    def enum_value(self, token: int, table: dict, what: str):
+    def enum_value(self, table: dict, what: str):
+        """Consume an identifier that names a `what`; return the member of
+        `table` it names."""
+        article = "an" if what[0] in "aeiou" else "a"
+        token = self.expect(IDENT, f"{article} {what}")
         word = self.words[token]
         if word not in table:
             expected = ", ".join(sorted(table))
@@ -471,13 +471,11 @@ class _Parser:
         return table[word]
 
     def category(self):
-        return self.enum_value(
-            self.expect(IDENT, "a hazard category"), CATEGORY_NAMES, "hazard category"
-        )
+        return self.enum_value(CATEGORY_NAMES, "hazard category")
 
     def severity(self) -> tuple[SeverityLevel, int]:
-        token = self.expect(IDENT, "a severity level")
-        return self.enum_value(token, DIMENSION_NAMES["severity"], "severity level"), token
+        token = self.pos
+        return self.enum_value(DIMENSION_NAMES["severity"], "severity level"), token
 
     def assigned_string(self, keyword: int) -> str:
         """`= "..."`, the value of `keyword`."""
@@ -609,16 +607,15 @@ class _Parser:
                 f"region is missing dimension(s): {', '.join(missing)}", keyword
             )
         severities, *others = (body[dim] for dim in DIMENSION_NAMES)
-        weak_levels = []
+        weak = set()
         for level, token in body.get("weak", ()):
             if level not in severities:
                 raise self._fatal(
                     f"weak({level.name}) lies outside the region's severity range",
                     token,
                 )
-            weak_levels.append(level)
-        weak_cells = frozenset(starmap(Cell, product(weak_levels, *others)))
-        return AcSpaceRegion(severities, *others, weak_cells=weak_cells)
+            weak.add(level)
+        return AcSpaceRegion(severities, *others, weak_severities=weak)
 
     def severity_range(self, _keyword: int) -> frozenset[SeverityLevel]:
         self.take("=")
@@ -633,12 +630,7 @@ class _Parser:
 
     def region_dimension(self, keyword: int) -> frozenset:
         dim = self.words[keyword]
-        table = DIMENSION_NAMES[dim]
-        return self.assigned_list(
-            lambda: self.enum_value(
-                self.expect(IDENT, f"a {dim} value"), table, f"{dim} value"
-            )
-        )
+        return self.assigned_list(lambda: self.enum_value(DIMENSION_NAMES[dim], f"{dim} value"))
 
     def weak_level(self, _keyword: int) -> tuple[SeverityLevel, int]:
         self.take("(")
@@ -650,9 +642,7 @@ class _Parser:
         ident = self.expect(IDENT, "an indicator identifier")
         indicator_id = self.declare(ident)
         self.take("stage", "=")
-        stage = self.enum_value(
-            self.expect(IDENT, "a causal stage"), STAGE_NAMES, "causal stage"
-        )
+        stage = self.enum_value(STAGE_NAMES, "causal stage")
         self.open_block(f"indicator {indicator_id}")
         description = self.assigned_string(self.take("description"))
         self.close_block()
@@ -668,11 +658,7 @@ class _Parser:
             criterion_id, "methodology_id", "a methodology identifier"
         )
         self.take("aggregation", "=")
-        aggregation = self.enum_value(
-            self.expect(IDENT, "an aggregation level"),
-            DIMENSION_NAMES["aggregation"],
-            "aggregation level",
-        )
+        aggregation = self.enum_value(DIMENSION_NAMES["aggregation"], "aggregation level")
         self.open_block(f"criterion {criterion_id}")
         body = self.block_body(
             " in criterion block",
@@ -939,27 +925,6 @@ def _severity_range(severities: frozenset[SeverityLevel]) -> str:
     return f"{levels[0].name}..{levels[-1].name}"
 
 
-def _weak_severities(region: AcSpaceRegion) -> list[SeverityLevel]:
-    """Severity levels whose full slice of the region is weak.
-
-    The format marks weakness per severity level; a weak set that is not a
-    union of whole severity slices is not representable.
-    """
-    if not region.weak_cells:
-        return []
-    by_level: dict[SeverityLevel, set[Cell]] = {}
-    for cell in region.weak_cells:
-        by_level.setdefault(cell.severity, set()).add(cell)
-    slice_size = prod(map(len, region.dimension_sets.values())) // len(region.severities)
-    for level, cells in by_level.items():
-        if len(cells) != slice_size:
-            raise ValueError(
-                f"weak cells at severity {level.name} do not cover the whole "
-                "severity slice and cannot be written in the aurcase format"
-            )
-    return sorted(by_level)
-
-
 def _names(members, table: dict) -> str:
     """`members` as a comma list of their names, in the name table's order."""
     return ", ".join(name for name, member in table.items() if member in members)
@@ -1005,7 +970,7 @@ def _region(region: AcSpaceRegion) -> list[str]:
             f"{dim} = {_names(getattr(region, attribute), DIMENSION_NAMES[dim])}"
             for dim, attribute, _ in SPACE_DIMENSIONS[1:]
         ],
-        *[f"weak({level.name})" for level in _weak_severities(region)],
+        *[f"weak({level.name})" for level in sorted(region.weak_severities)],
     )
 
 
@@ -1086,8 +1051,7 @@ def serialize(case: SafetyCase) -> str:
 
     Requires a reference-resolved case; raises `UnresolvedCaseError`
     otherwise, and `ValueError` for regions the format cannot express
-    (an empty dimension, non-contiguous severity sets, partial weak
-    slices).
+    (an empty dimension, non-contiguous severity sets).
     """
     require_resolved(case)
     blocks = chain(

@@ -228,8 +228,9 @@ class AcSpaceRegion(Record):
 
     Dimension sets may be empty on a draft region; `coverage.region_cells`
     rejects such regions rather than the constructor, so that validity can
-    be reported instead of raised.  `weak_cells` marks the sub-region where
-    only weak signal is available and must lie inside the region.
+    be reported instead of raised.  As the format's `weak(...)` does,
+    `weak_severities` marks the severity slices of the region where only
+    weak signal is available; each must be one of its `severities`.
     """
 
     severities: frozenset[SeverityLevel] = frozenset()
@@ -237,25 +238,19 @@ class AcSpaceRegion(Record):
     capabilities: frozenset[BehavioralCapability] = frozenset()
     statuses: frozenset[FunctionalityStatus] = frozenset()
     aggregations: frozenset[AggregationLevel] = frozenset()
-    weak_cells: frozenset[Cell] = frozenset()
+    weak_severities: frozenset[SeverityLevel] = frozenset()
 
     def __post_init__(self) -> None:
         for name in self.FIELDS:
             object.__setattr__(self, name, frozenset(getattr(self, name)))
         _require(
-            all(self.contains(c) for c in self.weak_cells),
-            "weak_cells must be a subset of the region's own cells",
+            self.weak_severities <= self.severities,
+            "weak_severities must be a subset of the region's severities",
         )
 
     @property
     def dimension_sets(self) -> dict[str, frozenset]:
         return {dim: getattr(self, attribute) for dim, attribute, _ in SPACE_DIMENSIONS}
-
-    def contains(self, cell: Cell) -> bool:
-        return all(
-            getattr(cell, dim) in getattr(self, attribute)
-            for dim, attribute, _ in SPACE_DIMENSIONS
-        )
 
 
 class ContextBlock(Record):

@@ -144,11 +144,7 @@ def gap_rows(case, severities, roles, capabilities, statuses, aggregations) -> t
                                 and status in region.statuses
                                 and aggregation in region.aggregations
                             ):
-                                weak = any(
-                                    (c.severity, c.role, c.capability, c.status, c.aggregation)
-                                    == cell
-                                    for c in region.weak_cells
-                                )
+                                weak = severity in region.weak_severities
                                 signal = max(signal, 1 if weak else 2)
                         signals.append((cell, signal))
     total = len(signals)

@@ -10,7 +10,6 @@ from aurcase.model import (
     AggregationLevel,
     ArgumentRow,
     BehavioralCapability,
-    Cell,
     ClaimKind,
     ClaimNode,
     ConflictRole,
@@ -56,16 +55,8 @@ def regions(draw) -> AcSpaceRegion:
     capabilities = draw(_nonempty_subset(BehavioralCapability))
     statuses = draw(_nonempty_subset(FunctionalityStatus))
     aggregations = draw(_nonempty_subset(AggregationLevel))
-    weak_levels = draw(
+    weak_severities = draw(
         st.sets(st.sampled_from(sorted(severities)), max_size=len(severities))
-    )
-    weak_cells = frozenset(
-        Cell(level, role, capability, status, aggregation)
-        for level in weak_levels
-        for role in roles
-        for capability in capabilities
-        for status in statuses
-        for aggregation in aggregations
     )
     return AcSpaceRegion(
         severities=severities,
@@ -73,7 +64,7 @@ def regions(draw) -> AcSpaceRegion:
         capabilities=capabilities,
         statuses=statuses,
         aggregations=aggregations,
-        weak_cells=weak_cells,
+        weak_severities=weak_severities,
     )
 
 

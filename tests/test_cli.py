@@ -159,6 +159,29 @@ class TestCheck:
         assert run(["check", path, "--config", bom]) == 1
         assert capsys.readouterr() == expected
 
+    @pytest.mark.parametrize("through", ["flag", "env"])
+    def test_a_config_naming_an_unknown_rule_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, through
+    ):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "c.cfg", "rule.E999.severity = off\n")
+        monkeypatch.delenv("AURCASE_CONFIG", raising=False)
+        args = ["check", GOLDEN]
+        if through == "flag":
+            args += ["--config", "c.cfg"]
+        else:
+            monkeypatch.setenv("AURCASE_CONFIG", "c.cfg")
+        assert run(args) == 2
+        assert capsys.readouterr() == ("", "aurcase: error: c.cfg:1: unknown rule 'E999'\n")
+
+    @pytest.mark.parametrize("threshold", ["1.5", "nan"])
+    def test_a_coverage_threshold_outside_0_1_is_a_usage_error(self, capsys, threshold):
+        assert run(["check", GOLDEN, "--coverage-threshold", threshold]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "aurcase: error: coverage threshold must lie in [0, 1]\n",
+        )
+
     def test_a_config_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_bytes(b"rule.W103.severity = off\n# \xff\n")
@@ -201,6 +224,13 @@ class TestTrace:
         assert payload["rows"][0]["complete"] is True
 
 
+    def test_a_case_without_hazards_prints_the_header_and_a_note(self, capsys):
+        assert run(["trace", str(FIXTURES / "balance_none.aur")]) == 1
+        assert capsys.readouterr().out == (
+            "hazard | criteria | claims | evidence | complete\n(no hazards declared)\n"
+        )
+
+
 class TestReview:
     def test_approved(self, capsys):
         assert run(["review", GOLDEN, "--ledger", LEDGER]) == 0
@@ -225,6 +255,21 @@ class TestReview:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "approved"
         assert payload["targets"][0]["status"] == "met"
+
+    def test_a_ledger_with_only_observed_rows_has_no_bound_to_print(self, tmp_path, capsys):
+        header, _predicted, observed = Path(LEDGER).read_text(encoding="utf-8").splitlines()
+        ledger = write(tmp_path, "observed.ledger", f"{header}\n{observed}\n")
+        assert run(["review", GOLDEN, "--ledger", ledger]) == 1
+        assert capsys.readouterr().out == (
+            "readiness: blocked\n"
+            "  target AC1: insufficient_data "
+            "(upper bound n/a, target 5e-06, exposure 0, events 0)\n"
+            "  blocker AC1: no predicted-phase exposure recorded for this target\n"
+        )
+        assert run(["review", GOLDEN, "--ledger", ledger, "--format", "machine"]) == 1
+        (target,) = json.loads(capsys.readouterr().out)["targets"]
+        assert target["status"] == "insufficient_data"
+        assert target["upper_bound"] is None
 
     def test_bad_ledger_is_a_usage_error(self, tmp_path, capsys):
         ledger = write(tmp_path, "bad.ledger", "not,a,ledger\n")
@@ -328,6 +373,20 @@ class TestReport:
         # Nothing of the set was replaced, and no temporary file is left.
         assert (out_dir / "report.txt").read_text(encoding="utf-8") == "an earlier run\n"
         assert sorted(path.name for path in out_dir.iterdir()) == ["report.json", "report.txt"]
+
+
+    def test_an_out_directory_under_a_regular_file_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "F").write_text("", encoding="utf-8")
+        assert run(["report", GOLDEN, "--out", "F/out"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "aurcase: error: cannot create F/out: Not a directory\n",
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["F"]
+        assert (tmp_path / "F").read_text(encoding="utf-8") == ""
 
 
 class TestFmt:

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from aurcase.coverage import Signal, coverage_map, region_cells
 from aurcase.diagnostics import Diagnostic, Severity, SourceSpan
 from aurcase.dsl import (
     _ESCAPE_OUT,
@@ -27,12 +28,7 @@ from aurcase.model import (
     ELEMENTS,
     SPACE_DIMENSIONS,
     AcSpaceRegion,
-    AggregationLevel,
-    BehavioralCapability,
-    Cell,
-    ConflictRole,
     ContextBlock,
-    FunctionalityStatus,
     SafetyCase,
     SeverityLevel,
     iter_claim_nodes,
@@ -326,6 +322,96 @@ def test_block_entry_fatals_name_the_entry(anchor, entry, message):
     assert slice_at(text, diagnostic.span) == keyword
 
 
+# (text of `FULL` to replace, its replacement, the fatal message, the token
+# the message points at: its first occurrence in the edited document).
+VALUE_FATALS = [
+    (
+        "hazard H1 category = behavioral {",
+        "hazard H1 category = behavioural {",
+        "unknown hazard category 'behavioural'; expected one of: architectural, "
+        "behavioral, in_service_operational",
+        "behavioural",
+    ),
+    (
+        "stage = harm",
+        "stage = injury",
+        "unknown causal stage 'injury'; expected one of: harm, hazard, "
+        "hazardous_behavior, hazardous_event, triggering_condition",
+        "injury",
+    ),
+    (
+        "severity = S0..S1",
+        "severity = S0..S9",
+        "unknown severity level 'S9'; expected one of: S0, S1, S2, S3",
+        "S9",
+    ),
+    (
+        "      role = responder\n",
+        "      role = bystander\n",
+        "unknown role value 'bystander'; expected one of: initiator, responder",
+        "bystander",
+    ),
+    (
+        "      aggregation = event_level\n",
+        "      aggregation = 7\n",
+        "expected an aggregation value, found '7'",
+        "7",
+    ),
+    (
+        "methodology = M1 aggregation = event_level {",
+        "methodology = M1 aggregation = eventual {",
+        "unknown aggregation level 'eventual'; expected one of: aggregate_level, event_level",
+        "eventual",
+    ),
+    (
+        "hazard H1 category = behavioral {",
+        "hazard H1 category = behavioral also = behavioral {",
+        "hazard H1: primary category repeated in secondary categories",
+        "H1",
+    ),
+    ('    name = "campaign"\n', "", "methodology M1 must state a name", "M1"),
+    (
+        "methodology = M1 aggregation = event_level {",
+        "methodology = M1 aggregation = aggregate_level {",
+        "criterion AC1: aggregation level aggregate_level is outside the criterion's "
+        "own region",
+        "AC1",
+    ),
+    (
+        'target qualitative("board review")',
+        'target quantitative("board review")',
+        "unknown target kind 'quantitative'; expected rate_bound or qualitative",
+        "quantitative",
+    ),
+    (
+        "strength = strong {",
+        "strength = solid {",
+        "strength must be strong or weak, got 'solid'",
+        "solid",
+    ),
+    ('text = "it holds"', 'text = ""', "argument row A.1: text must be non-empty", "A.1"),
+]
+
+
+@pytest.mark.parametrize(
+    "anchor, replacement, message, token",
+    VALUE_FATALS,
+    ids=[f"{i}-{token}" for i, (*_, token) in enumerate(VALUE_FATALS)],
+)
+def test_value_fatals_point_at_the_value_or_the_element(anchor, replacement, message, token):
+    assert FULL.count(anchor) == 1
+    text = FULL.replace(anchor, replacement)
+    result = parse(text, "values.aur")
+    assert result.fatal
+    (diagnostic,) = result.diagnostics
+    assert diagnostic.rule_id == "E013"
+    assert diagnostic.message == message
+    start = text.index(token)
+    line, column = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+    assert (diagnostic.span.start_line, diagnostic.span.start_col) == (line, column)
+    assert slice_at(text, diagnostic.span) == token
+
+
 def test_reversed_severity_range_rejected():
     text = MINIMAL.replace(
         'methodology M1 { name = "campaign" category = behavioral }',
@@ -407,8 +493,13 @@ safety_case "w" {
     result = parse(text, "case.aur")
     assert not result.fatal
     region = result.case.methodologies[0].region
-    assert len(region.weak_cells) == 1 * 2 * 1 * 1 * 2
-    assert all(c.severity is SeverityLevel.S1 for c in region.weak_cells)
+    assert region.weak_severities == {SeverityLevel.S1}
+    coverage = coverage_map(result.case)
+    cells = region_cells(region)
+    assert len(cells) == 2 * 2 * 1 * 1 * 2
+    for cell in cells:
+        weak = cell.severity is SeverityLevel.S1
+        assert coverage.signal(cell) is (Signal.WEAK if weak else Signal.STRONG)
 
 
 def test_string_escapes_round_trip():
@@ -550,47 +641,10 @@ safety_case "g" {
         serialize(broken)
 
 
-def test_serialize_rejects_partial_weak_slices():
-    region = AcSpaceRegion(
-        severities=frozenset({SeverityLevel.S0}),
-        roles=frozenset(ConflictRole),
-        capabilities=frozenset({BehavioralCapability.COLLISION_AVOIDANCE}),
-        statuses=frozenset({FunctionalityStatus.NOMINAL}),
-        aggregations=frozenset({AggregationLevel.EVENT_LEVEL}),
-        weak_cells=frozenset(
-            {
-                Cell(
-                    SeverityLevel.S0,
-                    ConflictRole.RESPONDER,
-                    BehavioralCapability.COLLISION_AVOIDANCE,
-                    FunctionalityStatus.NOMINAL,
-                    AggregationLevel.EVENT_LEVEL,
-                )
-            }
-        ),
-    )
-    from aurcase.model import ContextBlock, Methodology, HazardCategory, SafetyCase
-
-    case = SafetyCase(
-        id="p",
-        context=ContextBlock(use_case="x"),
-        methodologies=(
-            Methodology(
-                id="M1",
-                name="n",
-                hazard_categories=frozenset({HazardCategory.BEHAVIORAL}),
-                region=region,
-            ),
-        ),
-    )
-    with pytest.raises(ValueError, match="whole"):
-        serialize(case)
-
-
 @pytest.mark.parametrize("attribute", [attribute for _, attribute, _ in SPACE_DIMENSIONS])
 def test_serialize_refuses_a_region_with_an_empty_dimension(golden_case, attribute):
     methodology, *others = golden_case.methodologies
-    region = methodology.region.replace(weak_cells=frozenset(), **{attribute: frozenset()})
+    region = methodology.region.replace(weak_severities=frozenset(), **{attribute: frozenset()})
     case = golden_case.replace(methodologies=(methodology.replace(region=region), *others))
     dim = next(dim for dim, field, _ in SPACE_DIMENSIONS if field == attribute)
     with pytest.raises(ValueError, match=f"region has no {dim} value"):

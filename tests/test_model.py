@@ -24,7 +24,6 @@ from aurcase.model import (
     ArgumentRow,
     BehavioralCapability,
     CausalStage,
-    Cell,
     ClaimKind,
     ClaimNode,
     ConflictRole,
@@ -135,22 +134,15 @@ def test_methodology_region_requires_behavioral_category():
         Methodology(id="M1", name="x", hazard_categories=frozenset(), region=region)
 
 
-def test_region_rejects_weak_cells_outside_region():
-    outside = Cell(
-        SeverityLevel.S3,
-        ConflictRole.INITIATOR,
-        BehavioralCapability.COLLISION_AVOIDANCE,
-        FunctionalityStatus.NOMINAL,
-        AggregationLevel.AGGREGATE_LEVEL,
-    )
-    with pytest.raises(ModelError, match="weak_cells"):
+def test_region_rejects_weak_severities_outside_its_range():
+    with pytest.raises(ModelError, match="weak_severities"):
         AcSpaceRegion(
-            severities=frozenset(SeverityLevel),
+            severities=frozenset({SeverityLevel.S0, SeverityLevel.S1}),
             roles=frozenset({ConflictRole.RESPONDER}),
             capabilities=frozenset({BehavioralCapability.COLLISION_AVOIDANCE}),
             statuses=frozenset({FunctionalityStatus.NOMINAL}),
             aggregations=frozenset({AggregationLevel.AGGREGATE_LEVEL}),
-            weak_cells=frozenset({outside}),
+            weak_severities=frozenset({SeverityLevel.S1, SeverityLevel.S3}),
         )
 
 
