@@ -10,11 +10,14 @@ same `report` builders; it is strict JSON, never `NaN` or `Infinity`.
 
 Exit codes: 0 when nothing error-severity was found (and, for `review`,
 the gate approved); 1 for error diagnostics or a blocked review; 2 for
-usage errors and documents that do not parse. Every early end is an
-`_Exit` that `run` turns into the exit code: a fatal parse prints its
-diagnostic (on stdout; on stderr for `fmt`) and exits 2; a refused case
-(dangling references) prints its findings and E008 to stderr and exits
-1; an unreadable input or an unwritable `--out` is a usage error, exit 2.
+usage errors and documents that do not parse. `coverage` and `trace`
+print their analysis whatever the findings; when error findings make
+them exit 1, one stderr line counts those findings by rule (`check`
+lists them). Every early end is an `_Exit` that `run` turns into the
+exit code: a fatal parse prints its diagnostic (on stdout; on stderr for
+`fmt`) and exits 2; a refused case (dangling references) prints its
+findings and E008 to stderr and exits 1; an unreadable input or an
+unwritable `--out` is a usage error, exit 2.
 
 A command runs with the cyclic garbage collector paused (see `run`): the
 parsed case is an acyclic tree, so collections during a command scan a
@@ -228,7 +231,25 @@ def _cmd_analysis(args: argparse.Namespace) -> int:
     analysis = analyse(result.case)
     text = render_json(to_dict(analysis)) if args.format == "machine" else to_text(analysis)
     print(text, end="")
-    return _exit_code(diagnostics)
+    code = _exit_code(diagnostics)
+    if code:
+        print(_error_tally(diagnostics), file=sys.stderr)
+    return code
+
+
+def _error_tally(diagnostics: list[Diagnostic]) -> str:
+    """Why an analysis command exits 1: its error findings counted by rule.
+    Not in the `error[RULE]:` shape of a diagnostic line, which readers of
+    stderr count as findings."""
+    counts: dict[str, int] = {}
+    for diagnostic in diagnostics:
+        if diagnostic.severity is Severity.ERROR:
+            counts[diagnostic.rule_id] = counts.get(diagnostic.rule_id, 0) + 1
+    by_rule = ", ".join(f"{rule_id} x{count}" for rule_id, count in sorted(counts.items()))
+    return (
+        f"aurcase: {sum(counts.values())} error finding(s): {by_rule} "
+        "(listed by 'aurcase check')"
+    )
 
 
 def _load_ledger(path: str, digests: dict | None = None) -> ExposureLedger:

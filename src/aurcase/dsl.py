@@ -354,10 +354,16 @@ class _Parser:
         if self.kinds[token] == kind and (text is None or self.words[token] == text):
             self.pos = token + 1
             return token
+        raise self.unexpected(kind, what)
+
+    def unexpected(self, kind: str, what: str) -> _Fatal:
+        """The fatal for a next token that is not the `kind` that `what`
+        names."""
+        token = self.pos
         if self.kinds[token] == EOF:
-            raise self._fatal(self._eof_message(what), token)
+            return self._fatal(self._eof_message(what), token)
         hint = _KIND_HINTS.get(kind, "")
-        raise self._fatal(f"expected {what}{hint}, found {self.words[token]!r}", token)
+        return self._fatal(f"expected {what}{hint}, found {self.words[token]!r}", token)
 
     def string(self, what: str) -> str:
         """Consume a string literal; return its value."""
@@ -367,6 +373,9 @@ class _Parser:
         """Consume the keywords or punctuation `texts` in turn; return the
         first token."""
         first = self.pos
+        if len(texts) == 1 and self.words[first] == texts[0]:
+            self.pos = first + 1
+            return first
         for text in texts:
             if self.words[self.pos] == text:  # then it is of `text`'s kind
                 self.pos += 1
@@ -414,16 +423,18 @@ class _Parser:
         """
         values: dict = {}
         words = self.words
-        while (keyword := words[self.pos]) != "}":
+        while (keyword := words[token := self.pos]) != "}":
             if keyword not in readers:
                 raise self.unknown_keyword(block, expected)
             read, twice = readers[keyword]
+            if twice is not None and keyword in values:
+                raise self._fatal(twice, token)
+            # A reader key is a word, so the keyword token is never EOF.
+            self.pos = token + 1
             if twice is None:
-                values.setdefault(keyword, []).append(read(self.advance()))
-            elif keyword in values:
-                raise self._fatal(twice, self.pos)
+                values.setdefault(keyword, []).append(read(token))
             else:
-                values[keyword] = read(self.advance())
+                values[keyword] = read(token)
         self.close_block()
         return values
 
@@ -479,8 +490,12 @@ class _Parser:
 
     def assigned_string(self, keyword: int) -> str:
         """`= "..."`, the value of `keyword`."""
-        self.take("=")
-        return self.string(f"a value for {self.words[keyword]}")
+        words, pos = self.words, self.pos
+        if words[pos] == "=" and self.kinds[pos + 1] == STRING:
+            self.pos = pos + 2
+            return _unquote(words[pos + 1])
+        self.take("=")  # fails here, or in `string`, with its message
+        return self.string(f"a value for {words[keyword]}")
 
     def assigned_list(self, item) -> frozenset:
         """`= item, item, ...`."""
@@ -488,9 +503,23 @@ class _Parser:
         return frozenset(self.comma_list(item))
 
     def assigned_ids(self, referrer: str, field_name: str) -> frozenset[str]:
-        return self.assigned_list(
-            lambda: self.reference(referrer, field_name, "an identifier")
-        )
+        """`= id, id, ...`, each read as `reference` reads one."""
+        words, kinds, starts, ref_spans = self.words, self.kinds, self.starts, self.ref_spans
+        self.take("=")
+        pos = self.pos
+        names = []
+        while kinds[pos] == IDENT:
+            name = words[pos]
+            key = (referrer, field_name, name)
+            if key not in ref_spans:
+                ref_spans[key] = starts[pos]
+            names.append(name)
+            if words[pos + 1] != ",":
+                self.pos = pos + 1
+                return frozenset(names)
+            pos += 2
+        self.pos = pos
+        raise self.unexpected(IDENT, "an identifier")
 
     # -- grammar -------------------------------------------------------------
 
@@ -513,6 +542,11 @@ class _Parser:
         if "context" not in body:
             raise self._fatal("the case must declare a context block", header)
 
+        # Building the case walks each claim tree and keeps the walk on its
+        # root (see `iter_claim_nodes`): drop the spent tokens first, so the
+        # walks take their memory instead of adding to the parse's peak.
+        header_offsets = self.offsets(header)
+        del self.kinds, self.words, self.starts
         try:
             return SafetyCase(
                 id=case_id,
@@ -520,7 +554,8 @@ class _Parser:
                 **{name: tuple(body.get(keyword, ())) for keyword, name in ELEMENTS},
             )
         except ModelError as exc:
-            raise self._fatal(f"invalid case: {exc}", header) from exc
+            span = self.source.span(*header_offsets)
+            raise _Fatal(_syntax_error(f"invalid case: {exc}", span)) from exc
 
     def parse_context(self, keyword: int) -> ContextBlock:
         self.span_index[CONTEXT_SPAN] = self.starts[keyword]
@@ -1019,7 +1054,9 @@ def _evidence(item: Evidence) -> list[str]:
     )
 
 
-def _claim(node: ClaimNode) -> list[str]:
+def _claim(node: ClaimNode, lines: list[str], indent: str) -> None:
+    """Append the block of `node` to `lines`, each line at its final
+    `indent`, so no line of a deep tree is copied once per level."""
     if node.kind is ClaimKind.TOP_CLAIM:
         header = f"claim {node.id} criterion = {node.criterion_id}"
     else:
@@ -1029,20 +1066,26 @@ def _claim(node: ClaimNode) -> list[str]:
             header = node.kind.value
         if node.id:
             header += f" {node.id}"
-    body = [line for child in node.children for line in _claim(child)]
-    body += [line for row in node.rows for line in _row(row)]
-    return _block(header, *body)
+    lines.append(f"{indent}{header} {{")
+    inner = indent + "  "
+    for child in node.children:
+        _claim(child, lines, inner)
+    for row in node.rows:
+        _row(row, lines, inner)
+    lines.append(f"{indent}}}")
 
 
-def _row(row: ArgumentRow) -> list[str]:
-    body = [f"text = {_quote(row.argument)}"]
+def _row(row: ArgumentRow, lines: list[str], indent: str) -> None:
+    inner = indent + "  "
+    lines.append(f"{indent}argument {row.label} {{")
+    lines.append(f"{inner}text = {_quote(row.argument)}")
     if row.evidence_ids:
-        body.append(f"evidence = {', '.join(sorted(row.evidence_ids))}")
+        lines.append(f"{inner}evidence = {', '.join(sorted(row.evidence_ids))}")
     if row.limitations:
-        body.append(f"limitations = {_quote(row.limitations)}")
+        lines.append(f"{inner}limitations = {_quote(row.limitations)}")
     if row.counter_argument:
-        body.append(f"counter = {_quote(row.counter_argument)}")
-    return _block(f"argument {row.label}", *body)
+        lines.append(f"{inner}counter = {_quote(row.counter_argument)}")
+    lines.append(f"{indent}}}")
 
 
 def serialize(case: SafetyCase) -> str:
@@ -1061,7 +1104,6 @@ def serialize(case: SafetyCase) -> str:
         map(_indicator, case.indicators),
         map(_criterion, case.criteria),
         map(_evidence, case.evidence),
-        map(_claim, case.claims),
     )
     # Blocks are built one at a time and indented straight into `lines`,
     # so that no second copy of the whole text is held before the join.
@@ -1070,5 +1112,8 @@ def serialize(case: SafetyCase) -> str:
         if index:
             lines.append("")
         lines += [f"  {line}" for line in block]
+    for root in case.claims:  # after the context block, always written
+        lines.append("")
+        _claim(root, lines, "  ")
     lines.append("}\n")
     return "\n".join(lines)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from itertools import chain, repeat
 from math import isfinite
 from operator import attrgetter
 from types import MappingProxyType
@@ -466,6 +467,21 @@ class ClaimNode(Record):
                 return child
         return None
 
+    @functools.cached_property
+    def _walk(self) -> tuple[str, list[str], list, list]:
+        # The tree walked once, with this node as its root, and kept in the
+        # instance __dict__ (not a field), as `SafetyCase._reference_findings`
+        # is: the root's key, its own row keys, then the `iter_claim_nodes`
+        # and `iter_rows` entries below it.  No entry holds the root, so the
+        # tree stays acyclic and reference counting alone frees it.
+        key = self.id or self.kind.value
+        seen: dict[str, int] = {}
+        own_row_keys = [row_key(key, row.label, seen) for row in self.rows]
+        nodes: list[tuple[ClaimNode, str]] = []
+        rows: list[tuple[ArgumentRow, str, ClaimNode, str]] = []
+        _walk_below(self, key, nodes, rows)
+        return key, own_row_keys, nodes, rows
+
 
 class Evidence(Record):
     """An evidence item produced by a methodology."""
@@ -526,10 +542,8 @@ class SafetyCase(Record):
         findings: list[ReferenceFinding] = []
 
         def check(referrer: str, field_name: str, refs) -> None:
-            pool = ids[REFERENCE_NOUNS[field_name]]
-            for ref in sorted(refs):
-                if ref not in pool:
-                    findings.append(ReferenceFinding(referrer, field_name, ref))
+            for ref in sorted(refs - ids[REFERENCE_NOUNS[field_name]]):
+                findings.append(ReferenceFinding(referrer, field_name, ref))
 
         for criterion in self.criteria:
             check(criterion.id, "hazard_ids", criterion.hazard_ids)
@@ -602,23 +616,36 @@ def row_key(node_key: str, label: str, seen: dict[str, int]) -> str:
     return f"{node_key}.{label}@{count}" if count > 1 else f"{node_key}.{label}"
 
 
-def iter_claim_nodes(
-    root: ClaimNode, _key: str | None = None
-) -> Iterator[tuple[ClaimNode, str]]:
-    """Walk a claim tree depth-first, yielding (node, key); see `node_key`."""
-    key = _key if _key is not None else (root.id or root.kind.value)
-    yield root, key
-    for ordinal, child in enumerate(root.children, start=1):
-        yield from iter_claim_nodes(child, node_key(key, ordinal, child.id))
+def _walk_below(
+    parent: ClaimNode,
+    parent_key: str,
+    nodes: list[tuple[ClaimNode, str]],
+    rows: list[tuple[ArgumentRow, str, ClaimNode, str]],
+) -> None:
+    """Append the descendants of `parent` depth-first to `nodes`, each
+    node's rows to `rows` ahead of its own descendants'."""
+    for ordinal, node in enumerate(parent.children, start=1):
+        key = node_key(parent_key, ordinal, node.id)
+        nodes.append((node, key))
+        if node.rows:
+            seen: dict[str, int] = {}
+            rows += [(row, row_key(key, row.label, seen), node, key) for row in node.rows]
+        _walk_below(node, key, nodes, rows)
+
+
+def iter_claim_nodes(root: ClaimNode) -> Iterator[tuple[ClaimNode, str]]:
+    """(node, key) over a claim tree, depth-first from `root`, whose key is
+    its id or else its kind; see `node_key`.  Every call reads the one walk
+    kept on `root`."""
+    key, _row_keys, nodes, _rows = root._walk
+    return chain(((root, key),), nodes)
 
 
 def iter_rows(root: ClaimNode) -> Iterator[tuple[ArgumentRow, str, ClaimNode, str]]:
-    """Yield (row, row key, owning node, node key) over a claim tree; see
-    `row_key`."""
-    for node, key in iter_claim_nodes(root):
-        seen: dict[str, int] = {}
-        for row in node.rows:
-            yield row, row_key(key, row.label, seen), node, key
+    """(row, row key, owning node, node key) over a claim tree, node by
+    node in `iter_claim_nodes` order; see `row_key`."""
+    key, row_keys, _nodes, rows = root._walk
+    return chain(zip(root.rows, row_keys, repeat(root), repeat(key)), rows)
 
 
 def resolve_references(case: SafetyCase) -> list[ReferenceFinding]:

@@ -202,6 +202,29 @@ def trace_rows(case) -> list[tuple]:
     return rows
 
 
+def claim_walk(root) -> tuple[list, list]:
+    """A claim tree's (node, key) pairs and (row, row key, node, node key)
+    tuples, depth-first, with keys spelt here by their documented rule: a
+    node's id, else `<parent key>.<ordinal>` (the root's kind for an
+    anonymous root); a row's `<node key>.<label>`, with `@n` on the n-th
+    row of a label that repeats under one node."""
+    nodes: list = []
+    rows: list = []
+
+    def visit(node, key: str) -> None:
+        nodes.append((node, key))
+        counts: dict = {}
+        for row in node.rows:
+            counts[row.label] = counts.get(row.label, 0) + 1
+            repeat = f"@{counts[row.label]}" if counts[row.label] > 1 else ""
+            rows.append((row, f"{key}.{row.label}{repeat}", node, key))
+        for ordinal, child in enumerate(node.children, start=1):
+            visit(child, child.id or f"{key}.{ordinal}")
+
+    visit(root, root.id or root.kind.value)
+    return nodes, rows
+
+
 # -- the character-at-a-time lexer ---------------------------------------------
 #
 # The `.aur` lexer as it was before the master-pattern rewrite in

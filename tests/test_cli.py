@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from aurcase import cli
+from aurcase import cli, parse, serialize, validate
 from aurcase.cli import run
-from aurcase.lifecycle import rate_upper_bound
+from aurcase.lifecycle import parse_ledger, rate_upper_bound, readiness_review
+from aurcase.report import build_report
 
 from conftest import FIXTURES, fixture_text
 from mutations import MUTATIONS
@@ -228,6 +229,43 @@ class TestTrace:
         assert run(["trace", str(FIXTURES / "balance_none.aur")]) == 1
         assert capsys.readouterr().out == (
             "hazard | criteria | claims | evidence | complete\n(no hazards declared)\n"
+        )
+
+
+@pytest.mark.parametrize("command", ["coverage", "trace"])
+@pytest.mark.parametrize("output", ["text", "machine"])
+class TestAnalysisExitReason:
+    """`coverage` and `trace` say on stderr which error findings make them
+    exit 1, counted by rule, and leave stdout to the analysis."""
+
+    def test_error_findings_are_counted_by_rule_on_stderr(
+        self, tmp_path, capsys, command, output
+    ):
+        scale = 'deployment_scale = "Up to 400 vehicles, about one million miles per quarter"'
+        text = fixture_text("golden_cat.aur").replace("evidence = E3\n", "\n").replace(scale, "")
+        path = write(tmp_path, "uncited.aur", text)
+        args = [command, path, "--format", output, "--review-ready"]
+        assert run(args) == 1
+        out, err = capsys.readouterr()
+        assert err == (
+            "aurcase: 4 error finding(s): E006 x3, E011 x1 (listed by 'aurcase check')\n"
+        )
+        # With those rules off, the same stdout, exit 0 and nothing on stderr.
+        quiet = write(tmp_path, "quiet.cfg", "rule.E006.severity = off\nrule.E011.severity = off\n")
+        assert run([*args, "--config", quiet]) == 0
+        assert capsys.readouterr() == (out, "")
+
+    def test_a_case_with_warnings_only_leaves_stderr_empty(
+        self, tmp_path, capsys, command, output
+    ):
+        path = write(tmp_path, "warned.aur", mutate("W103"))
+        assert run([command, path, "--format", output]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_the_case_without_hazards_names_e001(self, capsys, command, output):
+        assert run([command, str(FIXTURES / "balance_none.aur"), "--format", output]) == 1
+        assert capsys.readouterr().err == (
+            "aurcase: 1 error finding(s): E001 x1 (listed by 'aurcase check')\n"
         )
 
 
@@ -685,6 +723,46 @@ class TestGarbageCollectorPause:
 
         unreachable_after(small)  # first-use imports leave cycles of their own
         assert abs(unreachable_after(large) - unreachable_after(small)) <= 20
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            "parse",
+            "parse-dangling",
+            "parse-fatal",
+            "validate",
+            "readiness_review",
+            "build_report",
+            "serialize",
+        ],
+    )
+    def test_a_step_leaves_nothing_for_the_collector(self, step):
+        # `render_machine` is left out: json's pure-Python indent encoder
+        # leaves cycles of its own on every call.
+        text = fixture_text("golden_cat.aur")
+        result = parse(text, "golden_cat.aur")
+        ledger = parse_ledger(fixture_text("golden.ledger"))
+        steps = {
+            "parse": lambda: parse(text, "golden_cat.aur"),
+            "parse-dangling": lambda: parse(mutate("E009"), "case.aur"),
+            "parse-fatal": lambda: parse('safety_case "x" {', "case.aur"),
+            "validate": lambda: validate(
+                result.case, None, result.span_index, result.reference_spans
+            ),
+            "readiness_review": lambda: readiness_review(result.case, ledger),
+            "build_report": lambda: build_report(result.case, "golden_cat.aur", []),
+            "serialize": lambda: serialize(result.case),
+        }
+        steps[step]()  # first-use imports and caches leave cycles of their own
+        gc.collect()
+        gc.disable()
+        try:
+            kept = steps[step]()
+            assert gc.collect() == 0  # nothing the step dropped is cyclic
+            del kept
+            assert gc.collect() == 0  # nor is anything it returned
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize(
         "text, code",

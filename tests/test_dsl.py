@@ -412,6 +412,93 @@ def test_value_fatals_point_at_the_value_or_the_element(anchor, replacement, mes
     assert slice_at(text, diagnostic.span) == token
 
 
+_A1_ENTRIES = (
+    '      text = "it holds"\n'
+    "      evidence = E1\n"
+    '      limitations = "urban only"\n'
+    '      counter = "none recorded"\n'
+)
+_A1_OPEN = "to close argument A.1 opened at 28:18, found end of document"
+
+# (entries that replace argument A.1's, whether the document ends right
+# after them, the fatal message, its span as start line and column, end
+# line and column).  These reach the checked path behind the string and
+# identifier-list entries' inline reads.
+ENTRY_FALLBACKS = [
+    ('      text "x"\n', False, "expected '=', found '\"x\"'", (29, 12, 29, 15)),
+    (
+        "      text = x\n",
+        False,
+        "expected a value for text (a quoted string), found 'x'",
+        (29, 14, 29, 15),
+    ),
+    (
+        "      text = 1\n",
+        False,
+        "expected a value for text (a quoted string), found '1'",
+        (29, 14, 29, 15),
+    ),
+    (
+        '      text = "it holds"\n      evidence =\n',
+        False,
+        "expected an identifier, found '}'",
+        (31, 5, 31, 6),
+    ),
+    (
+        '      text = "it holds"\n      evidence = E1,\n',
+        False,
+        "expected an identifier, found '}'",
+        (31, 5, 31, 6),
+    ),
+    (
+        '      text = "it holds"\n      evidence = E1 E2\n',
+        False,
+        "unknown keyword 'E2' in argument block; expected text, evidence, limitations, "
+        "or counter",
+        (30, 21, 30, 23),
+    ),
+    (
+        '      text = "it holds"\n      evidence = "E1"\n',
+        False,
+        "expected an identifier, found '\"E1\"'",
+        (30, 18, 30, 22),
+    ),
+    ("      text", True, f"expected '=' {_A1_OPEN}", (29, 11, 29, 11)),
+    ("      text =", True, f"expected a value for text {_A1_OPEN}", (29, 13, 29, 13)),
+    (
+        '      text = "it holds"\n      evidence =',
+        True,
+        f"expected an identifier {_A1_OPEN}",
+        (30, 17, 30, 17),
+    ),
+    (
+        '      text = "it holds"\n      evidence = E1,',
+        True,
+        f"expected an identifier {_A1_OPEN}",
+        (30, 21, 30, 21),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "entries, cut, message, span",
+    ENTRY_FALLBACKS,
+    ids=[f"{i}-{'cut' if cut else 'ok'}" for i, (_, cut, *_) in enumerate(ENTRY_FALLBACKS)],
+)
+def test_malformed_entries_keep_their_messages_and_positions(entries, cut, message, span):
+    assert FULL.count(_A1_ENTRIES) == 1
+    text = FULL.replace(_A1_ENTRIES, entries)
+    if cut:
+        text = text[: text.index(entries) + len(entries)]
+    result = parse(text, "entries.aur")
+    assert result.fatal
+    (diagnostic,) = result.diagnostics
+    assert diagnostic.rule_id == "E013"
+    assert diagnostic.message == message
+    got = diagnostic.span
+    assert (got.start_line, got.start_col, got.end_line, got.end_col) == span
+
+
 def test_reversed_severity_range_rejected():
     text = MINIMAL.replace(
         'methodology M1 { name = "campaign" category = behavioral }',

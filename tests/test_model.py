@@ -48,6 +48,9 @@ from aurcase.model import (
 from aurcase.report import build_report
 from aurcase.rules import RuleConfig, rule_catalog
 
+import oracles
+from strategies import safety_cases
+
 
 def _hazard(hazard_id="H1", category=HazardCategory.BEHAVIORAL):
     return Hazard(id=hazard_id, description="collision", primary_category=category)
@@ -332,6 +335,28 @@ def test_claim_walk_keys_follow_ids_then_ordinals():
     assert keys == ["C1", "SC1", "C1.2", "C1.2.1", "C1.2.2", "C1.2.2.1"]
     row_keys = [key for _row, key, _node, _node_key in iter_rows(tree)]
     assert row_keys == ["C1.2.2.1.B.1", "C1.2.2.1.B.1@2"]
+
+
+@given(case=safety_cases())
+def test_claim_walks_are_the_oracle_walk_kept_off_the_fields(case):
+    def same(items) -> list[tuple]:  # nodes and rows by identity, keys by value
+        return [tuple(x if isinstance(x, str) else id(x) for x in item) for item in items]
+
+    fields = ("kind", "id", "criterion_id", "facet_label", "children", "rows")
+    assert ClaimNode.FIELDS == fields  # the walk is no field
+    for root in case.claims:  # each walked already, by the case's identifier check
+        unwalked = root.replace()
+        assert set(vars(unwalked)) == set(fields)  # `replace` carries no walk over
+        for tree in (unwalked, root):
+            nodes, rows = oracles.claim_walk(tree)
+            for _ in range(2):  # the first call walks the tree; the second reads that walk
+                assert same(iter_claim_nodes(tree)) == same(nodes)
+                assert same(iter_rows(tree)) == same(rows)
+        assert set(vars(unwalked)) > set(fields)
+        never_walked = root.replace()
+        assert unwalked == never_walked
+        assert hash(unwalked) == hash(never_walked)
+        assert repr(unwalked) == repr(never_walked)
 
 
 @given(st.sampled_from(list(CausalStage)))
