@@ -64,6 +64,8 @@ EXIT_USAGE = 2
 
 CONFIG_ENV_VAR = "AURCASE_CONFIG"
 
+_WRITE_SLICE = 1 << 16  # characters of `fmt` output encoded at a time
+
 
 class _Exit(Exception):
     """Ends a command early with exit `code`. A `usage` message (a bad
@@ -318,7 +320,14 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
         print(render_diagnostics(result.diagnostics), end="", file=sys.stderr)
         print(diagnostic_line(Diagnostic("E008", Severity.ERROR, refusal)), file=sys.stderr)
         raise _Exit(EXIT_FINDINGS)
-    print(serialize(result.case), end="")
+    # Only the case is written: the text and span maps go first, so they
+    # are not held while `serialize` builds the output.  The output goes
+    # out in slices, so no encoded copy of all of it is held either.
+    case = result.case
+    del result
+    text = serialize(case)
+    for start in range(0, len(text), _WRITE_SLICE):
+        sys.stdout.write(text[start : start + _WRITE_SLICE])
     return EXIT_OK
 
 

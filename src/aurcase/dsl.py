@@ -9,13 +9,13 @@ text, evidence links, limitations, and counter-arguments.
 Parsing never raises on malformed input, and reports the first fatal
 problem as a diagnostic.  Dangling references are not fatal: the case is
 still returned, carrying one E009 diagnostic per unresolved reference so
-downstream analyses can refuse with context.  The lexer makes no object
-per token: one scan yields parallel sequences of token kinds, words and
-start offsets, and the parser is a cursor over them.  A span keeps only
-the start offset of the token that declares an element or makes a
-cross-reference; the token is matched again there, and its precise
-source span made, only when the span is looked up.  One leading byte
-order mark is dropped, and positions count from after it.
+downstream analyses can refuse with context.  The lexer keeps no object
+per token but its word: one scan yields parallel sequences of token
+kinds, words and start offsets, and the parser is a cursor over them.  A
+span keeps only the start offset of the token that declares an element
+or makes a cross-reference; the token is matched again there, and its
+precise source span made, only when the span is looked up.  One leading
+byte order mark is dropped, and positions count from after it.
 
 Serialization is canonical: stable field order, two-space indentation,
 elements ordered by identifier, and deterministic to the byte.
@@ -28,7 +28,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Mapping
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import chain
 from operator import itemgetter
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, dangling_references
@@ -180,13 +180,15 @@ class _Source:
 def _lex(text: str, file_name: str) -> tuple[list[str], list[str], array]:
     """The kinds, words and start offsets of the tokens of `text`, ending
     with EOF; raises `_Fatal` at the first token that fails to lex."""
-    # Each match splits off three parts: its blanks, its token and the empty
-    # text up to the next match, after the empty text before the first.
-    parts = _TOKEN.split(text)
-    words = parts[2::3]
-    # A token starts where the blank run before it ends.
-    starts = array("q", islice(accumulate(map(len, parts)), 1, None, 3))
-    del parts
+    # One match per token.  Only the token is copied out of the text: blank
+    # runs made into strings would be freed among the words and leave holes
+    # that raise the parse's peak.  Offsets below 2 GiB take 32 bits.
+    words: list[str] = []
+    starts = array("i" if len(text) < 2**31 else "q")
+    add_word, add_start = words.append, starts.append
+    for match in _TOKEN.finditer(text):
+        add_word(match[2])
+        add_start(match.start(2))
     if len(words) > 1 and not words[-2]:
         words.pop()  # an empty match after trailing blanks: a second EOF
         starts.pop()
@@ -412,29 +414,30 @@ class _Parser:
         self.take("}")
         self.open_blocks.pop()
 
-    def block_body(self, block: str, expected: str, readers: dict) -> dict:
-        """Read an open block's entries, then its closing '}'.
-
-        `readers` maps each keyword that may start an entry to `(read,
-        twice)`: `read(keyword_token)` reads the rest of the entry, and
-        `twice` is the fatal message for a second entry with that keyword,
-        or None where entries may repeat.  Returns each keyword's value, as
-        a list of values for a keyword that may repeat.
-        """
+    def block_body(self, table: tuple[str, str, dict], referrer: str = "") -> dict:
+        """Read an open block's entries by its entry `table` (see
+        `_entry_table`), then its closing '}'.  Returns each keyword's
+        value, as a list of values for a keyword that may repeat."""
+        block, expected, entries = table
         values: dict = {}
         words = self.words
         while (keyword := words[token := self.pos]) != "}":
-            if keyword not in readers:
+            entry = entries.get(keyword)
+            if entry is None:
                 raise self.unknown_keyword(block, expected)
-            read, twice = readers[keyword]
+            read, twice = entry
             if twice is not None and keyword in values:
                 raise self._fatal(twice, token)
-            # A reader key is a word, so the keyword token is never EOF.
+            # An entry keyword is a word, so its token is never EOF.
             self.pos = token + 1
-            if twice is None:
-                values.setdefault(keyword, []).append(read(token))
+            if read is STRING:
+                values[keyword] = self.assigned_string(token)
+            elif read.__class__ is str:
+                values[keyword] = self.assigned_ids(referrer, read)
+            elif twice is None:
+                values.setdefault(keyword, []).append(read(self, token))
             else:
-                values[keyword] = read(token)
+                values[keyword] = read(self, token)
         self.close_block()
         return values
 
@@ -528,10 +531,7 @@ class _Parser:
         case_id = self.string("the case identifier")
         self.span_index[CASE_SPAN] = self.starts[header]
         self.open_block(f"safety_case {case_id!r}")
-        readers = {"context": (self.parse_context, "context is declared twice")}
-        for keyword, _ in ELEMENTS:
-            readers[keyword] = (getattr(self, f"parse_{keyword}"), None)
-        body = self.block_body("", "one of: " + ", ".join(readers), readers)
+        body = self.block_body(_DOCUMENT_ENTRIES)
 
         trailing = self.pos
         if self.kinds[trailing] != EOF:
@@ -602,18 +602,7 @@ class _Parser:
         ident = self.expect(IDENT, "a methodology identifier")
         methodology_id = self.declare(ident)
         self.open_block(f"methodology {methodology_id}")
-        body = self.block_body(
-            " in methodology block",
-            "name, category, or region",
-            {
-                "name": (self.assigned_string, "name is set twice"),
-                "category": (
-                    lambda _: self.assigned_list(self.category),
-                    "category is set twice",
-                ),
-                "region": (self.parse_region, "region is declared twice"),
-            },
-        )
+        body = self.block_body(_METHODOLOGY_ENTRIES)
         if "name" not in body:
             raise self._fatal(f"methodology {methodology_id} must state a name", ident)
         try:
@@ -628,14 +617,7 @@ class _Parser:
 
     def parse_region(self, keyword: int) -> AcSpaceRegion:
         self.open_block("region block")
-        readers = {dim: (self.region_dimension, f"{dim} is set twice") for dim in DIMENSION_NAMES}
-        readers["severity"] = (self.severity_range, "severity is set twice")
-        readers["weak"] = (self.weak_level, None)
-        body = self.block_body(
-            " in region block",
-            "severity, role, capability, status, aggregation, or weak(...)",
-            readers,
-        )
+        body = self.block_body(_REGION_ENTRIES)
         missing = [dim for dim in DIMENSION_NAMES if dim not in body]
         if missing:
             raise self._fatal(
@@ -662,6 +644,9 @@ class _Parser:
                 f"severity range {low.name}..{high.name} is reversed", high_token
             )
         return frozenset(level for level in SeverityLevel if low <= level <= high)
+
+    def categories(self, _keyword: int) -> frozenset:
+        return self.assigned_list(self.category)
 
     def region_dimension(self, keyword: int) -> frozenset:
         dim = self.words[keyword]
@@ -695,19 +680,7 @@ class _Parser:
         self.take("aggregation", "=")
         aggregation = self.enum_value(DIMENSION_NAMES["aggregation"], "aggregation level")
         self.open_block(f"criterion {criterion_id}")
-        body = self.block_body(
-            " in criterion block",
-            "statement, target, region, or indicator",
-            {
-                "statement": (self.assigned_string, "statement is set twice"),
-                "target": (self.parse_target, "target is declared twice"),
-                "region": (self.parse_region, "region is declared twice"),
-                "indicator": (
-                    lambda _: self.assigned_ids(criterion_id, "indicator_ids"),
-                    "indicator list is set twice",
-                ),
-            },
-        )
+        body = self.block_body(_CRITERION_ENTRIES, criterion_id)
         if "statement" not in body:
             raise self._fatal(f"criterion {criterion_id} must state a statement", ident)
         try:
@@ -773,14 +746,7 @@ class _Parser:
                 f"strength must be strong or weak, got {strength!r}", strength_token
             )
         self.open_block(f"evidence {evidence_id}")
-        body = self.block_body(
-            " in evidence block",
-            "kind or uri",
-            {
-                "kind": (self.assigned_string, "kind is set twice"),
-                "uri": (self.assigned_string, "uri is set twice"),
-            },
-        )
+        body = self.block_body(_EVIDENCE_ENTRIES)
         if "kind" not in body or "uri" not in body:
             raise self._fatal(
                 f"evidence {evidence_id} must state both kind and uri", ident
@@ -862,19 +828,7 @@ class _Parser:
         label = self.words[label_token]
         key = self.declare(keyword, row_key(parent_key, label, row_labels))
         self.open_block(f"argument {label}")
-        body = self.block_body(
-            " in argument block",
-            "text, evidence, limitations, or counter",
-            {
-                "text": (self.assigned_string, "text is set twice"),
-                "evidence": (
-                    lambda _: self.assigned_ids(key, "evidence_ids"),
-                    "evidence list is set twice",
-                ),
-                "limitations": (self.assigned_string, "limitations is set twice"),
-                "counter": (self.assigned_string, "counter is set twice"),
-            },
-        )
+        body = self.block_body(_ROW_ENTRIES, key)
         if "text" not in body:
             raise self._fatal(f"argument {label} must state its text", label_token)
         try:
@@ -887,6 +841,71 @@ class _Parser:
             )
         except ModelError as exc:
             raise self._fatal(str(exc), label_token) from exc
+
+
+def _entry_table(block: str, entries: dict, expected: str = "") -> tuple[str, str, dict]:
+    """The table that `_Parser.block_body` reads a block kind by: where the
+    block is and what it expects (by default its keywords), for an unknown
+    keyword's message, then `entries`.  They map each keyword that may
+    start an entry to `(read, twice)`.  `read` is `STRING` for `= "..."`,
+    the name of a reference field for `= id, id, ...` (referred to from
+    the referrer `block_body` is given), or a `_Parser` method that reads
+    the rest of the entry from its keyword token.  `twice` is the fatal
+    message for a second entry with that keyword, or None where entries
+    may repeat.  Built once, at import, so a block makes no reader."""
+    if not expected:
+        *most, last = entries
+        expected = f"{', '.join(most)}{',' if len(most) > 1 else ''} or {last}"
+    return block, expected, entries
+
+
+_DOCUMENT_ENTRIES = _entry_table(
+    "",
+    {
+        "context": (_Parser.parse_context, "context is declared twice"),
+        **{keyword: (getattr(_Parser, f"parse_{keyword}"), None) for keyword, _ in ELEMENTS},
+    },
+    "one of: " + ", ".join(["context", *(keyword for keyword, _ in ELEMENTS)]),
+)
+_METHODOLOGY_ENTRIES = _entry_table(
+    " in methodology block",
+    {
+        "name": (STRING, "name is set twice"),
+        "category": (_Parser.categories, "category is set twice"),
+        "region": (_Parser.parse_region, "region is declared twice"),
+    },
+)
+_REGION_ENTRIES = _entry_table(
+    " in region block",
+    {
+        **{dim: (_Parser.region_dimension, f"{dim} is set twice") for dim in DIMENSION_NAMES},
+        "severity": (_Parser.severity_range, "severity is set twice"),
+        "weak": (_Parser.weak_level, None),
+    },
+    "severity, role, capability, status, aggregation, or weak(...)",
+)
+_CRITERION_ENTRIES = _entry_table(
+    " in criterion block",
+    {
+        "statement": (STRING, "statement is set twice"),
+        "target": (_Parser.parse_target, "target is declared twice"),
+        "region": (_Parser.parse_region, "region is declared twice"),
+        "indicator": ("indicator_ids", "indicator list is set twice"),
+    },
+)
+_EVIDENCE_ENTRIES = _entry_table(
+    " in evidence block",
+    {"kind": (STRING, "kind is set twice"), "uri": (STRING, "uri is set twice")},
+)
+_ROW_ENTRIES = _entry_table(
+    " in argument block",
+    {
+        "text": (STRING, "text is set twice"),
+        "evidence": ("evidence_ids", "evidence list is set twice"),
+        "limitations": (STRING, "limitations is set twice"),
+        "counter": (STRING, "counter is set twice"),
+    },
+)
 
 
 def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:

@@ -375,9 +375,11 @@ def check_target(
 ) -> TargetCheck:
     """Check a rate-bound target against the summed exposure of one phase.
 
-    Every entry of the phase contributes its exposure; counts contribute
-    where the event definition matches the target's exactly.  Entries in a
-    different exposure unit are a configuration error, not convertible.
+    Every entry of the phase contributes its exposure and its count for the
+    target's event definition, matched exactly.  An entry in a different
+    exposure unit, or with no count for that definition, cannot support
+    the target and raises `ValueError`: a unit is not converted, and a
+    misspelt definition does not count as zero events.
     """
     target = criterion.target
     if target is None or target.kind is not TargetKind.RATE_BOUND:
@@ -398,8 +400,14 @@ def check_target(
                 f"{entry.exposure_unit!r} does not match target unit "
                 f"{target.exposure_unit!r} (no unit conversion)"
             )
+        if target.event_definition not in entry.event_counts:
+            raise ValueError(
+                f"criterion {criterion.id}: release {entry.release} "
+                f"({phase.value}) records no count for event definition "
+                f"{target.event_definition!r}"
+            )
     exposure = sum(entry.exposure for entry in entries)
-    count = sum(entry.event_counts.get(target.event_definition, 0) for entry in entries)
+    count = sum(entry.event_counts[target.event_definition] for entry in entries)
     bound = rate_upper_bound(count, exposure, target.confidence)
     status = TargetStatus.MET if bound <= target.max_rate else TargetStatus.UNMET
     return TargetCheck(
@@ -427,7 +435,8 @@ def drift_check(criterion: AcceptanceCriterion, ledger: ExposureLedger) -> Drift
     """Flag drift when the observed-phase upper bound exceeds the target.
 
     Raises `TargetNotApplicableError` (from `check_target`) for a criterion
-    without a rate-bound target.
+    without a rate-bound target, and `ValueError` for a ledger that cannot
+    support it.
     """
     observed = check_target(criterion, ledger, Phase.OBSERVED)
     if observed.status is TargetStatus.INSUFFICIENT_DATA:

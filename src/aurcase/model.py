@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import sys
 from itertools import chain, repeat
 from math import isfinite
 from operator import attrgetter
@@ -600,20 +601,22 @@ def node_key(parent_key: str, ordinal: int, node_id: str) -> str:
     `<parent key>.<ordinal>`, by its 1-based position among its siblings.
 
     The parser and the rule engine both spell keys here, so diagnostics
-    and source spans line up.
+    and source spans line up.  A derived key is interned, so the parser's
+    span index and the walk kept on the root share one string per key.
     """
-    return node_id or f"{parent_key}.{ordinal}"
+    return node_id or sys.intern(f"{parent_key}.{ordinal}")
 
 
 def row_key(node_key: str, label: str, seen: dict[str, int]) -> str:
     """The key of the next argument row labelled `label` under the node
     keyed `node_key`: `<node key>.<label>`, with `@n` added for the n-th
     row of a label that repeats.  `seen` counts the labels met so far
-    under that node, and this row is added to it.
+    under that node, and this row is added to it.  The key is interned,
+    as `node_key` interns a derived key.
     """
     count = seen.get(label, 0) + 1
     seen[label] = count
-    return f"{node_key}.{label}@{count}" if count > 1 else f"{node_key}.{label}"
+    return sys.intern(f"{node_key}.{label}@{count}" if count > 1 else f"{node_key}.{label}")
 
 
 def _walk_below(

@@ -370,6 +370,27 @@ def test_commands_start_without_generating_classes(tmp_path, argv):
     assert not imported & {"dataclasses", "inspect"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "golden_cat.aur"],
+        ["review", "golden_cat.aur", "--ledger", "{ledger}"],
+        ["report", "golden_cat.aur", "--ledger", "{ledger}", "--out", "{out}"],
+        ["fmt", "golden_cat.aur"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_hash_without_openssl(tmp_path, argv):
+    """`report` digests its inputs with the interpreter's own SHA-256, so
+    no command loads OpenSSL through `hashlib`."""
+    ledger = tmp_path / "nonzero.ledger"
+    ledger.write_text(_NONZERO_LEDGER)
+    argv = [arg.format(ledger=ledger, out=tmp_path / "out") for arg in argv]
+    _, _, imported = _cold_cli_imports(argv)
+    assert "aurcase.report" in imported
+    assert not imported & {"hashlib", "_hashlib"}
+
+
 def test_cold_review_with_a_nonzero_count_stays_light(tmp_path):
     """The golden ledger's zero counts take the closed form; a nonzero
     count exercises the full Poisson solver in a cold process."""

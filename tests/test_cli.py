@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from aurcase import cli, parse, serialize, validate
+from aurcase import cli, dsl, parse, serialize, validate
 from aurcase.cli import run
 from aurcase.lifecycle import parse_ledger, rate_upper_bound, readiness_review
 from aurcase.report import build_report
@@ -288,6 +288,22 @@ class TestReview:
         assert "readiness: blocked" in out
         assert "target unmet" in out
 
+    def test_a_misspelt_event_definition_blocks(self, tmp_path, capsys):
+        # The target counts "injury-causing collision"; a row for another
+        # spelling records no events for it, however much exposure it has.
+        ledger = write(
+            tmp_path,
+            "misspelt.ledger",
+            "release,phase,exposure,exposure_unit,event_definition,count\n"
+            "2024.3.1,predicted,100000000,mi,injury causing collision,5000\n",
+        )
+        assert run(["review", GOLDEN, "--ledger", ledger]) == 1
+        assert capsys.readouterr().out == (
+            "readiness: blocked\n"
+            "  blocker AC1: criterion AC1: release 2024.3.1 (predicted) records no "
+            "count for event definition 'injury-causing collision'\n"
+        )
+
     def test_machine_format(self, capsys):
         assert run(["review", GOLDEN, "--ledger", LEDGER, "--format", "machine"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -454,6 +470,41 @@ class TestFmt:
         assert expected.out == golden_cat_text
         assert run(["fmt", bom]) == 0
         assert capsys.readouterr() == expected
+
+    def test_a_case_longer_than_one_write_slice_is_written_whole(self, tmp_path, capsys):
+        text = scaled_golden(20)
+        assert len(text) > 2 * cli._WRITE_SLICE
+        path = write(tmp_path, "x20.aur", text)
+        assert run(["fmt", path]) == 0
+        assert capsys.readouterr().out == serialize(parse(text, path).case)
+
+    def test_only_the_case_is_held_while_the_output_is_built(
+        self, tmp_path, capsys, monkeypatch, golden_cat_text
+    ):
+        # The file name is this test's own, so only this command's source counts.
+        path = write(tmp_path, "held.aur", golden_cat_text)
+        alive: list[tuple[str, int, int]] = []
+
+        def sources() -> int:
+            return sum(
+                isinstance(o, dsl._Source) and o.file == path for o in gc.get_objects()
+            )
+
+        def recording(name: str, step):
+            def call(*args, **kwargs):
+                before = sources()
+                value = step(*args, **kwargs)
+                alive.append((name, before, sources()))
+                return value
+
+            return call
+
+        monkeypatch.setattr(cli, "parse", recording("parse", cli.parse))
+        monkeypatch.setattr(cli, "serialize", recording("serialize", cli.serialize))
+        assert run(["fmt", path]) == 0
+        assert capsys.readouterr().out == golden_cat_text
+        # The parse result holds the source until the refusal check is done.
+        assert alive == [("parse", 0, 1), ("serialize", 0, 0)]
 
     def test_unresolved_case_refuses(self, tmp_path, capsys):
         path = write(tmp_path, "dangling.aur", mutate("E009"))

@@ -688,6 +688,22 @@ def test_span_index_covers_every_element(golden_cat_text, name):
     assert set(result.span_index) - top_level == set(claim_keys + row_keys)
 
 
+@pytest.mark.parametrize("name", ["golden_cat.aur", "nested_anonymous.aur"])
+def test_walk_keys_are_the_span_index_keys(golden_cat_text, name):
+    """The walk kept on each root holds the parser's key strings, not
+    copies: each claim and row key is the span index's own object."""
+    text = golden_cat_text if name == "golden_cat.aur" else _NESTED_ANONYMOUS
+    result = parse(text, name)
+    declared = {key: key for key in result.span_index}
+    keys = []
+    for root in result.case.claims:
+        keys += [key for _node, key in iter_claim_nodes(root)]
+        for _row, key, _node, node_key in iter_rows(root):
+            keys += [key, node_key]
+    assert any(key.count(".") > 1 for key in keys)  # derived keys are among them
+    assert [key for key in keys if declared[key] is not key] == []
+
+
 def test_serialize_requires_resolved_case():
     from aurcase.model import UnresolvedCaseError
 

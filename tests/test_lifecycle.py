@@ -333,7 +333,7 @@ class TestCheckTarget:
         assert rel_err(check.upper_bound, 2.99573e-6) < 1e-5
 
     def test_unmet_with_a_tenth_of_the_exposure(self):
-        ledger = ExposureLedger(entries=(entry(exposure=1e5),))
+        ledger = ExposureLedger(entries=(entry(exposure=1e5, counts={"crash": 0}),))
         check = check_target(make_criterion(event="crash"), ledger, Phase.PREDICTED)
         assert check.status is TargetStatus.UNMET
         assert rel_err(check.upper_bound, 2.99573e-5) < 1e-5
@@ -359,6 +359,23 @@ class TestCheckTarget:
         ledger = ExposureLedger(entries=(entry(unit="km"),))
         with pytest.raises(ValueError, match="no unit conversion"):
             check_target(make_criterion(unit="mi"), ledger, Phase.PREDICTED)
+
+    def test_an_entry_without_the_target_definition_cannot_support_it(self):
+        # A misspelt definition is no evidence of zero events: refused, not
+        # summed as 0, in either phase.
+        ledger = ExposureLedger(
+            entries=(
+                entry(release="2024.3.1", exposure=1e8, counts={"crash ": 5000}),
+                entry(release="2024.2.0", phase=Phase.OBSERVED, counts={"Crash": 1}),
+            )
+        )
+        for phase, release in [(Phase.PREDICTED, "2024.3.1"), (Phase.OBSERVED, "2024.2.0")]:
+            with pytest.raises(ValueError) as excinfo:
+                check_target(make_criterion(event="crash"), ledger, phase)
+            assert str(excinfo.value) == (
+                f"criterion AC1: release {release} ({phase.value}) records no count "
+                "for event definition 'crash'"
+            )
 
     def test_qualitative_target_not_applicable(self):
         criterion = AcceptanceCriterion(
@@ -533,6 +550,52 @@ class TestReadinessReview:
         approval_rests_on_finite_numbers()
         assert approvals > 0, "property would be vacuous: no approved decision"
 
+    def test_approval_needs_a_count_for_every_target_definition(self, golden_cat_text):
+        case = self.golden_case(golden_cat_text)
+        definitions = {
+            c.target.event_definition for c in lifecycle.quantitative_criteria(case)
+        }
+        assert definitions == {"injury-causing collision"}
+        outcomes = set()
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(
+            rows=st.lists(
+                st.tuples(
+                    st.sampled_from(["2024.3.1", "2024.3.2"]),
+                    st.sampled_from(list(Phase)),
+                    st.sampled_from(
+                        [
+                            "injury-causing collision",
+                            "injury causing collision",
+                            "Injury-causing collision",
+                            "near-miss",
+                        ]
+                    ),
+                    st.integers(min_value=0, max_value=3),
+                ),
+                unique_by=lambda row: row[:3],
+                max_size=5,
+            )
+        )
+        def approval_needs_every_definition(rows):
+            # Exposure enough for any count drawn here to meet the target.
+            ledger = parse_ledger(
+                _LEDGER_HEADER
+                + "".join(
+                    f"{release},{phase.value},100000000,mi,{event},{count}\n"
+                    for release, phase, event, count in rows
+                )
+            )
+            predicted = ledger.for_phase(Phase.PREDICTED)
+            covered = all(definitions <= entry.event_counts.keys() for entry in predicted)
+            decision = readiness_review(case, ledger)
+            assert decision.approved == (bool(predicted) and covered)
+            outcomes.add((decision.approved, covered))
+
+        approval_needs_every_definition()
+        # Neither side of the property is vacuous.
+        assert {(True, True), (False, False)} <= outcomes
 
 
 class TestNonFiniteInputs:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import re
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -15,6 +18,7 @@ from aurcase.model import Cell
 from aurcase.report import (
     build_report,
     diagnostic_line,
+    digest_of,
     render_diagnostics,
     render_coverage_text,
     render_heatmap,
@@ -25,7 +29,7 @@ from aurcase.report import (
     trace_matrix,
 )
 
-from conftest import fixture_text, pipeline
+from conftest import FIXTURES, fixture_text, pipeline
 from mutations import MUTATIONS
 from oracles import trace_rows
 from strategies import safety_cases
@@ -295,3 +299,31 @@ def test_render_json_refuses_non_finite_numbers():
         render_json({"upper_bound": float("inf")})
     with pytest.raises(ValueError):
         render_json({"exposure": float("nan")})
+
+
+_DIGEST_INPUTS = {
+    "golden_cat.aur": (FIXTURES / "golden_cat.aur").read_bytes(),
+    "golden.ledger": (FIXTURES / "golden.ledger").read_bytes(),
+    "empty": b"",
+    "random-1MiB": random.Random(17).randbytes(1 << 20),
+}
+
+
+@pytest.mark.parametrize("name", list(_DIGEST_INPUTS))
+def test_digest_is_the_sha256_of_the_bytes(name):
+    data = _DIGEST_INPUTS[name]
+    assert digest_of(name, data) == {
+        "path": name,
+        "sha256": hashlib.sha256(data).hexdigest(),
+    }
+
+
+def test_digest_falls_back_to_hashlib_without_the_builtin_modules(monkeypatch):
+    # A None entry in sys.modules makes importing that module fail.
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    sha256, calls = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+    for name, data in _DIGEST_INPUTS.items():
+        assert digest_of(name, data)["sha256"] == sha256(data).hexdigest()
+    assert calls == list(_DIGEST_INPUTS.values())
