@@ -34,7 +34,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .diagnostics import Diagnostic, Severity
-from .dsl import ParseResult, parse, serialize
+from .dsl import ParseResult, _canonical_lines, parse
 from .lifecycle import ExposureLedger, parse_ledger, readiness_review
 from .model import resolve_references
 from .report import (
@@ -64,7 +64,7 @@ EXIT_USAGE = 2
 
 CONFIG_ENV_VAR = "AURCASE_CONFIG"
 
-_WRITE_SLICE = 1 << 16  # characters of `fmt` output encoded at a time
+_WRITE_SLICE = 1 << 10  # lines of `fmt` output joined and written at a time
 
 
 class _Exit(Exception):
@@ -229,7 +229,8 @@ def _cmd_analysis(args: argparse.Namespace) -> int:
         "trace": (trace_matrix, trace_dict, render_trace_text),
     }[args.command]
     result, config = _resolved(args)
-    diagnostics = _validated(result, config)
+    # Only the findings' count by rule is printed, so they need no spans.
+    diagnostics = validate(result.case, config)
     analysis = analyse(result.case)
     text = render_json(to_dict(analysis)) if args.format == "machine" else to_text(analysis)
     print(text, end="")
@@ -321,13 +322,16 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
         print(diagnostic_line(Diagnostic("E008", Severity.ERROR, refusal)), file=sys.stderr)
         raise _Exit(EXIT_FINDINGS)
     # Only the case is written: the text and span maps go first, so they
-    # are not held while `serialize` builds the output.  The output goes
-    # out in slices, so no encoded copy of all of it is held either.
+    # are not held while the output is built.  The output's lines are
+    # joined and written a slice at a time, so neither the whole text nor
+    # an encoded copy of it is held beside them.
     case = result.case
     del result
-    text = serialize(case)
-    for start in range(0, len(text), _WRITE_SLICE):
-        sys.stdout.write(text[start : start + _WRITE_SLICE])
+    lines = _canonical_lines(case)
+    for start in range(0, len(lines), _WRITE_SLICE):
+        if start:
+            sys.stdout.write("\n")
+        sys.stdout.write("\n".join(lines[start : start + _WRITE_SLICE]))
     return EXIT_OK
 
 

@@ -10,12 +10,14 @@ Parsing never raises on malformed input, and reports the first fatal
 problem as a diagnostic.  Dangling references are not fatal: the case is
 still returned, carrying one E009 diagnostic per unresolved reference so
 downstream analyses can refuse with context.  The lexer keeps no object
-per token but its word: one scan yields parallel sequences of token
-kinds, words and start offsets, and the parser is a cursor over them.  A
-span keeps only the start offset of the token that declares an element
-or makes a cross-reference; the token is matched again there, and its
-precise source span made, only when the span is looked up.  One leading
-byte order mark is dropped, and positions count from after it.
+per token but its word: it scans the text in runs of whole lines, one
+`findall` each, into parallel sequences of token kinds and words, and the
+parser is a cursor over them.  No token's offset is kept, only the offset
+and first token of each run.  A span keeps only the index of the token
+that declares an element or makes a cross-reference; the token's run is
+matched again up to it, and its precise source span made, only when the
+span is looked up, so a clean case looks up no offset.  One leading byte
+order mark is dropped, and positions count from after it.
 
 Serialization is canonical: stable field order, two-space indentation,
 elements ordered by identifier, and deterministic to the byte.
@@ -26,9 +28,9 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, dangling_references
@@ -116,19 +118,21 @@ _ESCAPE_OUT = str.maketrans(
 # break or an escape the format does not know.
 _STRING_BODY = re.compile(r'[^"\\\n]*(?:\\[\\"ntr][^"\\\n]*)*')
 
-# One token per match.  Group 1 holds the blanks and comments before it,
-# group 2 the token, which is empty at the end of the text.  The token's
-# alternatives are punctuation, an identifier, a string, a number, then any
-# one character.  No two before the last match at the same offset, so their
-# order only sets the speed: the commonest come first.  `\d` is a Unicode
-# decimal digit and `\w` a character for which `str.isalnum()` is true, or
-# `_`.  A number starts with a digit, a sign before a digit or a dot, or a
-# dot before a digit; a dot joins an identifier only when another
+# One token per match.  The blanks and comments before a token are not
+# kept; group 1 is the token, which is empty at the end of the text.  The
+# token's alternatives are punctuation, an identifier, a string, a number,
+# then any one character.  No two before the last match at the same offset,
+# so their order only sets the speed: the commonest come first.  `\d` is a
+# Unicode decimal digit and `\w` a character for which `str.isalnum()` is
+# true, or `_`.  A number starts with a digit, a sign before a digit or a
+# dot, or a dot before a digit; a dot joins an identifier only when another
 # identifier character follows it, so `..` stays the range operator.  The
 # one-character fallback takes what starts no token, including a quote
-# that opens a malformed string.
+# that opens a malformed string.  No token holds a line break, and no
+# lookahead reads past one, so a run of whole lines lexes alone as it does
+# in the whole text.
 _TOKEN = re.compile(
-    r"([ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)"
+    r"(?:[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)"
     r"([{}()=,]|\.\."
     r"|[^\W\d][\w-]*(?:\.[\w-]+)*"
     f'|"{_STRING_BODY.pattern}"'
@@ -177,29 +181,76 @@ class _Source:
         return SourceSpan(self.file, line, col, line, col + end - start)
 
 
-def _lex(text: str, file_name: str) -> tuple[list[str], list[str], array]:
+# The fewest characters the lexer scans at once: a run of whole lines
+# ends just after the first line break this far past its start.
+_RUN = 512
+
+
+def _lex(text: str, file_name: str) -> tuple[list[str], list[str], _Starts]:
     """The kinds, words and start offsets of the tokens of `text`, ending
     with EOF; raises `_Fatal` at the first token that fails to lex."""
-    # One match per token.  Only the token is copied out of the text: blank
-    # runs made into strings would be freed among the words and leave holes
-    # that raise the parse's peak.  Offsets below 2 GiB take 32 bits.
+    # Each run of lines is one `findall` in C, which makes no object but
+    # the words.  Only the offset and first token of each run are kept; a
+    # token's offset is found again when it is asked for (`_Starts`).
+    # Offsets below 2 GiB take 32 bits.
     words: list[str] = []
-    starts = array("i" if len(text) < 2**31 else "q")
-    add_word, add_start = words.append, starts.append
-    for match in _TOKEN.finditer(text):
-        add_word(match[2])
-        add_start(match.start(2))
-    if len(words) > 1 and not words[-2]:
-        words.pop()  # an empty match after trailing blanks: a second EOF
-        starts.pop()
+    code = "i" if len(text) < 2**31 else "q"
+    run_offsets, run_firsts = array(code), array(code)
+    findall, size, pos = _TOKEN.findall, len(text), 0
+    while pos < size:
+        end = text.find("\n", pos + _RUN - 1) + 1 or size
+        first = len(words)
+        run_offsets.append(pos)
+        run_firsts.append(first)
+        words += findall(text, pos, end)
+        # The scan ends with an empty match at `end`, and one more before
+        # it if blanks end the run.  No token is empty, so both go.
+        del words[-1]
+        if len(words) > first and not words[-1]:
+            del words[-1]
+        pos = end
+    words.append("")  # EOF
+    starts = _Starts(text, run_offsets, run_firsts, len(words))
     kinds = list(map(_FIRST_KINDS.get, map(_first, words)))
     # Only a token that `_FIRST_KINDS` cannot place, a quote or a number can
     # fail; check those in text order.
     suspects = {*_indices(kinds, None), *_indices(kinds, NUMBER), *_indices(words, '"')}
     for index in sorted(suspects):
-        word, start = words[index], starts[index]
-        kinds[index] = _checked_kind(text, file_name, word, start, kinds[index])
+        kind = _checked_kind(words[index], kinds[index])
+        if kind is None:
+            raise _lex_error(text, file_name, words[index], starts[index])
+        kinds[index] = kind
     return kinds, words, starts
+
+
+class _Starts(Sequence):
+    """The start offsets of the lexer's tokens, each found when it is asked
+    for.  Only the offset and first token of each run of lines are kept:
+    a token's run is found by bisection, and the run matched again up to
+    the token.  A token that lexes needs no offset, so a clean case asks
+    for none."""
+
+    def __init__(self, text: str, run_offsets: array, run_firsts: array, count: int):
+        self._text = text
+        self._run_offsets = run_offsets
+        self._run_firsts = run_firsts
+        self._count = count
+
+    def match(self, token: int) -> re.Match:
+        """The match of `_TOKEN` whose group 1 is the token."""
+        if not 0 <= token < self._count:
+            raise IndexError("token index out of range")
+        if token == self._count - 1:  # EOF, at the end of the text
+            return _TOKEN.match(self._text, len(self._text))
+        run = bisect_right(self._run_firsts, token) - 1
+        matches = _TOKEN.finditer(self._text, self._run_offsets[run])
+        return next(islice(matches, token - self._run_firsts[run], None))
+
+    def __getitem__(self, token: int) -> int:
+        return self.match(token).start(1)
+
+    def __len__(self) -> int:
+        return self._count
 
 
 def _indices(items: list, value) -> Iterator[int]:
@@ -213,34 +264,27 @@ def _indices(items: list, value) -> Iterator[int]:
         return
 
 
-def _checked_kind(
-    text: str, file_name: str, word: str, start: int, kind: str | None
-) -> str:
-    """The kind of the token `word` at offset `start`, `kind` if its first
-    character told it; raises `_Fatal` if the token fails to lex."""
+def _checked_kind(word: str, kind: str | None) -> str | None:
+    """The kind of the token `word`, `kind` if its first character told
+    it; None if the token fails to lex.  It takes no offset, so a token
+    that lexes costs no lookup."""
     if word == '"':
-        raise _lex_error(text, file_name, *_bad_string(text, start))
+        return None  # a malformed string
     if kind is None:
-        kind = _odd_kind(word, text[start + 1 : start + 2])
-    if kind is None:  # no token, or a word character that starts none ('²', 'Ⅻ')
-        message = f"unexpected character {word[0]!r}"
-        raise _lex_error(text, file_name, message, start, start + 1)
+        kind = _odd_kind(word)
     if kind == NUMBER:
         try:
             float(word)
         except ValueError:
-            if _EXPONENT_WITHOUT_DIGITS.search(word):
-                message = "malformed number: exponent has no digits"
-            else:
-                message = f"malformed number {word!r}"
-            raise _lex_error(text, file_name, message, start, start + len(word)) from None
+            return None
     return kind
 
 
-def _odd_kind(word: str, following: str) -> str | None:
+def _odd_kind(word: str, following: str = "") -> str | None:
     """The kind of a token whose first character `_FIRST_KINDS` does not
     place ('+', '-', '.', non-ASCII and stray characters), given the
-    character `following` it; None for no token."""
+    character `following` it; None for no token.  A lone sign fails to lex
+    whatever follows it, so only its message needs `following`."""
     first = word[0]
     if word == "..":
         return PUNCT
@@ -255,7 +299,19 @@ def _odd_kind(word: str, following: str) -> str | None:
     return None
 
 
-def _lex_error(text: str, file_name: str, message: str, start: int, end: int) -> _Fatal:
+def _lex_error(text: str, file_name: str, word: str, start: int) -> _Fatal:
+    """The fatal for the token `word` at offset `start`, which fails to lex."""
+    if word == '"':
+        message, start, end = _bad_string(text, start)
+    elif (_FIRST_KINDS.get(word[0]) or _odd_kind(word, text[start + 1 : start + 2])) == NUMBER:
+        if _EXPONENT_WITHOUT_DIGITS.search(word):
+            message = "malformed number: exponent has no digits"
+        else:
+            message = f"malformed number {word!r}"
+        end = start + len(word)
+    else:  # no token, or a word character that starts none ('²', 'Ⅻ')
+        message = f"unexpected character {word[0]!r}"
+        end = start + 1
     return _Fatal(_syntax_error(message, _Source(text, file_name).span(start, end)))
 
 
@@ -286,26 +342,24 @@ _KIND_HINTS = {STRING: " (a quoted string)", NUMBER: " (a number)"}
 
 class _Spans(Mapping):
     """A read-only map from each key to the span of the token it was
-    recorded at.  Only the token's start offset is kept; on lookup the
-    token is matched again there, and its span made."""
+    recorded at.  Only the token's index is kept; on lookup `span` matches
+    the token again and makes its span."""
 
-    def __init__(self, offsets: dict[object, int], source: _Source):
-        self._offsets = offsets
-        self._source = source
+    def __init__(self, tokens: dict[object, int], span: Callable[[int], SourceSpan]):
+        self._tokens = tokens
+        self._span = span
 
     def __getitem__(self, key) -> SourceSpan:
-        start = self._offsets[key]
-        # At a token's start no blanks come first, so group 2 is the token.
-        return self._source.span(start, _TOKEN.match(self._source.text, start).end(2))
+        return self._span(self._tokens[key])
 
     def __contains__(self, key) -> bool:
-        return key in self._offsets
+        return key in self._tokens
 
     def __iter__(self):
-        return iter(self._offsets)
+        return iter(self._tokens)
 
     def __len__(self) -> int:
-        return len(self._offsets)
+        return len(self._tokens)
 
     def __repr__(self) -> str:
         return f"_Spans({dict(self)!r})"
@@ -314,13 +368,15 @@ class _Spans(Mapping):
 class _Parser:
     """A cursor over the lexer's sequences; a token is its index."""
 
-    def __init__(self, tokens: tuple[list[str], list[str], array], source: _Source):
+    def __init__(self, tokens: tuple[list[str], list[str], _Starts], source: _Source):
         self.kinds, self.words, self.starts = tokens
         self.source = source
         self.pos = 0
+        # The token each span key and reference was recorded at.
         self.span_index: dict[str, int] = {}
         self.ref_spans: dict[tuple[str, str, str], int] = {}
         self.open_blocks: list[tuple[str, int]] = []
+        self.shared_sets: dict[frozenset, frozenset] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -330,22 +386,22 @@ class _Parser:
             self.pos += 1
         return token
 
-    def offsets(self, token: int) -> tuple[int, int]:
-        start = self.starts[token]
-        return start, start + len(self.words[token])
+    def span(self, token: int) -> SourceSpan:
+        """The source span of `token`, found by matching its run again."""
+        return self.source.span(*self.starts.match(token).span(1))
 
-    def where(self, offset: int) -> str:
-        return "%d:%d" % self.source.position(offset)
+    def where(self, token: int) -> str:
+        return "%d:%d" % self.source.position(self.starts[token])
 
     def _fatal(self, message: str, token: int) -> _Fatal:
-        return _Fatal(_syntax_error(message, self.source.span(*self.offsets(token))))
+        return _Fatal(_syntax_error(message, self.span(token)))
 
     def _eof_message(self, expected: str) -> str:
         if self.open_blocks:
             desc, opener = self.open_blocks[-1]
             return (
                 f"expected {expected} to close {desc} opened at "
-                f"{self.where(self.starts[opener])}, found end of document"
+                f"{self.where(opener)}, found end of document"
             )
         return f"expected {expected}, found end of document"
 
@@ -457,20 +513,20 @@ class _Parser:
                     f"duplicate identifier {name!r}; first declared at "
                     f"{self.where(previous)}",
                     subject_id=name,
-                    span=self.source.span(*self.offsets(token)),
+                    span=self.span(token),
                 )
             )
-        self.span_index[name] = self.starts[token]
+        self.span_index[name] = token
         return name
 
     def reference(self, referrer: str, field_name: str, what: str) -> str:
-        """The identifier `referrer` names in `field_name`; its token's
-        offsets are kept for reference diagnostics."""
+        """The identifier `referrer` names in `field_name`; its token is
+        kept for reference diagnostics."""
         token = self.expect(IDENT, what)
         name = self.words[token]
         key = (referrer, field_name, name)
         if key not in self.ref_spans:
-            self.ref_spans[key] = self.starts[token]
+            self.ref_spans[key] = token
         return name
 
     def enum_value(self, table: dict, what: str):
@@ -503,11 +559,18 @@ class _Parser:
     def assigned_list(self, item) -> frozenset:
         """`= item, item, ...`."""
         self.take("=")
-        return frozenset(self.comma_list(item))
+        return self.shared(self.comma_list(item))
+
+    def shared(self, items) -> frozenset:
+        """`items` as a frozenset: the one this parse made before, if equal.
+        A scaled case repeats a few region dimension and category sets
+        thousands of times."""
+        value = frozenset(items)
+        return self.shared_sets.setdefault(value, value)
 
     def assigned_ids(self, referrer: str, field_name: str) -> frozenset[str]:
         """`= id, id, ...`, each read as `reference` reads one."""
-        words, kinds, starts, ref_spans = self.words, self.kinds, self.starts, self.ref_spans
+        words, kinds, ref_spans = self.words, self.kinds, self.ref_spans
         self.take("=")
         pos = self.pos
         names = []
@@ -515,7 +578,7 @@ class _Parser:
             name = words[pos]
             key = (referrer, field_name, name)
             if key not in ref_spans:
-                ref_spans[key] = starts[pos]
+                ref_spans[key] = pos
             names.append(name)
             if words[pos + 1] != ",":
                 self.pos = pos + 1
@@ -529,7 +592,7 @@ class _Parser:
     def parse_document(self) -> SafetyCase:
         header = self.take("safety_case")
         case_id = self.string("the case identifier")
-        self.span_index[CASE_SPAN] = self.starts[header]
+        self.span_index[CASE_SPAN] = header
         self.open_block(f"safety_case {case_id!r}")
         body = self.block_body(_DOCUMENT_ENTRIES)
 
@@ -545,8 +608,7 @@ class _Parser:
         # Building the case walks each claim tree and keeps the walk on its
         # root (see `iter_claim_nodes`): drop the spent tokens first, so the
         # walks take their memory instead of adding to the parse's peak.
-        header_offsets = self.offsets(header)
-        del self.kinds, self.words, self.starts
+        del self.kinds, self.words
         try:
             return SafetyCase(
                 id=case_id,
@@ -554,11 +616,10 @@ class _Parser:
                 **{name: tuple(body.get(keyword, ())) for keyword, name in ELEMENTS},
             )
         except ModelError as exc:
-            span = self.source.span(*header_offsets)
-            raise _Fatal(_syntax_error(f"invalid case: {exc}", span)) from exc
+            raise self._fatal(f"invalid case: {exc}", header) from exc
 
     def parse_context(self, keyword: int) -> ContextBlock:
-        self.span_index[CONTEXT_SPAN] = self.starts[keyword]
+        self.span_index[CONTEXT_SPAN] = keyword
         self.open_block("context block")
         values: dict[str, str] = {}
         while not self.at("}"):
@@ -572,7 +633,7 @@ class _Parser:
             if name in values:
                 raise self._fatal(f"context field {name!r} is set twice", key)
             values[name] = self.assigned_string(key)
-            self.span_index[f"{CONTEXT_SPAN}.{name}"] = self.starts[key]
+            self.span_index[f"{CONTEXT_SPAN}.{name}"] = key
         self.close_block()
         return ContextBlock(**values)
 
@@ -643,7 +704,7 @@ class _Parser:
             raise self._fatal(
                 f"severity range {low.name}..{high.name} is reversed", high_token
             )
-        return frozenset(level for level in SeverityLevel if low <= level <= high)
+        return self.shared(level for level in SeverityLevel if low <= level <= high)
 
     def categories(self, _keyword: int) -> frozenset:
         return self.assigned_list(self.category)
@@ -939,8 +1000,8 @@ def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:
         )
         return ParseResult(case=None, diagnostics=(diagnostic,))
 
-    span_index = _Spans(parser.span_index, source)
-    reference_spans = _Spans(parser.ref_spans, source)
+    span_index = _Spans(parser.span_index, parser.span)
+    reference_spans = _Spans(parser.ref_spans, parser.span)
     diagnostics = dangling_references(
         resolve_references(case), Severity.ERROR, reference_spans, span_index
     )
@@ -1115,6 +1176,13 @@ def serialize(case: SafetyCase) -> str:
     otherwise, and `ValueError` for regions the format cannot express
     (an empty dimension, non-contiguous severity sets).
     """
+    return "\n".join(_canonical_lines(case))
+
+
+def _canonical_lines(case: SafetyCase) -> list[str]:
+    """The lines of `serialize(case)`, which joins them with '\\n'; the
+    last one ends with it.  A writer can join and write them a slice at a
+    time, and never hold the whole text beside them."""
     require_resolved(case)
     blocks = chain(
         [_context(case.context)],
@@ -1125,7 +1193,7 @@ def serialize(case: SafetyCase) -> str:
         map(_evidence, case.evidence),
     )
     # Blocks are built one at a time and indented straight into `lines`,
-    # so that no second copy of the whole text is held before the join.
+    # so that no second copy of the whole text is held.
     lines = [f"safety_case {_quote(case.id)} {{"]
     for index, block in enumerate(blocks):
         if index:
@@ -1135,4 +1203,4 @@ def serialize(case: SafetyCase) -> str:
         lines.append("")
         _claim(root, lines, "  ")
     lines.append("}\n")
-    return "\n".join(lines)
+    return lines

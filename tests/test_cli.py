@@ -239,11 +239,17 @@ class TestAnalysisExitReason:
     exit 1, counted by rule, and leave stdout to the analysis."""
 
     def test_error_findings_are_counted_by_rule_on_stderr(
-        self, tmp_path, capsys, command, output
+        self, tmp_path, capsys, monkeypatch, command, output
     ):
         scale = 'deployment_scale = "Up to 400 vehicles, about one million miles per quarter"'
         text = fixture_text("golden_cat.aur").replace("evidence = E3\n", "\n").replace(scale, "")
         path = write(tmp_path, "uncited.aur", text)
+
+        def no_lookup(self, token):
+            raise AssertionError(f"offset of token {token} looked up")
+
+        # Only counts are printed, so no finding's span is looked up.
+        monkeypatch.setattr(dsl._Starts, "match", no_lookup)
         args = [command, path, "--format", output, "--review-ready"]
         assert run(args) == 1
         out, err = capsys.readouterr()
@@ -473,7 +479,7 @@ class TestFmt:
 
     def test_a_case_longer_than_one_write_slice_is_written_whole(self, tmp_path, capsys):
         text = scaled_golden(20)
-        assert len(text) > 2 * cli._WRITE_SLICE
+        assert text.count("\n") > 2 * cli._WRITE_SLICE
         path = write(tmp_path, "x20.aur", text)
         assert run(["fmt", path]) == 0
         assert capsys.readouterr().out == serialize(parse(text, path).case)
@@ -500,7 +506,9 @@ class TestFmt:
             return call
 
         monkeypatch.setattr(cli, "parse", recording("parse", cli.parse))
-        monkeypatch.setattr(cli, "serialize", recording("serialize", cli.serialize))
+        monkeypatch.setattr(
+            cli, "_canonical_lines", recording("serialize", cli._canonical_lines)
+        )
         assert run(["fmt", path]) == 0
         assert capsys.readouterr().out == golden_cat_text
         # The parse result holds the source until the refusal check is done.

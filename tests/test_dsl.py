@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from aurcase import dsl
 from aurcase.coverage import Signal, coverage_map, region_cells
 from aurcase.diagnostics import Diagnostic, Severity, SourceSpan
 from aurcase.dsl import (
@@ -34,6 +35,7 @@ from aurcase.model import (
     iter_claim_nodes,
     iter_rows,
 )
+from aurcase.rules import validate
 
 from conftest import FIXTURES
 from strategies import safety_cases
@@ -1121,3 +1123,73 @@ def test_the_lexer_makes_no_object_per_token():
         tracemalloc.stop()
     assert len(kinds) == 9789
     assert peak / len(kinds) <= 120, f"{peak / len(kinds):.1f} bytes per token"
+
+
+# -- runs of lines and lazy offsets --------------------------------------------
+
+
+def _lexed_and_parsed(text: str) -> tuple:
+    """What the lexer and the parser make of `text`: tokens with the offset
+    of every 13th looked up by index (each lookup scans up to its token
+    from its run's start), or the fatal; then the diagnostics and, unless
+    the parse was fatal, both span maps."""
+    try:
+        kinds, words, starts = _lex(text, "d.aur")
+        tokens = (kinds, words, [starts[index] for index in range(0, len(starts), 13)])
+    except _Fatal as fatal:
+        tokens = fatal.diagnostic
+    result = parse(text, "d.aur")
+    if result.fatal:
+        return tokens, result.diagnostics
+    return tokens, result.diagnostics, dict(result.span_index), dict(result.reference_spans)
+
+
+@pytest.mark.parametrize("run", [1, 1 << 40], ids=["one line per run", "one run"])
+@pytest.mark.parametrize("corpus", ["golden_edits", "golden_line_edits", "fuzz"])
+def test_the_run_length_changes_no_token_span_or_fatal(monkeypatch, corpus, run):
+    texts = _golden_line_edits(47, 300) if corpus == "golden_line_edits" else _lexer_corpus(corpus)
+    expected = [_lexed_and_parsed(text) for text in texts]
+    monkeypatch.setattr(dsl, "_RUN", run)
+    for text, want in zip(texts, expected):
+        assert _lexed_and_parsed(text) == want, text
+
+
+@pytest.fixture()
+def offset_lookups(monkeypatch) -> list[int]:
+    """The tokens whose offset is looked up from here on."""
+    looked_up: list[int] = []
+    match = dsl._Starts.match
+
+    def recording(self, token):
+        looked_up.append(token)
+        return match(self, token)
+
+    monkeypatch.setattr(dsl._Starts, "match", recording)
+    return looked_up
+
+
+def test_a_clean_parse_and_validate_look_up_no_offset(offset_lookups):
+    text = _golden_scaled(10)
+    result = parse(text, "x10.aur")
+    assert not result.fatal and not result.diagnostics
+    assert validate(result.case, None, result.span_index, result.reference_spans) == []
+    # Tokens that `_FIRST_KINDS` cannot place, but that lex, need none either.
+    kinds, _, _ = _lex('a .. b = -1.5 +2 .5 é_1 Ω "x" 3e+1', "odd.aur")
+    assert kinds[-4:] == ["IDENT", "STRING", "NUMBER", "EOF"]
+    assert offset_lookups == []
+    # A span that is asked for looks up its token's offset.
+    assert result.span_index["H1"] == SourceSpan("x10.aur", 12, 10, 12, 12)
+    assert len(offset_lookups) == 1
+
+
+def test_equal_sets_in_one_parse_are_one_object(golden_cat_text):
+    text = _golden_scaled(2)
+    result = parse(text, "x2.aur")
+    first, second = (m.region for m in result.case.methodologies[:2])
+    assert first == second
+    for dim, attribute, _ in SPACE_DIMENSIONS:
+        assert getattr(first, attribute) is getattr(second, attribute), dim
+    # Another parse makes its own.
+    other = parse(text, "x2.aur").case.methodologies[0].region
+    assert other.roles == first.roles and other.roles is not first.roles
+    assert serialize(parse(golden_cat_text, "g.aur").case) == golden_cat_text
