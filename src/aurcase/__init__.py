@@ -5,144 +5,47 @@ types, `dsl` the textual format, `rules` the structural credibility
 checks, `coverage` the acceptance-criteria space algebra, `lifecycle` the
 exposure ledger and readiness gate, and `report`/`cli` the renderers and
 command-line front end.
+
+Names load on first use (PEP 562): `import aurcase` imports only the
+version, and `aurcase.parse` or `from aurcase import parse` then imports
+`aurcase.dsl`. Each name is the object its module defines.
 """
 
-from ._version import __version__
-from .coverage import (
-    BalanceClass,
-    CoverageMap,
-    GapReport,
-    InvalidRegionError,
-    Signal,
-    aggregation_balance,
-    coverage_map,
-    gap_report,
-    region_cells,
-)
-from .diagnostics import Diagnostic, Severity, SourceSpan
-from .dsl import ParseResult, parse, serialize
-from .lifecycle import (
-    DriftCheck,
-    DriftStatus,
-    ExposureLedger,
-    LedgerEntry,
-    Phase,
-    ReadinessDecision,
-    TargetCheck,
-    TargetStatus,
-    check_target,
-    drift_check,
-    parse_ledger,
-    rate_upper_bound,
-    readiness_review,
-)
-from .model import (
-    AcceptanceCriterion,
-    AcSpaceRegion,
-    AggregationLevel,
-    ArgumentRow,
-    BehavioralCapability,
-    CausalStage,
-    Cell,
-    ClaimKind,
-    ClaimNode,
-    ConflictRole,
-    ContextBlock,
-    Evidence,
-    EvidenceStrength,
-    FunctionalityStatus,
-    Hazard,
-    HazardCategory,
-    Indicator,
-    IndicatorKind,
-    Methodology,
-    ModelError,
-    SafetyCase,
-    SeverityLevel,
-    TargetKind,
-    UnresolvedCaseError,
-    ValidationTarget,
-    classify_indicator,
-    resolve_references,
-)
-from .report import (
-    ReportDocument,
-    TraceMatrix,
-    build_report,
-    render_heatmap,
-    render_machine,
-    render_text,
-    trace_matrix,
-)
-from .rules import RuleConfig, RuleInfo, parse_config, rule_catalog, validate
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    "AcceptanceCriterion",
-    "AcSpaceRegion",
-    "AggregationLevel",
-    "ArgumentRow",
-    "BalanceClass",
-    "BehavioralCapability",
-    "CausalStage",
-    "Cell",
-    "ClaimKind",
-    "ClaimNode",
-    "ConflictRole",
-    "ContextBlock",
-    "CoverageMap",
-    "Diagnostic",
-    "DriftCheck",
-    "DriftStatus",
-    "Evidence",
-    "EvidenceStrength",
-    "ExposureLedger",
-    "FunctionalityStatus",
-    "GapReport",
-    "Hazard",
-    "HazardCategory",
-    "Indicator",
-    "IndicatorKind",
-    "InvalidRegionError",
-    "LedgerEntry",
-    "Methodology",
-    "ModelError",
-    "ParseResult",
-    "Phase",
-    "ReadinessDecision",
-    "ReportDocument",
-    "RuleConfig",
-    "RuleInfo",
-    "SafetyCase",
-    "Severity",
-    "SeverityLevel",
-    "Signal",
-    "SourceSpan",
-    "TargetCheck",
-    "TargetKind",
-    "TargetStatus",
-    "TraceMatrix",
-    "UnresolvedCaseError",
-    "ValidationTarget",
-    "aggregation_balance",
-    "build_report",
-    "check_target",
-    "classify_indicator",
-    "coverage_map",
-    "drift_check",
-    "gap_report",
-    "parse",
-    "parse_config",
-    "parse_ledger",
-    "rate_upper_bound",
-    "readiness_review",
-    "region_cells",
-    "render_heatmap",
-    "render_machine",
-    "render_text",
-    "resolve_references",
-    "rule_catalog",
-    "serialize",
-    "trace_matrix",
-    "validate",
-]
+from ._version import __version__
+
+# Each submodule and the public names it defines.
+_EXPORTS = {
+    "coverage": "BalanceClass CoverageMap GapReport InvalidRegionError Signal"
+    " aggregation_balance coverage_map gap_report region_cells",
+    "diagnostics": "Diagnostic Severity SourceSpan",
+    "dsl": "ParseResult parse serialize",
+    "lifecycle": "DriftCheck DriftStatus ExposureLedger LedgerEntry Phase ReadinessDecision"
+    " TargetCheck TargetStatus check_target drift_check parse_ledger rate_upper_bound"
+    " readiness_review",
+    "model": "AcceptanceCriterion AcSpaceRegion AggregationLevel ArgumentRow"
+    " BehavioralCapability CausalStage Cell ClaimKind ClaimNode ConflictRole ContextBlock"
+    " Evidence EvidenceStrength FunctionalityStatus Hazard HazardCategory Indicator"
+    " IndicatorKind Methodology ModelError SafetyCase SeverityLevel TargetKind"
+    " UnresolvedCaseError ValidationTarget classify_indicator resolve_references",
+    "report": "ReportDocument TraceMatrix build_report render_heatmap render_machine"
+    " render_text trace_matrix",
+    "rules": "RuleConfig RuleInfo parse_config rule_catalog validate",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

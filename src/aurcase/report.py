@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import time
 from itertools import product
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ._version import __version__
 from .coverage import (
@@ -32,7 +32,6 @@ from .coverage import (
     gap_report,
 )
 from .diagnostics import Diagnostic, Severity, sort_diagnostics
-from .lifecycle import ReadinessDecision
 from .model import (
     ELEMENTS,
     EMPTY_MAPPING,
@@ -44,6 +43,9 @@ from .model import (
     require_resolved,
     value_name,
 )
+
+if TYPE_CHECKING:
+    from .lifecycle import ReadinessDecision
 
 NO_SPACE_NOTE = (
     "no framework space defined for architectural and in-service operational "

@@ -22,6 +22,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import aurcase
 from aurcase.coverage import (
     FULL_REGION,
     BalanceClass,
@@ -310,11 +311,11 @@ _NONZERO_LEDGER = (
 )
 
 
-def _cold_cli_imports(argv: list[str]):
-    """Run the CLI in a cold process with `-X importtime` and without the
-    site module, so that no site-packages hook imports anything; return the
-    process, its wall time and the dotted names of every module imported."""
-    command = [sys.executable, "-S", "-X", "importtime", "-m", "aurcase.cli", *argv]
+def _cold_imports(*args: str):
+    """Run `python *args` in a cold process with `-X importtime` and without
+    the site module, so that no site-packages hook imports anything; return
+    the process, its wall time and the dotted names of every module imported."""
+    command = [sys.executable, "-S", "-X", "importtime", *args]
     completed, elapsed = _run_cli_in_fixtures(command)
     assert completed.returncode == 0, completed.stderr
     imported = {
@@ -323,6 +324,20 @@ def _cold_cli_imports(argv: list[str]):
         if line.startswith("import time:")
     }
     return completed, elapsed, imported - {"imported package"}
+
+
+def _cold_cli_imports(argv: list[str]):
+    return _cold_imports("-m", "aurcase.cli", *argv)
+
+
+def _foreign(imported: set[str]) -> set[str]:
+    """The top-level packages in `imported` that are neither the standard
+    library nor aurcase. importtime also lists failed attempts, such as
+    `copy` probing for Jython's `org`; a module that cannot be found was
+    not imported."""
+    top_level = {name.partition(".")[0] for name in imported}
+    foreign = top_level - set(sys.stdlib_module_names) - {"aurcase"}
+    return {name for name in foreign if importlib.util.find_spec(name)}
 
 
 @pytest.mark.parametrize(
@@ -340,12 +355,8 @@ def test_commands_import_nothing_outside_the_standard_library(tmp_path, argv):
     ledger.write_text(_NONZERO_LEDGER)
     argv = [arg.format(ledger=ledger, out=tmp_path / "out") for arg in argv]
     _, _, imported = _cold_cli_imports(argv)
-    top_level = {name.partition(".")[0] for name in imported}
-    assert "aurcase" in top_level
-    foreign = top_level - set(sys.stdlib_module_names) - {"aurcase"}
-    # importtime also lists failed attempts, such as `copy` probing for
-    # Jython's `org`; a module that cannot be found was not imported.
-    assert not {name for name in foreign if importlib.util.find_spec(name)}
+    assert "aurcase" in imported
+    assert not _foreign(imported)
 
 
 @pytest.mark.parametrize(
@@ -406,3 +417,75 @@ def test_cold_review_with_a_nonzero_count_stays_light(tmp_path):
     assert (target["events"], target["status"]) == (3, "met")
     reference = upper_bound_bisect(3, 1e7, 0.95)
     assert abs(target["upper_bound"] - reference) / reference < 1e-6
+
+
+# -- the package's exports ----------------------------------------------------
+
+PUBLIC_NAMES = frozenset(
+    """
+    __version__ AcceptanceCriterion AcSpaceRegion AggregationLevel ArgumentRow
+    BalanceClass BehavioralCapability CausalStage Cell ClaimKind ClaimNode
+    ConflictRole ContextBlock CoverageMap Diagnostic DriftCheck DriftStatus Evidence
+    EvidenceStrength ExposureLedger FunctionalityStatus GapReport Hazard
+    HazardCategory Indicator IndicatorKind InvalidRegionError LedgerEntry
+    Methodology ModelError ParseResult Phase ReadinessDecision ReportDocument
+    RuleConfig RuleInfo SafetyCase Severity SeverityLevel Signal SourceSpan
+    TargetCheck TargetKind TargetStatus TraceMatrix UnresolvedCaseError
+    ValidationTarget aggregation_balance build_report check_target
+    classify_indicator coverage_map drift_check gap_report parse parse_config
+    parse_ledger rate_upper_bound readiness_review region_cells render_heatmap
+    render_machine render_text resolve_references rule_catalog serialize
+    trace_matrix validate
+    """.split()
+)
+SUBMODULES = ("coverage", "diagnostics", "dsl", "lifecycle", "model", "report", "rules")
+
+
+def test_bare_package_import_loads_only_the_version():
+    _, _, imported = _cold_imports("-c", "import aurcase")
+    assert {name for name in imported if name.startswith("aurcase")} == {
+        "aurcase",
+        "aurcase._version",
+    }
+    assert not _foreign(imported)
+
+
+def test_a_name_loads_its_module_on_first_use():
+    completed, _, imported = _cold_imports(
+        "-c", "import aurcase; print(aurcase.serialize.__module__, aurcase.lifecycle.__name__)"
+    )
+    assert completed.stdout.split() == ["aurcase.dsl", "aurcase.lifecycle"]
+    assert "aurcase.report" not in imported
+
+
+def test_report_imports_neither_the_gate_nor_the_parser():
+    _, _, imported = _cold_imports("-c", "import aurcase.report")
+    assert "aurcase.report" in imported
+    assert not imported & {"aurcase.lifecycle", "aurcase.rules", "aurcase.dsl"}
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    assert set(aurcase.__all__) == PUBLIC_NAMES
+    assert len(aurcase.__all__) == len(PUBLIC_NAMES)
+    assert aurcase.__version__ is sys.modules["aurcase._version"].__version__
+    for name in PUBLIC_NAMES - {"__version__"}:
+        value = getattr(aurcase, name)
+        assert value.__module__.removeprefix("aurcase.") in SUBMODULES, name
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert aurcase.__getattr__(name) is value, name
+    for module in SUBMODULES:
+        assert aurcase.__getattr__(module) is sys.modules[f"aurcase.{module}"]
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace: dict = {}
+    exec("from aurcase import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+    assert set(dir(aurcase)) >= PUBLIC_NAMES | set(SUBMODULES)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'aurcase' has no attribute 'x'$"):
+        aurcase.x
+    with pytest.raises(ImportError, match="cannot import name 'x'"):
+        exec("from aurcase import x", {})

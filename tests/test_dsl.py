@@ -373,6 +373,15 @@ VALUE_FATALS = [
     ),
     ('    name = "campaign"\n', "", "methodology M1 must state a name", "M1"),
     (
+        '    statement = "every event dispositioned"\n',
+        "",
+        "criterion AC1 must state a statement",
+        "AC1",
+    ),
+    ('    kind = "minutes"\n', "", "evidence E1 must state both kind and uri", "E1"),
+    ('    uri = "internal://x"\n', "", "evidence E1 must state both kind and uri", "E1"),
+    ('      text = "it holds"\n', "", "argument A.1 must state its text", "A.1"),
+    (
         "methodology = M1 aggregation = event_level {",
         "methodology = M1 aggregation = aggregate_level {",
         "criterion AC1: aggregation level aggregate_level is outside the criterion's "

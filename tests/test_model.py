@@ -386,7 +386,7 @@ def test_resolve_references_hands_out_a_fresh_list_each_call():
 RECORD_CLASSES = sorted(
     (
         value
-        for value in vars(aurcase).values()
+        for value in (getattr(aurcase, name) for name in aurcase.__all__)
         if isinstance(value, type) and issubclass(value, Record) and value is not Record
     ),
     key=lambda cls: cls.__name__,
