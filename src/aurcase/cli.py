@@ -30,6 +30,7 @@ import argparse
 import gc
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from ._version import __version__
@@ -323,15 +324,17 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
         raise _Exit(EXIT_FINDINGS)
     # Only the case is written: the text and span maps go first, so they
     # are not held while the output is built.  The output's lines are
-    # joined and written a slice at a time, so neither the whole text nor
-    # an encoded copy of it is held beside them.
+    # built, joined and written a slice at a time, so no list of them all,
+    # no whole text and no encoded copy of it is ever held.  A parsed case
+    # has no region that the format cannot write, so no `ValueError` stops
+    # the output part way.
     case = result.case
     del result
-    lines = _canonical_lines(case)
-    for start in range(0, len(lines), _WRITE_SLICE):
-        if start:
-            sys.stdout.write("\n")
-        sys.stdout.write("\n".join(lines[start : start + _WRITE_SLICE]))
+    lines, separator = _canonical_lines(case), ""
+    while chunk := list(islice(lines, _WRITE_SLICE)):
+        sys.stdout.write(separator)
+        sys.stdout.write("\n".join(chunk))
+        separator = "\n"
     return EXIT_OK
 
 

@@ -10,14 +10,15 @@ Parsing never raises on malformed input, and reports the first fatal
 problem as a diagnostic.  Dangling references are not fatal: the case is
 still returned, carrying one E009 diagnostic per unresolved reference so
 downstream analyses can refuse with context.  The lexer keeps no object
-per token but its word: it scans the text in runs of whole lines, one
-`findall` each, into parallel sequences of token kinds and words, and the
-parser is a cursor over them.  No token's offset is kept, only the offset
-and first token of each run.  A span keeps only the index of the token
-that declares an element or makes a cross-reference; the token's run is
-matched again up to it, and its precise source span made, only when the
-span is looked up, so a clean case looks up no offset.  One leading byte
-order mark is dropped, and positions count from after it.
+per token but its word, and one string per distinct word: it scans the
+text in runs of whole lines, one `findall` each, into parallel sequences
+of token kinds and words, and the parser is a cursor over them.  No
+token's offset is kept, only the offset and first token of each run.  A
+span keeps only the index of the token that declares an element or makes
+a cross-reference; the token's run is matched again up to it, and its
+precise source span made, only when the span is looked up, so a clean
+case looks up no offset.  One leading byte order mark is dropped, and
+positions count from after it.
 
 Serialization is canonical: stable field order, two-space indentation,
 elements ordered by identifier, and deterministic to the byte.
@@ -190,10 +191,12 @@ def _lex(text: str, file_name: str) -> tuple[list[str], list[str], _Starts]:
     """The kinds, words and start offsets of the tokens of `text`, ending
     with EOF; raises `_Fatal` at the first token that fails to lex."""
     # Each run of lines is one `findall` in C, which makes no object but
-    # the words.  Only the offset and first token of each run are kept; a
-    # token's offset is found again when it is asked for (`_Starts`).
-    # Offsets below 2 GiB take 32 bits.
+    # the words; equal words then share the first one's string (`seen`).
+    # Only the offset and first token of each run are kept; a token's
+    # offset is found again when it is asked for (`_Starts`).  Offsets
+    # below 2 GiB take 32 bits.
     words: list[str] = []
+    seen: dict[str, str] = {}
     code = "i" if len(text) < 2**31 else "q"
     run_offsets, run_firsts = array(code), array(code)
     findall, size, pos = _TOKEN.findall, len(text), 0
@@ -202,7 +205,8 @@ def _lex(text: str, file_name: str) -> tuple[list[str], list[str], _Starts]:
         first = len(words)
         run_offsets.append(pos)
         run_firsts.append(first)
-        words += findall(text, pos, end)
+        found = findall(text, pos, end)
+        words += map(seen.setdefault, found, found)
         # The scan ends with an empty match at `end`, and one more before
         # it if blanks end the run.  No token is empty, so both go.
         del words[-1]
@@ -1179,10 +1183,11 @@ def serialize(case: SafetyCase) -> str:
     return "\n".join(_canonical_lines(case))
 
 
-def _canonical_lines(case: SafetyCase) -> list[str]:
+def _canonical_lines(case: SafetyCase) -> Iterator[str]:
     """The lines of `serialize(case)`, which joins them with '\\n'; the
-    last one ends with it.  A writer can join and write them a slice at a
-    time, and never hold the whole text beside them."""
+    last one ends with it.  They are built a block at a time as they are
+    pulled, so a writer can join and write a slice at a time, and never
+    hold the whole text or all of its lines."""
     require_resolved(case)
     blocks = chain(
         [_context(case.context)],
@@ -1192,15 +1197,13 @@ def _canonical_lines(case: SafetyCase) -> list[str]:
         map(_criterion, case.criteria),
         map(_evidence, case.evidence),
     )
-    # Blocks are built one at a time and indented straight into `lines`,
-    # so that no second copy of the whole text is held.
-    lines = [f"safety_case {_quote(case.id)} {{"]
+    yield f"safety_case {_quote(case.id)} {{"
     for index, block in enumerate(blocks):
         if index:
-            lines.append("")
-        lines += [f"  {line}" for line in block]
+            yield ""
+        yield from [f"  {line}" for line in block]
     for root in case.claims:  # after the context block, always written
-        lines.append("")
+        lines = [""]
         _claim(root, lines, "  ")
-    lines.append("}\n")
-    return lines
+        yield from lines
+    yield "}\n"

@@ -4,9 +4,11 @@ import gc
 import hashlib
 import importlib.util
 import json
+import os
 import random
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -519,6 +521,25 @@ class TestFmt:
         assert run(["fmt", path]) == 1
         assert "E008" in capsys.readouterr().err
 
+    def test_fmt_peaks_no_higher_than_check(self, tmp_path, monkeypatch):
+        """Both peak at the parse: `fmt` builds, joins and writes its lines a
+        slice at a time, so nothing later rises above it.  A list of all the
+        lines would take `fmt` 5 % above `check` here.  `parse` is not
+        wrapped, as a wrapper's arguments would keep the input alive."""
+        path = write(tmp_path, "x20.aur", scaled_golden(20))
+        peaks = {}
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            # The first round also counts what is loaded once and kept.
+            for command in ("check", "fmt") * 2:
+                tracemalloc.start()
+                try:
+                    assert run([command, path]) == 0
+                    _, peaks[command] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        assert peaks["fmt"] <= 1.01 * peaks["check"], peaks
+
 
 class TestUsage:
     def test_unknown_subcommand_exits_two(self, capsys):
@@ -570,6 +591,49 @@ class TestEarlyExits:
         assert [d["rule_id"] for d in payload["diagnostics"]] == ["E013"]
         assert payload["diagnostics"][0]["file"] == path
         assert captured.err == ""
+
+    @pytest.mark.parametrize("format", ["text", "machine"])
+    def test_check_of_a_case_that_is_not_utf8_prints_e013_and_exits_two(
+        self, tmp_path, capsys, format
+    ):
+        path = tmp_path / "latin1.aur"
+        path.write_bytes(b'safety_case "\xff\xfe" {}\n')
+        assert run(["check", str(path), "--format", format]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        message = "document is not valid UTF-8: invalid start byte at byte 13"
+        if format == "text":
+            assert captured.out == (
+                f"{path}:1:1: error[E013]: {message}\n1 error(s), 0 warning(s)\n"
+            )
+        else:
+            payload = json.loads(captured.out, parse_constant=_reject_constant)
+            assert payload == {
+                "diagnostics": [
+                    {
+                        "col": 1,
+                        "file": str(path),
+                        "line": 1,
+                        "message": message,
+                        "rule_id": "E013",
+                        "severity": "error",
+                        "subject": "",
+                    }
+                ]
+            }
+
+    def test_fmt_of_a_case_that_is_not_utf8_prints_e013_on_stderr_and_exits_two(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "latin1.aur"
+        path.write_bytes(b'safety_case "\xff\xfe" {}\n')
+        assert run(["fmt", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{path}:1:1: error[E013]: document is not valid UTF-8: invalid start byte "
+            "at byte 13\n1 error(s), 0 warning(s)\n"
+        )
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_a_dangling_reference_refuses_on_stderr_and_exits_one(

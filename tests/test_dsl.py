@@ -17,6 +17,7 @@ from aurcase.diagnostics import Diagnostic, Severity, SourceSpan
 from aurcase.dsl import (
     _ESCAPE_OUT,
     ParseResult,
+    _canonical_lines,
     _Fatal,
     _lex,
     _quote,
@@ -723,6 +724,21 @@ def test_serialize_requires_resolved_case():
         serialize(result.case)
 
 
+def test_the_canonical_lines_are_built_as_they_are_pulled():
+    """`serialize` joins them; `fmt` writes them a slice at a time."""
+    from aurcase.model import UnresolvedCaseError
+
+    dangling = parse(MINIMAL.replace("hazard = H1", "hazard = H9"), "case.aur").case
+    lines = _canonical_lines(dangling)  # nothing is checked or built yet
+    with pytest.raises(UnresolvedCaseError):
+        next(lines)
+    golden = (FIXTURES / "golden_cat.aur").read_text(encoding="utf-8")
+    case = parse(golden, "golden_cat.aur").case
+    lines = _canonical_lines(case)
+    assert next(lines) == golden.split("\n", 1)[0]
+    assert "\n".join(_canonical_lines(case)) == serialize(case) == golden
+
+
 def test_serialize_rejects_gapped_severity_sets():
     text = """
 safety_case "g" {
@@ -1132,6 +1148,13 @@ def test_the_lexer_makes_no_object_per_token():
         tracemalloc.stop()
     assert len(kinds) == 9789
     assert peak / len(kinds) <= 120, f"{peak / len(kinds):.1f} bytes per token"
+
+
+def test_the_lexer_keeps_one_string_per_distinct_word():
+    """Keywords and ids recur on almost every line of a large case; the
+    word list, and the ids and references taken from it, share them."""
+    _, words, _ = _lex(_golden_scaled(20), "x20.aur")
+    assert len({id(word) for word in words}) == len(set(words)) < len(words) // 2
 
 
 # -- runs of lines and lazy offsets --------------------------------------------

@@ -1,16 +1,21 @@
 """The traced benchmark run looks up every `perfbench/trace_child.LAYERS`
-function with `getattr` on `aurcase.<module>`; a rename in the library
-must fail here rather than break that run."""
+function with `getattr` on `aurcase.<module>`, and `perfbench/selfcheck.py`
+pins the generator, the call counts and the wrapper binding; a change in
+the library that breaks either must fail here rather than break a run."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACE_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACE_CHILD = ROOT / "perfbench" / "trace_child.py"
 
 
 def _layers() -> list[tuple[str, str]]:
@@ -24,3 +29,16 @@ def _layers() -> list[tuple[str, str]]:
 def test_traced_layer_function_exists(module_name, func_name):
     module = importlib.import_module(f"aurcase.{module_name}")
     assert callable(getattr(module, func_name, None)), f"aurcase.{module_name}.{func_name}"
+
+
+def test_the_benchmark_selfcheck_passes():
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}  # leave no files
+    done = subprocess.run(
+        [sys.executable, "perfbench/selfcheck.py"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (0, "selfcheck: ok\n"), done.stderr
