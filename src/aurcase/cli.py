@@ -13,7 +13,9 @@ the gate approved); 1 for error diagnostics or a blocked review; 2 for
 usage errors and documents that do not parse. `coverage` and `trace`
 print their analysis whatever the findings; when error findings make
 them exit 1, one stderr line counts those findings by rule (`check`
-lists them). Every early end is an `_Exit` that `run` turns into the
+lists them). `review` and `report` print one stderr line for each ledger
+event definition that no rate-bound target names, whose events the gate
+does not check. Every early end is an `_Exit` that `run` turns into the
 exit code: a fatal parse prints its diagnostic (on stdout; on stderr for
 `fmt`) and exits 2; a refused case (dangling references) prints its
 findings and E008 to stderr and exits 1; an unreadable input or an
@@ -36,8 +38,8 @@ from pathlib import Path
 from ._version import __version__
 from .diagnostics import Diagnostic, Severity
 from .dsl import ParseResult, _canonical_lines, parse
-from .lifecycle import ExposureLedger, parse_ledger, readiness_review
-from .model import resolve_references
+from .lifecycle import ExposureLedger, parse_ledger, readiness_review, unnamed_definitions
+from .model import SafetyCase, resolve_references
 from .report import (
     build_report,
     coverage_bundle,
@@ -256,17 +258,29 @@ def _error_tally(diagnostics: list[Diagnostic]) -> str:
     )
 
 
-def _load_ledger(path: str, digests: dict | None = None) -> ExposureLedger:
+def _load_ledger(path: str, case: SafetyCase, digests: dict | None = None) -> ExposureLedger:
+    """The ledger at `path`. Each event definition in it that no rate-bound
+    target of `case` names gets one stderr line: the gate checks none of
+    its events."""
     text = _read_text(path, digests, "ledger")
     try:
-        return parse_ledger(text)
+        ledger = parse_ledger(text)
     except ValueError as exc:
         raise _Exit(EXIT_USAGE, f"{path}: {exc}") from exc
+    for definition, entries in unnamed_definitions(case, ledger).items():
+        releases = ", ".join(f"{entry.release} {entry.phase.value}" for entry in entries)
+        count = sum(entry.event_counts[definition] for entry in entries)
+        print(
+            f"aurcase: ledger event definition {definition!r} ({releases}) is named by "
+            f"no rate-bound target; its {count} event(s) are not checked",
+            file=sys.stderr,
+        )
+    return ledger
 
 
 def _cmd_review(args: argparse.Namespace) -> int:
     result, config = _resolved(args)
-    decision = readiness_review(result.case, _load_ledger(args.ledger), config)
+    decision = readiness_review(result.case, _load_ledger(args.ledger, result.case), config)
     if args.format == "machine":
         print(render_json(review_dict(decision)), end="")
     else:
@@ -280,7 +294,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     diagnostics = _validated(result, config)
     review = None
     if args.ledger:
-        review = readiness_review(result.case, _load_ledger(args.ledger, digests), config)
+        ledger = _load_ledger(args.ledger, result.case, digests)
+        review = readiness_review(result.case, ledger, config)
     document = build_report(
         result.case, args.file, diagnostics, review=review, input_digests=digests
     )

@@ -11,14 +11,14 @@ problem as a diagnostic.  Dangling references are not fatal: the case is
 still returned, carrying one E009 diagnostic per unresolved reference so
 downstream analyses can refuse with context.  The lexer keeps no object
 per token but its word, and one string per distinct word: it scans the
-text in runs of whole lines, one `findall` each, into parallel sequences
-of token kinds and words, and the parser is a cursor over them.  No
-token's offset is kept, only the offset and first token of each run.  A
-span keeps only the index of the token that declares an element or makes
-a cross-reference; the token's run is matched again up to it, and its
-precise source span made, only when the span is looked up, so a clean
-case looks up no offset.  One leading byte order mark is dropped, and
-positions count from after it.
+text in runs of whole lines, one `findall` each, into a list of words,
+and works out the kind of each distinct word once.  The parser is a
+cursor over the words.  No token's offset is kept, only the offset and
+first token of each run.  A span keeps only the index of the token that
+declares an element or makes a cross-reference; the token's run is
+matched again up to it, and its precise source span made, only when the
+span is looked up, so a clean case looks up no offset.  One leading byte
+order mark is dropped, and positions count from after it.
 
 Serialization is canonical: stable field order, two-space indentation,
 elements ordered by identifier, and deterministic to the byte.
@@ -32,7 +32,6 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import chain, islice
-from operator import itemgetter
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, dangling_references
 from .model import (
@@ -144,7 +143,8 @@ _TOKEN = re.compile(
 _ESCAPE_IN = re.compile(r"\\(.)")
 _EXPONENT_WITHOUT_DIGITS = re.compile(r"[eE][+-]?\Z")
 
-# Token kinds.  A token is its index into the lexer's parallel sequences.
+# Token kinds.  A token is its index into the lexer's words and starts; its
+# kind is its word's.
 IDENT, STRING, NUMBER, PUNCT, EOF = "IDENT", "STRING", "NUMBER", "PUNCT", "EOF"
 
 # The kind of a token by its first character, where that alone tells it.
@@ -156,7 +156,6 @@ _FIRST_KINDS = {
     **dict.fromkeys("0123456789", NUMBER),
     **dict.fromkeys("{}()=,", PUNCT),
 }
-_first = itemgetter(slice(0, 1))  # a word's first character; '' for EOF
 
 
 class _Source:
@@ -187,18 +186,17 @@ class _Source:
 _RUN = 512
 
 
-def _lex(text: str, file_name: str) -> tuple[list[str], list[str], _Starts]:
-    """The kinds, words and start offsets of the tokens of `text`, ending
-    with EOF; raises `_Fatal` at the first token that fails to lex."""
+def _lex(text: str, file_name: str) -> tuple[dict[str, str], list[str], _Starts]:
+    """The kind of each distinct word ('' for EOF), and the words and start
+    offsets of the tokens of `text`, ending with EOF; raises `_Fatal` at
+    the first token that fails to lex."""
     # Each run of lines is one `findall` in C, which makes no object but
     # the words; equal words then share the first one's string (`seen`).
     # Only the offset and first token of each run are kept; a token's
-    # offset is found again when it is asked for (`_Starts`).  Offsets
-    # below 2 GiB take 32 bits.
+    # offset is found again when it is asked for (`_Starts`).
     words: list[str] = []
-    seen: dict[str, str] = {}
-    code = "i" if len(text) < 2**31 else "q"
-    run_offsets, run_firsts = array(code), array(code)
+    seen = {"": ""}  # EOF's word
+    run_offsets, run_firsts = array("q"), array("q")
     findall, size, pos = _TOKEN.findall, len(text), 0
     while pos < size:
         end = text.find("\n", pos + _RUN - 1) + 1 or size
@@ -215,16 +213,15 @@ def _lex(text: str, file_name: str) -> tuple[list[str], list[str], _Starts]:
         pos = end
     words.append("")  # EOF
     starts = _Starts(text, run_offsets, run_firsts, len(words))
-    kinds = list(map(_FIRST_KINDS.get, map(_first, words)))
-    # Only a token that `_FIRST_KINDS` cannot place, a quote or a number can
-    # fail; check those in text order.
-    suspects = {*_indices(kinds, None), *_indices(kinds, NUMBER), *_indices(words, '"')}
-    for index in sorted(suspects):
-        kind = _checked_kind(words[index], kinds[index])
+    # A word's kind is worked out once.  `seen` is in the order of first
+    # occurrence, so the first word that fails to lex is at the first
+    # token that does.
+    kind_of: dict[str, str] = {}
+    for word in seen:
+        kind = kind_of[word] = _kind(word)
         if kind is None:
-            raise _lex_error(text, file_name, words[index], starts[index])
-        kinds[index] = kind
-    return kinds, words, starts
+            raise _lex_error(text, file_name, word, starts[words.index(word)])
+    return kind_of, words, starts
 
 
 class _Starts(Sequence):
@@ -257,25 +254,11 @@ class _Starts(Sequence):
         return self._count
 
 
-def _indices(items: list, value) -> Iterator[int]:
-    """The indices at which `items` holds `value`, searched for in C."""
-    index = -1
-    try:
-        while True:
-            index = items.index(value, index + 1)
-            yield index
-    except ValueError:
-        return
-
-
-def _checked_kind(word: str, kind: str | None) -> str | None:
-    """The kind of the token `word`, `kind` if its first character told
-    it; None if the token fails to lex.  It takes no offset, so a token
-    that lexes costs no lookup."""
+def _kind(word: str) -> str | None:
+    """The kind of the token `word`, or None if it fails to lex."""
     if word == '"':
         return None  # a malformed string
-    if kind is None:
-        kind = _odd_kind(word)
+    kind = _FIRST_KINDS.get(word[:1]) or _odd_kind(word)
     if kind == NUMBER:
         try:
             float(word)
@@ -370,10 +353,10 @@ class _Spans(Mapping):
 
 
 class _Parser:
-    """A cursor over the lexer's sequences; a token is its index."""
+    """A cursor over the lexer's words; a token is its index."""
 
-    def __init__(self, tokens: tuple[list[str], list[str], _Starts], source: _Source):
-        self.kinds, self.words, self.starts = tokens
+    def __init__(self, tokens: tuple[dict[str, str], list[str], _Starts], source: _Source):
+        self.kind_of, self.words, self.starts = tokens
         self.source = source
         self.pos = 0
         # The token each span key and reference was recorded at.
@@ -386,7 +369,7 @@ class _Parser:
 
     def advance(self) -> int:
         token = self.pos
-        if self.kinds[token] != EOF:
+        if self.words[token]:  # not EOF
             self.pos += 1
         return token
 
@@ -413,7 +396,8 @@ class _Parser:
         """Consume the next token if it is a `kind` (spelt `text`, when
         given); otherwise fail, saying `what` was expected."""
         token = self.pos
-        if self.kinds[token] == kind and (text is None or self.words[token] == text):
+        word = self.words[token]
+        if self.kind_of[word] == kind and (text is None or word == text):
             self.pos = token + 1
             return token
         raise self.unexpected(kind, what)
@@ -422,7 +406,7 @@ class _Parser:
         """The fatal for a next token that is not the `kind` that `what`
         names."""
         token = self.pos
-        if self.kinds[token] == EOF:
+        if not self.words[token]:
             return self._fatal(self._eof_message(what), token)
         hint = _KIND_HINTS.get(kind, "")
         return self._fatal(f"expected {what}{hint}, found {self.words[token]!r}", token)
@@ -435,9 +419,6 @@ class _Parser:
         """Consume the keywords or punctuation `texts` in turn; return the
         first token."""
         first = self.pos
-        if len(texts) == 1 and self.words[first] == texts[0]:
-            self.pos = first + 1
-            return first
         for text in texts:
             if self.words[self.pos] == text:  # then it is of `text`'s kind
                 self.pos += 1
@@ -453,7 +434,7 @@ class _Parser:
     def unknown_keyword(self, block: str, expected: str) -> _Fatal:
         """The fatal for a token that starts nothing allowed in `block`."""
         token = self.pos
-        if self.kinds[token] == EOF:
+        if not self.words[token]:
             return self._fatal(self._eof_message("'}'"), token)
         message = f"unknown keyword {self.words[token]!r}{block}; expected {expected}"
         return self._fatal(message, token)
@@ -553,12 +534,8 @@ class _Parser:
 
     def assigned_string(self, keyword: int) -> str:
         """`= "..."`, the value of `keyword`."""
-        words, pos = self.words, self.pos
-        if words[pos] == "=" and self.kinds[pos + 1] == STRING:
-            self.pos = pos + 2
-            return _unquote(words[pos + 1])
-        self.take("=")  # fails here, or in `string`, with its message
-        return self.string(f"a value for {words[keyword]}")
+        self.take("=")
+        return self.string(f"a value for {self.words[keyword]}")
 
     def assigned_list(self, item) -> frozenset:
         """`= item, item, ...`."""
@@ -573,23 +550,11 @@ class _Parser:
         return self.shared_sets.setdefault(value, value)
 
     def assigned_ids(self, referrer: str, field_name: str) -> frozenset[str]:
-        """`= id, id, ...`, each read as `reference` reads one."""
-        words, kinds, ref_spans = self.words, self.kinds, self.ref_spans
+        """`= id, id, ...`, each read by `reference`."""
         self.take("=")
-        pos = self.pos
-        names = []
-        while kinds[pos] == IDENT:
-            name = words[pos]
-            key = (referrer, field_name, name)
-            if key not in ref_spans:
-                ref_spans[key] = pos
-            names.append(name)
-            if words[pos + 1] != ",":
-                self.pos = pos + 1
-                return frozenset(names)
-            pos += 2
-        self.pos = pos
-        raise self.unexpected(IDENT, "an identifier")
+        return frozenset(
+            self.comma_list(lambda: self.reference(referrer, field_name, "an identifier"))
+        )
 
     # -- grammar -------------------------------------------------------------
 
@@ -601,7 +566,7 @@ class _Parser:
         body = self.block_body(_DOCUMENT_ENTRIES)
 
         trailing = self.pos
-        if self.kinds[trailing] != EOF:
+        if self.words[trailing]:
             raise self._fatal(
                 f"unexpected {self.words[trailing]!r} after the closing '}}' of the case",
                 trailing,
@@ -612,7 +577,7 @@ class _Parser:
         # Building the case walks each claim tree and keeps the walk on its
         # root (see `iter_claim_nodes`): drop the spent tokens first, so the
         # walks take their memory instead of adding to the parse's peak.
-        del self.kinds, self.words
+        del self.kind_of, self.words
         try:
             return SafetyCase(
                 id=case_id,
@@ -870,7 +835,8 @@ class _Parser:
         facet_label = ""
         if kind is ClaimKind.FACET:
             facet_label = self.string("a facet label")
-        node_id = self.words[self.pos] if self.kinds[self.pos] == IDENT else ""
+        word = self.words[self.pos]
+        node_id = word if self.kind_of[word] == IDENT else ""
         # An anonymous node is declared under its derived key, at its keyword.
         token = self.advance() if node_id else keyword
         key = self.declare(token, node_key(parent_key, ordinal, node_id))
@@ -981,14 +947,16 @@ def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:
     at the offending source.  Dangling references yield the case plus one
     E009 diagnostic per unresolved reference, spanned at the reference.
     One leading byte order mark, in `text` or its UTF-8 bytes, is dropped.
+    Bytes that are not UTF-8 are a fatal at the first bad byte.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
+            before = text[: exc.start].decode("utf-8").removeprefix("\ufeff")
             diagnostic = _syntax_error(
                 f"document is not valid UTF-8: {exc.reason} at byte {exc.start}",
-                SourceSpan(file_name, 1, 1, 1, 1),
+                _Source(before, file_name).span(len(before), len(before)),
             )
             return ParseResult(case=None, diagnostics=(diagnostic,))
     text = text.removeprefix("\ufeff")  # a byte order mark; positions count after it

@@ -492,6 +492,19 @@ def quantitative_criteria(case: SafetyCase) -> list[AcceptanceCriterion]:
     ]
 
 
+def unnamed_definitions(case: SafetyCase, ledger: ExposureLedger) -> dict[str, list[LedgerEntry]]:
+    """Each ledger event definition that no rate-bound target of `case`
+    names, with the entries that count it, in ledger order: the gate
+    checks none of their events."""
+    named = {criterion.target.event_definition for criterion in quantitative_criteria(case)}
+    unnamed: dict[str, list[LedgerEntry]] = {}
+    for entry in ledger.entries:
+        for definition in entry.event_counts:
+            if definition not in named:
+                unnamed.setdefault(definition, []).append(entry)
+    return unnamed
+
+
 def readiness_review(
     case: SafetyCase,
     ledger: ExposureLedger,

@@ -1,6 +1,10 @@
-"""Hypothesis strategies for building valid, serializable safety cases."""
+"""Hypothesis strategies for building valid, serializable safety cases,
+and seeded corpora of edited and random texts for the parser."""
 
 from __future__ import annotations
+
+import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -35,6 +39,14 @@ text_values = st.text(
     max_size=30,
 )
 nonempty_text = text_values.filter(lambda s: bool(s))
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden_cat.aur"
+
+# The grammar's characters plus letters and digits outside ASCII: `٣` is a
+# decimal digit, `²` and `①` are digits but not decimal, `½` and `Ⅻ` are
+# numeric only.
+FUZZ_ALPHABET = '"\\#{}()=,.+-eE_0123456789abcxyzHSACM \t\r\néß٣²½Ⅻ①'
+FUZZ_PREFIXES = ("", 'safety_case "f" {\n', 'safety_case "f" {\n  context { use_case = ')
 
 row_labels = st.from_regex(r"[A-Z]\.[1-9]", fullmatch=True)
 
@@ -280,3 +292,62 @@ def safety_cases(draw) -> SafetyCase:
         evidence=tuple(evidence),
         claims=tuple(claims),
     )
+
+
+# -- seeded corpora of texts -------------------------------------------------
+
+
+def fuzz_texts(seed: int, count: int):
+    """Short random texts over `FUZZ_ALPHABET`, some after the start of a case."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        body = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(0, 40)))
+        yield rng.choice(FUZZ_PREFIXES) + body
+
+
+def golden_char_edits(seed: int, count: int) -> list[str]:
+    """`golden_cat.aur` with one to three edits each: a few characters
+    deleted, or one from `FUZZ_ALPHABET` inserted."""
+    golden = GOLDEN.read_text(encoding="utf-8")
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        text = golden
+        for _ in range(rng.randrange(1, 4)):
+            at = rng.randrange(len(text) + 1)
+            if rng.random() < 0.5:
+                text = text[:at] + text[at + rng.randrange(1, 8) :]
+            else:
+                text = text[:at] + rng.choice(FUZZ_ALPHABET) + text[at:]
+        texts.append(text)
+    return texts
+
+
+def golden_line_edits(seed: int, count: int) -> list[str]:
+    """`golden_cat.aur` with one to three whole-line edits each: a line
+    dropped, doubled, reindented, split at a blank, or followed by a
+    comment.  Many edits keep the case parseable and move its tokens."""
+    golden = GOLDEN.read_text(encoding="utf-8")
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        lines = golden.splitlines(keepends=True)
+        for _ in range(rng.randrange(1, 4)):
+            at = rng.randrange(len(lines))
+            line = lines[at]
+            edit = rng.randrange(5)
+            if edit == 0:
+                del lines[at]
+            elif edit == 1:
+                lines.insert(at, line)
+            elif edit == 2:
+                indent = "".join(rng.choice(" \t") for _ in range(rng.randrange(0, 9)))
+                lines[at] = indent + line.lstrip(" ")
+            elif edit == 3 and " " in line.strip():
+                blanks = [i for i, ch in enumerate(line) if ch == " " and line[:i].strip()]
+                cut = rng.choice(blanks)
+                lines[at] = line[:cut] + "\n" + " " * rng.randrange(0, 7) + line[cut + 1 :]
+            else:
+                lines[at] = line.rstrip("\n") + " # edited\n"
+        texts.append("".join(lines))
+    return texts

@@ -355,6 +355,34 @@ class TestReview:
         ).hexdigest()
 
 
+    def test_a_definition_no_target_names_gets_one_stderr_line(self, tmp_path, capsys):
+        """Its events go unchecked, so stderr says so, with its releases and
+        summed count; stdout, the exit code and the artifacts do not change."""
+        extra = (
+            "2024.3.1,predicted,1000000,mi,injury causing colision,7\n"
+            "2024.2.0,observed,250000,mi,injury causing colision,2\n"
+        )
+        ledger = write(tmp_path, "extra.ledger", Path(LEDGER).read_text(encoding="utf-8") + extra)
+        artifacts, out_dir = {}, tmp_path / "out"
+        for name in (LEDGER, ledger):
+            for command in (["review"], ["report", "--out", str(out_dir)]):
+                assert run([*command, GOLDEN, "--ledger", name]) == 0
+                artifacts[name, command[0]] = capsys.readouterr()
+            files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+            payload = json.loads(files.pop("report.json"))
+            del payload["generated_at"], payload["inputs"]  # the ledger's path and digest
+            artifacts[name] = files, payload
+        assert artifacts[ledger] == artifacts[LEDGER]
+        for command in ("review", "report"):
+            assert artifacts[LEDGER, command].err == ""
+            assert artifacts[ledger, command].out == artifacts[LEDGER, command].out
+            assert artifacts[ledger, command].err == (
+                "aurcase: ledger event definition 'injury causing colision' (2024.3.1 "
+                "predicted, 2024.2.0 observed) is named by no rate-bound target; its 9 "
+                "event(s) are not checked\n"
+            )
+
+
 class TestReport:
     def test_writes_all_four_outputs(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -604,14 +632,14 @@ class TestEarlyExits:
         message = "document is not valid UTF-8: invalid start byte at byte 13"
         if format == "text":
             assert captured.out == (
-                f"{path}:1:1: error[E013]: {message}\n1 error(s), 0 warning(s)\n"
+                f"{path}:1:14: error[E013]: {message}\n1 error(s), 0 warning(s)\n"
             )
         else:
             payload = json.loads(captured.out, parse_constant=_reject_constant)
             assert payload == {
                 "diagnostics": [
                     {
-                        "col": 1,
+                        "col": 14,
                         "file": str(path),
                         "line": 1,
                         "message": message,
@@ -631,7 +659,7 @@ class TestEarlyExits:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"{path}:1:1: error[E013]: document is not valid UTF-8: invalid start byte "
+            f"{path}:1:14: error[E013]: document is not valid UTF-8: invalid start byte "
             "at byte 13\n1 error(s), 0 warning(s)\n"
         )
 

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import shutil
+import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -39,7 +42,12 @@ from aurcase.model import (
 from aurcase.rules import validate
 
 from conftest import FIXTURES
-from strategies import safety_cases
+from strategies import (
+    fuzz_texts,
+    golden_char_edits,
+    golden_line_edits,
+    safety_cases,
+)
 
 MINIMAL = """
 safety_case "minimal" {
@@ -635,6 +643,20 @@ def test_parse_accepts_bytes_and_rejects_bad_utf8():
     assert "UTF-8" in bad.diagnostics[0].message
 
 
+@pytest.mark.parametrize("mark", [b"", "\ufeff".encode("utf-8")], ids=["plain", "marked"])
+def test_a_byte_that_is_not_utf8_is_a_fatal_at_its_line_and_column(golden_cat_text, mark):
+    """Its column counts code points after any byte order mark, as every
+    other position does; the message gives its offset in bytes."""
+    lines = golden_cat_text.split("\n")
+    before = "\n".join(lines[:12]) + "\n" + lines[12][: lines[12].index('"') + 1] + "éé"
+    head = mark + before.encode("utf-8")
+    data = head + b"\xe9" + golden_cat_text[len(before) - 2 :].encode("utf-8")
+    (diagnostic,) = parse(data, "bad.aur").diagnostics
+    col = len(before) - before.rindex("\n")
+    assert diagnostic.span == SourceSpan("bad.aur", 13, col, 13, col)
+    assert diagnostic.message.endswith(f"at byte {len(head)}")
+
+
 @pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
 def test_one_leading_byte_order_mark_is_dropped(encode):
     """The case, its findings and every span are the plain text's:
@@ -902,19 +924,7 @@ def test_rate_bound_errors_point_at_the_field_at_fault(max_rate, confidence, mes
 
 # -- the lexer against its character-at-a-time reference ----------------------
 
-# The grammar's characters plus letters and digits outside ASCII: `٣` is a
-# decimal digit, `²` and `①` are digits but not decimal, `½` and `Ⅻ` are
-# numeric only.
-FUZZ_ALPHABET = '"\\#{}()=,.+-eE_0123456789abcxyzHSACM \t\r\néß٣²½Ⅻ①'
-FUZZ_PREFIXES = ("", 'safety_case "f" {\n', 'safety_case "f" {\n  context { use_case = ')
 PERFBENCH_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-
-
-def fuzz_texts(seed: int, count: int):
-    rng = random.Random(seed)
-    for _ in range(count):
-        body = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(0, 40)))
-        yield rng.choice(FUZZ_PREFIXES) + body
 
 
 def test_fuzz_text_never_crashes():
@@ -946,7 +956,7 @@ def _reference_lex(text: str):
 
 def _library_lex(text: str):
     try:
-        kinds, words, starts = _lex(text, "d.aur")
+        kind_of, words, starts = _lex(text, "d.aur")
     except _Fatal as fatal:
         return None, fatal.diagnostic
     source = _Source(text, "d.aur")
@@ -954,7 +964,7 @@ def _library_lex(text: str):
     return [
         (kind, word, values[kind](word) if kind in values else None,
          source.span(start, start + len(word)))
-        for kind, word, start in zip(kinds, words, starts)
+        for kind, word, start in zip(map(kind_of.get, words), words, starts)
     ], None
 
 
@@ -971,6 +981,10 @@ SCANNER_EDGES = [
     "+ 1", "- x", ". 1", "a +", "a -", "a .",
     "+.", "-.", "1e", "1e+", "2.e-",
     "+..1", '"', 'a "b', 'a "b\nc"', "1 +. \"", "\" +.",
+    # Two words that fail, and a failing word that recurs: the first
+    # failing token in the text is the one reported.
+    'a 1e "', '" a 1e', "1e x 1e+", "x 1e y 1e", "1e+ 1e", "a\n1e x\n1e", "$ 1e $",
+    "a " * 300 + "\n" + "b " * 300 + "\n1e+ $\n" + "c " * 300 + '\n" 1e+',
 ]
 
 NON_DECIMAL_DIGITS = ["²", "a ²", "x = ² 1e"]
@@ -1032,19 +1046,7 @@ def _lexer_corpus(name: str) -> list[str]:
     if name == "golden_x10":
         return [_golden_scaled(10)]
     if name == "golden_edits":
-        golden = (FIXTURES / "golden_cat.aur").read_text(encoding="utf-8")
-        rng = random.Random(31)
-        texts = []
-        for _ in range(300):
-            text = golden
-            for _ in range(rng.randrange(1, 4)):
-                at = rng.randrange(len(text) + 1)
-                if rng.random() < 0.5:
-                    text = text[:at] + text[at + rng.randrange(1, 8) :]
-                else:
-                    text = text[:at] + rng.choice(FUZZ_ALPHABET) + text[at:]
-            texts.append(text)
-        return texts
+        return golden_char_edits(31, 300)
     return list(fuzz_texts(2026, 20_000))
 
 
@@ -1076,36 +1078,6 @@ def test_lexer_matches_the_reference(corpus):
 # -- recorded spans against the reference lexer -------------------------------
 
 
-def _golden_line_edits(seed: int, count: int) -> list[str]:
-    """`golden_cat.aur` with one to three whole-line edits each: a line
-    dropped, doubled, reindented, split at a blank, or followed by a
-    comment.  Many edits keep the case parseable and move its tokens."""
-    golden = (FIXTURES / "golden_cat.aur").read_text(encoding="utf-8")
-    rng = random.Random(seed)
-    texts = []
-    for _ in range(count):
-        lines = golden.splitlines(keepends=True)
-        for _ in range(rng.randrange(1, 4)):
-            at = rng.randrange(len(lines))
-            line = lines[at]
-            edit = rng.randrange(5)
-            if edit == 0:
-                del lines[at]
-            elif edit == 1:
-                lines.insert(at, line)
-            elif edit == 2:
-                indent = "".join(rng.choice(" \t") for _ in range(rng.randrange(0, 9)))
-                lines[at] = indent + line.lstrip(" ")
-            elif edit == 3 and " " in line.strip():
-                blanks = [i for i, ch in enumerate(line) if ch == " " and line[:i].strip()]
-                cut = rng.choice(blanks)
-                lines[at] = line[:cut] + "\n" + " " * rng.randrange(0, 7) + line[cut + 1 :]
-            else:
-                lines[at] = line.rstrip("\n") + " # edited\n"
-        texts.append("".join(lines))
-    return texts
-
-
 def _checked_spans(text: str) -> int:
     """Check that every recorded span is the span of the reference token
     that starts where it starts; return how many were checked."""
@@ -1128,7 +1100,7 @@ def _checked_spans(text: str) -> int:
 @pytest.mark.parametrize("corpus", ["fixtures", "golden_x10", "golden_line_edits"])
 def test_recorded_spans_are_the_reference_tokens(corpus):
     if corpus == "golden_line_edits":
-        texts = _golden_line_edits(47, 300)
+        texts = golden_line_edits(47, 300)
     else:
         texts = _lexer_corpus(corpus)
     parsed = sum(1 for text in texts if _checked_spans(text))
@@ -1142,12 +1114,12 @@ def test_the_lexer_makes_no_object_per_token():
     text = _golden_scaled(20)
     tracemalloc.start()
     try:
-        kinds, _, _ = _lex(text, "x20.aur")
+        _, words, _ = _lex(text, "x20.aur")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(kinds) == 9789
-    assert peak / len(kinds) <= 120, f"{peak / len(kinds):.1f} bytes per token"
+    assert len(words) == 9789
+    assert peak / len(words) <= 120, f"{peak / len(words):.1f} bytes per token"
 
 
 def test_the_lexer_keeps_one_string_per_distinct_word():
@@ -1166,7 +1138,8 @@ def _lexed_and_parsed(text: str) -> tuple:
     from its run's start), or the fatal; then the diagnostics and, unless
     the parse was fatal, both span maps."""
     try:
-        kinds, words, starts = _lex(text, "d.aur")
+        kind_of, words, starts = _lex(text, "d.aur")
+        kinds = [kind_of[word] for word in words]
         tokens = (kinds, words, [starts[index] for index in range(0, len(starts), 13)])
     except _Fatal as fatal:
         tokens = fatal.diagnostic
@@ -1179,7 +1152,7 @@ def _lexed_and_parsed(text: str) -> tuple:
 @pytest.mark.parametrize("run", [1, 1 << 40], ids=["one line per run", "one run"])
 @pytest.mark.parametrize("corpus", ["golden_edits", "golden_line_edits", "fuzz"])
 def test_the_run_length_changes_no_token_span_or_fatal(monkeypatch, corpus, run):
-    texts = _golden_line_edits(47, 300) if corpus == "golden_line_edits" else _lexer_corpus(corpus)
+    texts = golden_line_edits(47, 300) if corpus == "golden_line_edits" else _lexer_corpus(corpus)
     expected = [_lexed_and_parsed(text) for text in texts]
     monkeypatch.setattr(dsl, "_RUN", run)
     for text, want in zip(texts, expected):
@@ -1206,8 +1179,8 @@ def test_a_clean_parse_and_validate_look_up_no_offset(offset_lookups):
     assert not result.fatal and not result.diagnostics
     assert validate(result.case, None, result.span_index, result.reference_spans) == []
     # Tokens that `_FIRST_KINDS` cannot place, but that lex, need none either.
-    kinds, _, _ = _lex('a .. b = -1.5 +2 .5 é_1 Ω "x" 3e+1', "odd.aur")
-    assert kinds[-4:] == ["IDENT", "STRING", "NUMBER", "EOF"]
+    kind_of, words, _ = _lex('a .. b = -1.5 +2 .5 é_1 Ω "x" 3e+1', "odd.aur")
+    assert [kind_of[word] for word in words[-4:]] == ["IDENT", "STRING", "NUMBER", "EOF"]
     assert offset_lookups == []
     # A span that is asked for looks up its token's offset.
     assert result.span_index["H1"] == SourceSpan("x10.aur", 12, 10, 12, 12)
@@ -1225,3 +1198,35 @@ def test_equal_sets_in_one_parse_are_one_object(golden_cat_text):
     other = parse(text, "x2.aur").case.methodologies[0].region
     assert other.roles == first.roles and other.roles is not first.roles
     assert serialize(parse(golden_cat_text, "g.aur").case) == golden_cat_text
+
+
+# -- the differential harness against a parent tree -------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _differential(parent: Path) -> subprocess.CompletedProcess:
+    command = [sys.executable, str(ROOT / "tests" / "differential.py"), "--parent", str(parent)]
+    return subprocess.run(
+        [*command, "--seed", "3", "--edits", "150"], capture_output=True, text=True, timeout=60
+    )
+
+
+def test_the_differential_finds_no_difference_against_this_tree():
+    started = time.perf_counter()
+    done = _differential(ROOT)
+    assert (done.returncode, done.stdout) == (0, "0 differences in 455 texts\n"), done.stderr
+    assert time.perf_counter() - started < 10
+
+
+def test_the_differential_reports_a_changed_message(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    changed = tmp_path / "src" / "aurcase" / "dsl.py"
+    text = changed.read_text(encoding="utf-8")
+    changed.write_text(text.replace('"unterminated string literal"', '"open string"'), "utf-8")
+    done = _differential(tmp_path)
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["first difference: random text 0 (seed 3)", "  diagnostics:"]
+    assert '"unterminated string literal"' in lines[2] and '"open string"' in lines[3]
+    assert lines[-1] == "12 differences in 455 texts"

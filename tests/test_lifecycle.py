@@ -20,6 +20,7 @@ from aurcase.lifecycle import (
     parse_ledger,
     rate_upper_bound,
     readiness_review,
+    unnamed_definitions,
 )
 from aurcase.model import (
     AcceptanceCriterion,
@@ -243,6 +244,21 @@ class TestLedgerParsing:
         )
         (only,) = ledger.entries
         assert only.event_counts == {"crash": 1, "near-miss": 4}
+
+    def test_unnamed_definitions_are_those_no_rate_bound_target_names(
+        self, golden_case, golden_ledger_text
+    ):
+        ledger = parse_ledger(
+            "release,phase,exposure,exposure_unit,event_definition,count\n"
+            "r2,observed,10,mi,near-miss,3\n"
+            "r1,predicted,1000,mi,injury-causing collision,1\n"
+            "r1,predicted,1000,mi,near-miss,4\n"
+            "r1,predicted,1000,mi,crash,0\n"
+        )
+        unnamed = unnamed_definitions(golden_case, ledger)
+        assert list(unnamed) == ["near-miss", "crash"]
+        assert [entry.release for entry in unnamed["near-miss"]] == ["r2", "r1"]
+        assert unnamed_definitions(golden_case, parse_ledger(golden_ledger_text)) == {}
 
     def test_header_must_match(self):
         with pytest.raises(ValueError, match="header"):
