@@ -36,7 +36,7 @@ from itertools import islice
 from pathlib import Path
 
 from ._version import __version__
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic, Severity, diagnostic_line, render_diagnostics
 from .dsl import ParseResult, _canonical_lines, parse
 from .lifecycle import ExposureLedger, parse_ledger, readiness_review, unnamed_definitions
 from .model import SafetyCase, resolve_references
@@ -45,10 +45,8 @@ from .report import (
     coverage_bundle,
     coverage_dict,
     diagnostic_dict,
-    diagnostic_line,
     digest_of,
     render_coverage_text,
-    render_diagnostics,
     render_heatmap,
     render_json,
     render_machine,

@@ -1,4 +1,5 @@
-"""Source spans and diagnostics shared by the parser and the rule engine."""
+"""Source spans and diagnostics shared by the parser and the rule engine,
+and the one text form of a diagnostic list."""
 
 from __future__ import annotations
 
@@ -64,6 +65,26 @@ class Diagnostic(Record):
 
 def sort_diagnostics(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
     return sorted(diagnostics, key=Diagnostic.sort_key)
+
+
+def diagnostic_line(diagnostic: Diagnostic) -> str:
+    body = f"{diagnostic.severity.value}[{diagnostic.rule_id}]: {diagnostic.message}"
+    return body if diagnostic.span is None else f"{diagnostic.span}: {body}"
+
+
+def summary_line(diagnostics: tuple[Diagnostic, ...] | list[Diagnostic]) -> str:
+    errors = sum(1 for d in diagnostics if d.severity is Severity.ERROR)
+    warnings = len(diagnostics) - errors
+    return f"{errors} error(s), {warnings} warning(s)"
+
+
+def render_diagnostics(diagnostics: list[Diagnostic] | tuple[Diagnostic, ...]) -> str:
+    """One line per diagnostic (errors ahead of warnings at equal spans),
+    then the count summary; the summary alone when there is nothing to say."""
+    ordered = sort_diagnostics(list(diagnostics))
+    lines = [diagnostic_line(d) for d in ordered]
+    lines.append(summary_line(ordered))
+    return "\n".join(lines) + "\n"
 
 
 def dangling_references(

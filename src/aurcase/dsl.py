@@ -109,53 +109,45 @@ class _Fatal(Exception):
         self.diagnostic = diagnostic
 
 
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
-_ESCAPE_OUT = str.maketrans(
-    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-)
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}  # escape -> character
+_ESCAPE_OUT = str.maketrans({char: "\\" + escape for escape, char in _ESCAPES.items()})
 
 # Where a string literal's body stops: at its closing quote, or at a line
 # break or an escape the format does not know.
-_STRING_BODY = re.compile(r'[^"\\\n]*(?:\\[\\"ntr][^"\\\n]*)*')
-
-# One token per match.  The blanks and comments before a token are not
-# kept; group 1 is the token, which is empty at the end of the text.  The
-# token's alternatives are punctuation, an identifier, a string, a number,
-# then any one character.  No two before the last match at the same offset,
-# so their order only sets the speed: the commonest come first.  `\d` is a
-# Unicode decimal digit and `\w` a character for which `str.isalnum()` is
-# true, or `_`.  A number starts with a digit, a sign before a digit or a
-# dot, or a dot before a digit; a dot joins an identifier only when another
-# identifier character follows it, so `..` stays the range operator.  The
-# one-character fallback takes what starts no token, including a quote
-# that opens a malformed string.  No token holds a line break, and no
-# lookahead reads past one, so a run of whole lines lexes alone as it does
-# in the whole text.
-_TOKEN = re.compile(
-    r"(?:[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)"
-    r"([{}()=,]|\.\."
-    r"|[^\W\d][\w-]*(?:\.[\w-]+)*"
-    f'|"{_STRING_BODY.pattern}"'
-    r"|(?:[+-](?=[\d.])|(?=\.?\d))\d*(?:\.(?!\.)\d*)?(?:[eE][+-]?\d*)?"
-    r"|.|\Z)",
-    re.DOTALL,
-)
-_ESCAPE_IN = re.compile(r"\\(.)")
-_EXPONENT_WITHOUT_DIGITS = re.compile(r"[eE][+-]?\Z")
+_STRING_BODY = re.compile(rf'[^"\\\n]*(?:\\[{re.escape("".join(_ESCAPES))}][^"\\\n]*)*')
 
 # Token kinds.  A token is its index into the lexer's words and starts; its
 # kind is its word's.
 IDENT, STRING, NUMBER, PUNCT, EOF = "IDENT", "STRING", "NUMBER", "PUNCT", "EOF"
 
-# The kind of a token by its first character, where that alone tells it.
-# A quote may also be a malformed string; a missing entry needs `_odd_kind`.
-_FIRST_KINDS = {
-    "": EOF,
-    '"': STRING,
-    **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", IDENT),
-    **dict.fromkeys("0123456789", NUMBER),
-    **dict.fromkeys("{}()=,", PUNCT),
+# The token grammar: each kind's alternative.  No two match at the same
+# offset, so their order only sets the speed: the commonest come first.
+# `\d` is a Unicode decimal digit and `\w` a character for which
+# `str.isalnum()` is true, or `_`.  A number starts with a digit, a sign
+# before a digit or a dot, or a dot before a digit; a dot joins an
+# identifier only when another identifier character follows it, so `..`
+# stays the range operator.  No alternative holds a line break, and no
+# lookahead reads past one.
+_ALTERNATIVES = {
+    PUNCT: r"[{}()=,]|\.\.",
+    IDENT: r"[^\W\d][\w-]*(?:\.[\w-]+)*",
+    STRING: f'"{_STRING_BODY.pattern}"',
+    NUMBER: r"(?:[+-](?=[\d.])|(?=\.?\d))\d*(?:\.(?!\.)\d*)?(?:[eE][+-]?\d*)?",
 }
+
+# One token per match: the blanks and comments before it, which are not
+# kept, then group 1, the token: one of the alternatives, else any one
+# character, which takes what starts no token (including a quote that
+# opens a malformed string), or nothing at the end of the text.  So a run
+# of whole lines lexes alone as it does in the whole text.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)(" + "|".join(_ALTERNATIVES.values()) + r"|.|\Z)",
+    re.DOTALL,
+)
+# The same alternatives, each a group named by its kind.
+_KINDS = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _ALTERNATIVES.items()))
+_ESCAPE_IN = re.compile(r"\\(.)")
+_EXPONENT_WITHOUT_DIGITS = re.compile(r"[eE][+-]?\Z")
 
 
 class _Source:
@@ -256,9 +248,12 @@ class _Starts(Sequence):
 
 def _kind(word: str) -> str | None:
     """The kind of the token `word`, or None if it fails to lex."""
-    if word == '"':
-        return None  # a malformed string
-    kind = _FIRST_KINDS.get(word[:1]) or _odd_kind(word)
+    if not word:
+        return EOF
+    match = _KINDS.match(word)
+    kind = match and match.lastgroup
+    if kind == IDENT and not (word[0].isalpha() or word[0] == "_"):
+        return None  # a word character that starts no token ('²', 'Ⅻ')
     if kind == NUMBER:
         try:
             float(word)
@@ -267,30 +262,12 @@ def _kind(word: str) -> str | None:
     return kind
 
 
-def _odd_kind(word: str, following: str = "") -> str | None:
-    """The kind of a token whose first character `_FIRST_KINDS` does not
-    place ('+', '-', '.', non-ASCII and stray characters), given the
-    character `following` it; None for no token.  A lone sign fails to lex
-    whatever follows it, so only its message needs `following`."""
-    first = word[0]
-    if word == "..":
-        return PUNCT
-    if first in "+-." and len(word) > 1:
-        return NUMBER
-    if first in "+-" and (following == "." or following.isdecimal()):
-        return NUMBER  # a malformed one; a sign before anything else is no token
-    if first.isalpha():
-        return IDENT
-    if first.isdecimal():
-        return NUMBER
-    return None
-
-
 def _lex_error(text: str, file_name: str, word: str, start: int) -> _Fatal:
     """The fatal for the token `word` at offset `start`, which fails to lex."""
     if word == '"':
         message, start, end = _bad_string(text, start)
-    elif (_FIRST_KINDS.get(word[0]) or _odd_kind(word, text[start + 1 : start + 2])) == NUMBER:
+    elif (match := _KINDS.match(text, start)) and match.lastgroup == NUMBER:
+        # A number `float` rejects, or a lone sign before a dot ('-..').
         if _EXPONENT_WITHOUT_DIGITS.search(word):
             message = "malformed number: exponent has no digits"
         else:
@@ -582,7 +559,7 @@ class _Parser:
             return SafetyCase(
                 id=case_id,
                 context=body["context"],
-                **{name: tuple(body.get(keyword, ())) for keyword, name in ELEMENTS},
+                **{name: body.get(keyword, ()) for keyword, name in ELEMENTS},
             )
         except ModelError as exc:
             raise self._fatal(f"invalid case: {exc}", header) from exc
@@ -808,7 +785,7 @@ class _Parser:
 
     def parse_claim_body(
         self, parent_key: str, description: str, depth: int
-    ) -> tuple[tuple[ClaimNode, ...], tuple[ArgumentRow, ...]]:
+    ) -> tuple[list[ClaimNode], list[ArgumentRow]]:
         if depth > _MAX_CLAIM_DEPTH:
             raise self._fatal(
                 f"claim nesting exceeds the depth limit of {_MAX_CLAIM_DEPTH}", self.pos
@@ -826,7 +803,7 @@ class _Parser:
                 expected = ", ".join((*_SUBCLAIM_KINDS, "argument"))
                 raise self.unknown_keyword(" in claim body", f"one of: {expected}")
         self.close_block()
-        return tuple(children), tuple(rows)
+        return children, rows
 
     def parse_subclaim(self, parent_key: str, ordinal: int, depth: int) -> ClaimNode:
         keyword = self.advance()
@@ -980,7 +957,7 @@ def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:
     diagnostics.sort(key=Diagnostic.sort_key)
     return ParseResult(
         case=case,
-        diagnostics=tuple(diagnostics),
+        diagnostics=diagnostics,
         span_index=span_index,
         reference_spans=reference_spans,
     )

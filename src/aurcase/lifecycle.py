@@ -90,7 +90,6 @@ class ExposureLedger(Record):
     entries: tuple[LedgerEntry, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
         seen: set[tuple[str, Phase]] = set()
         for entry in self.entries:
             key = (entry.release, entry.phase)
@@ -471,10 +470,6 @@ class ReadinessDecision(Record):
     blockers: tuple[Blocker, ...] = ()
     target_checks: tuple[TargetCheck, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blockers", tuple(self.blockers))
-        object.__setattr__(self, "target_checks", tuple(self.target_checks))
-
     @property
     def approved(self) -> bool:
         return not self.blockers
@@ -527,7 +522,7 @@ def readiness_review(
         blockers.append(
             Blocker(subject_id=case.id, reason=str(UnresolvedCaseError(findings)))
         )
-        return ReadinessDecision(blockers=tuple(blockers))
+        return ReadinessDecision(blockers=blockers)
 
     for diagnostic in validate(case, gate_config):
         if diagnostic.severity is Severity.ERROR:
@@ -565,4 +560,4 @@ def readiness_review(
                     reason="no predicted-phase exposure recorded for this target",
                 )
             )
-    return ReadinessDecision(blockers=tuple(blockers), target_checks=tuple(checks))
+    return ReadinessDecision(blockers=blockers, target_checks=checks)

@@ -166,22 +166,33 @@ def _require(condition: bool, message: str, field_name: str = "") -> None:
 EMPTY_MAPPING: Mapping = MappingProxyType({})  # the default of every mapping field
 
 
+def _stored(name: str, annotation: object) -> str:
+    """The expression the generated `__init__` stores for field `name`."""
+    collection = str(annotation).partition("[")[0]
+    return f"{collection}({name})" if collection in ("tuple", "frozenset") else name
+
+
 class Record:
     """An immutable value, compared, hashed and printed by its `FIELDS`, the
     names a subclass annotates (defaults, shared so immutable, last); its
-    `__init__` sets them and calls any `__post_init__`, as `replace` does."""
+    `__init__` sets them and calls any `__post_init__`, as `replace` does.
+    A field annotated `tuple[...]` or `frozenset[...]` is stored as one,
+    whatever iterable it is given; a tuple or frozenset is kept as is."""
 
     FIELDS: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         own = cls.__dict__
-        names = tuple(own.get("__annotations__", ()))
+        annotations = own.get("__annotations__", {})
+        names = tuple(annotations)
         defaults = tuple(own[name] for name in names if name in own)
         last = names[len(names) - len(defaults) :]
         if any(name not in own or isinstance(own[name], (list, dict, set)) for name in last):
             raise TypeError(f"{cls.__name__}: defaults must be immutable and come last")
         # One generated `__init__` per class, as `collections.namedtuple` does.
-        body = "".join(f"\n _setattr(self, {name!r}, {name})" for name in names)
+        body = "".join(
+            f"\n _setattr(self, {name!r}, {_stored(name, annotations[name])})" for name in names
+        )
         post = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
         namespace = {"_setattr": object.__setattr__}
         exec(f"def __init__(self, {', '.join(names)}):{body}{post}", namespace)
@@ -243,8 +254,6 @@ class AcSpaceRegion(Record):
     weak_severities: frozenset[SeverityLevel] = frozenset()
 
     def __post_init__(self) -> None:
-        for name in self.FIELDS:
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
         _require(
             self.weak_severities <= self.severities,
             "weak_severities must be a subset of the region's severities",
@@ -289,9 +298,6 @@ class Hazard(Record):
     secondary_categories: frozenset[HazardCategory] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "secondary_categories", frozenset(self.secondary_categories)
-        )
         _require(
             self.primary_category not in self.secondary_categories,
             f"hazard {self.id}: primary category repeated in secondary categories",
@@ -321,7 +327,6 @@ class Methodology(Record):
     region: AcSpaceRegion | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hazard_categories", frozenset(self.hazard_categories))
         if self.region is not None:
             _require(
                 HazardCategory.BEHAVIORAL in self.hazard_categories,
@@ -382,8 +387,6 @@ class AcceptanceCriterion(Record):
     target: ValidationTarget | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hazard_ids", frozenset(self.hazard_ids))
-        object.__setattr__(self, "indicator_ids", frozenset(self.indicator_ids))
         _require(
             len(self.hazard_ids) > 0,
             f"criterion {self.id}: must cover at least one identified hazard",
@@ -407,7 +410,6 @@ class ArgumentRow(Record):
     counter_argument: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "evidence_ids", frozenset(self.evidence_ids))
         if not self.argument:
             raise ModelError(f"argument row {self.label}: text must be non-empty")
 
@@ -431,8 +433,6 @@ class ClaimNode(Record):
     def __post_init__(self) -> None:
         # Test before formatting: `_require` would build each message for
         # every node of every parse.
-        object.__setattr__(self, "children", tuple(self.children))
-        object.__setattr__(self, "rows", tuple(self.rows))
         kind = self.kind
         if kind is ClaimKind.TOP_CLAIM:
             if not self.id:

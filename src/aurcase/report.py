@@ -1,5 +1,6 @@
-"""Report rendering: diagnostics text, the machine-readable report, the
-coverage heatmap, and the hazard traceability matrix.
+"""Report rendering: the machine-readable report, the coverage heatmap, and
+the hazard traceability matrix.  The diagnostics text is built in
+`diagnostics` and imported here, where the report's text uses it.
 
 Renderers are pure functions of their inputs; the machine report embeds
 the tool version and input digests so a review can be reproduced and
@@ -31,7 +32,13 @@ from .coverage import (
     criteria_by_category,
     gap_report,
 )
-from .diagnostics import Diagnostic, Severity, sort_diagnostics
+from .diagnostics import (  # the text lines too, for callers that read them here
+    Diagnostic,
+    diagnostic_line,
+    render_diagnostics,
+    sort_diagnostics,
+    summary_line,
+)
 from .model import (
     ELEMENTS,
     EMPTY_MAPPING,
@@ -94,12 +101,12 @@ def trace_matrix(case: SafetyCase) -> TraceMatrix:
         rows.append(
             TraceRow(
                 hazard_id=hazard.id,
-                criterion_ids=tuple(sorted(criteria)),
-                claim_ids=tuple(sorted(claims)),
-                evidence_ids=tuple(sorted(frozenset().union(*(cited[c] for c in claims)))),
+                criterion_ids=sorted(criteria),
+                claim_ids=sorted(claims),
+                evidence_ids=sorted(frozenset().union(*(cited[c] for c in claims))),
             )
         )
-    return TraceMatrix(rows=tuple(rows))
+    return TraceMatrix(rows=rows)
 
 
 class CoverageBundle(Record):
@@ -145,7 +152,7 @@ def build_report(
     return ReportDocument(
         case=case,
         file_name=file_name,
-        diagnostics=tuple(sort_diagnostics(list(diagnostics))),
+        diagnostics=sort_diagnostics(list(diagnostics)),
         coverage=coverage_bundle(case),
         trace=trace_matrix(case),
         review=review,
@@ -170,29 +177,6 @@ def digest_of(path: str, data: bytes) -> dict[str, str]:
 
 
 # -- text rendering -----------------------------------------------------------
-
-
-def diagnostic_line(diagnostic: Diagnostic) -> str:
-    body = f"{diagnostic.severity.value}[{diagnostic.rule_id}]: {diagnostic.message}"
-    if diagnostic.span is None:
-        return body
-    span = diagnostic.span
-    return f"{span.file}:{span.start_line}:{span.start_col}: {body}"
-
-
-def summary_line(diagnostics: tuple[Diagnostic, ...] | list[Diagnostic]) -> str:
-    errors = sum(1 for d in diagnostics if d.severity is Severity.ERROR)
-    warnings = len(diagnostics) - errors
-    return f"{errors} error(s), {warnings} warning(s)"
-
-
-def render_diagnostics(diagnostics: list[Diagnostic] | tuple[Diagnostic, ...]) -> str:
-    """One line per diagnostic (errors ahead of warnings at equal spans),
-    then the count summary; the summary alone when there is nothing to say."""
-    ordered = sort_diagnostics(list(diagnostics))
-    lines = [diagnostic_line(d) for d in ordered]
-    lines.append(summary_line(ordered))
-    return "\n".join(lines) + "\n"
 
 
 def _marginal_lines(gaps: GapReport) -> list[str]:

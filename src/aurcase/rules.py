@@ -218,7 +218,6 @@ class RuleConfig(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "severity_overrides", dict(self.severity_overrides))
-        object.__setattr__(self, "required_facets", frozenset(self.required_facets))
         for rule_id, value in self.severity_overrides.items():
             if rule_id not in _CATALOG_BY_ID:
                 raise ValueError(f"severity override for unregistered rule {rule_id!r}")
@@ -294,7 +293,7 @@ def parse_config(text: str, source: str = "<config>") -> RuleConfig:
             raise ValueError(f"{source}:{line_no}: {exc}") from exc
     return RuleConfig(
         severity_overrides=overrides,
-        required_facets=frozenset(facets),
+        required_facets=facets,
         review_ready=review_ready,
         e006_scope=e006_scope,
     )

@@ -3,27 +3,39 @@
     python tests/differential.py --parent DIR [--seed N --edits K]
 
 The trees are this checkout and DIR, the root of another one (each with
-`src/aurcase`).  Each runs in its own child interpreter over the same
-texts: every fixture, then K line edits and K character edits of
-`golden_cat.aur` and K random texts, all drawn from seed N (see
-`strategies.py`).  For each text the children report the parse's
-diagnostics (the fatal one, or the dangling references), both span maps,
-the `serialize` output and the `validate` findings; the script prints the
-first difference and the number of texts that differ, and exits 1 if any
-do.  It tests no command line.  pytest does not collect it.
+`src/aurcase`).  It compares them in two halves, each tree in its own
+child interpreter.
+
+- The parse half runs over every fixture, then K line edits and K
+  character edits of `golden_cat.aur` and K random texts, all drawn from
+  seed N (see `strategies.py`).  For each text the children report the
+  parse's diagnostics (the fatal one, or the dangling references), both
+  span maps, the `serialize` output and the `validate` findings.
+- The CLI half runs `aurcase.cli.run` in-process over every fixture and
+  two edits of `golden_cat.aur` (one fatal, one with a dangling
+  reference), once per command line in `COMMANDS`.  For each run the
+  children report the exit code, stdout, stderr and every file that
+  `report` writes, with `generated_at` masked.
+
+For each half the script prints the first difference and the number of
+texts or runs that differ, and it exits 1 if any do.  pytest does not
+collect it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 from itertools import chain
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+FIXTURES = HERE / "fixtures"
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 from strategies import fuzz_texts, golden_char_edits, golden_line_edits  # noqa: E402
@@ -64,11 +76,57 @@ for line in sys.stdin:
     print(json.dumps(record(json.loads(line))), flush=True)
 """
 
+# The command lines of the CLI half, `CASE` standing for the case's file.
+COMMANDS = (
+    ("check", "CASE"),
+    ("check", "CASE", "--format", "machine"),
+    ("coverage", "CASE"),
+    ("trace", "CASE"),
+    ("review", "CASE", "--ledger", "golden.ledger"),
+    ("report", "CASE", "--ledger", "golden.ledger", "--out", "out"),
+    ("fmt", "CASE"),
+)
+
+# Run by each child, in a directory of its own that holds `golden.ledger`,
+# with its tree's `src` first on the path: one JSON [file name, text,
+# argument lists] case per input line, one JSON record per argument list.
+# Every path is relative, so both trees print the same ones.
+CLI_CHILD = r"""
+import contextlib, io, json, os, re, shutil, sys
+sys.path.insert(0, sys.argv[1])
+import aurcase
+from aurcase.cli import run
+
+def record(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        out = {"exit": run(argv), "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    if os.path.isdir("out"):
+        for name in sorted(os.listdir("out")):
+            with open(os.path.join("out", name), encoding="utf-8") as handle:
+                text = handle.read()
+            out[name] = re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', text)
+        shutil.rmtree("out")
+    return out
+
+print(json.dumps(aurcase.__file__), flush=True)
+for line in sys.stdin:
+    name, text, argvs = json.loads(line)
+    with open(name, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    for argv in argvs:
+        print(json.dumps(record(argv)), flush=True)
+"""
+
+
+def fixtures() -> list[tuple[str, str]]:
+    paths = sorted(FIXTURES.glob("*.aur"))
+    return [(path.name, path.read_text(encoding="utf-8")) for path in paths]
+
 
 def corpus(seed: int, edits: int):
     """(label, text) pairs, the same for every run with these arguments."""
-    fixtures = sorted((HERE / "fixtures").glob("*.aur"))
-    yield from ((path.name, path.read_text(encoding="utf-8")) for path in fixtures)
+    yield from fixtures()
     for kind, texts in (
         ("line edit", golden_line_edits(seed, edits)),
         ("character edit", golden_char_edits(seed, edits)),
@@ -77,13 +135,24 @@ def corpus(seed: int, edits: int):
         yield from ((f"{kind} {i} (seed {seed})", text) for i, text in enumerate(texts))
 
 
-def start(root: Path) -> subprocess.Popen:
+def cli_cases() -> list[tuple[str, str]]:
+    """(file name, text) of each case of the CLI half."""
+    golden = (FIXTURES / "golden_cat.aur").read_text(encoding="utf-8")
+    return [
+        *fixtures(),
+        ("fatal.aur", golden + "}\n"),
+        ("dangling.aur", golden.replace("evidence = E1, E2", "evidence = E1, E9")),
+    ]
+
+
+def start(root: Path, script: str = CHILD, cwd: Path | None = None) -> subprocess.Popen:
     child = subprocess.Popen(
-        [sys.executable, "-c", CHILD, str(root / "src")],
+        [sys.executable, "-c", script, str((root / "src").resolve())],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         text=True,
         encoding="utf-8",
+        cwd=cwd,
     )
     first = child.stdout.readline()
     if not first or not Path(json.loads(first)).resolve().is_relative_to(root.resolve()):
@@ -92,10 +161,10 @@ def start(root: Path) -> subprocess.Popen:
     return child
 
 
-def feed(child: subprocess.Popen, texts: list[str]) -> None:
+def feed(child: subprocess.Popen, inputs: list) -> None:
     with child.stdin:
-        for text in texts:
-            child.stdin.write(json.dumps(text) + "\n")
+        for item in inputs:
+            child.stdin.write(json.dumps(item) + "\n")
 
 
 def first_difference(ours: dict, theirs: dict) -> str:
@@ -108,18 +177,11 @@ def first_difference(ours: dict, theirs: dict) -> str:
     return ""
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, type=Path, help="root of the other checkout")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--edits", type=int, default=1000, help="texts of each kind (K)")
-    args = parser.parse_args(argv)
-    if not (args.parent / "src" / "aurcase" / "dsl.py").is_file():
-        parser.error(f"{args.parent} has no src/aurcase/dsl.py")
-
-    labels, texts = zip(*corpus(args.seed, args.edits))
-    children = [start(HERE.parent), start(args.parent)]
-    feeders = [threading.Thread(target=feed, args=(c, texts)) for c in children]
+def compare(labels: list[str], inputs: list, children: list[subprocess.Popen], what: str) -> int:
+    """Feed `inputs` to both children and compare their records line by
+    line, one per label; print the first difference and the count.  Returns
+    the number of differences, or -1 if a child failed."""
+    feeders = [threading.Thread(target=feed, args=(c, inputs)) for c in children]
     for feeder in feeders:
         feeder.start()
     differences = compared = 0
@@ -133,11 +195,42 @@ def main(argv: list[str] | None = None) -> int:
     for feeder in feeders:
         feeder.join()
     codes = [child.wait() for child in children]
-    if any(codes) or compared != len(texts):
+    if any(codes) or compared != len(labels):
         print(f"differential.py: children exited with {codes}", file=sys.stderr)
+        return -1
+    print(f"{differences} differences in {len(labels)} {what}")
+    return differences
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="root of the other checkout")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--edits", type=int, default=1000, help="texts of each kind (K)")
+    args = parser.parse_args(argv)
+    if not (args.parent / "src" / "aurcase" / "dsl.py").is_file():
+        parser.error(f"{args.parent} has no src/aurcase/dsl.py")
+    roots = [HERE.parent, args.parent]
+
+    labels, texts = zip(*corpus(args.seed, args.edits))
+    parsed = compare(labels, texts, [start(root) for root in roots], "texts")
+
+    runs = [
+        (name, text, [[name if word == "CASE" else word for word in c] for c in COMMANDS])
+        for name, text in cli_cases()
+    ]
+    labels = [f"aurcase {' '.join(argv)}" for _, _, argvs in runs for argv in argvs]
+    with tempfile.TemporaryDirectory() as tmp:
+        children = []
+        for side, root in enumerate(roots):
+            work = Path(tmp, str(side))
+            work.mkdir()
+            shutil.copy(FIXTURES / "golden.ledger", work)
+            children.append(start(root, CLI_CHILD, cwd=work))
+        ran = compare(labels, runs, children, "command runs")
+    if parsed < 0 or ran < 0:
         return 2
-    print(f"{differences} differences in {len(texts)} texts")
-    return 1 if differences else 0
+    return 1 if parsed or ran else 0
 
 
 if __name__ == "__main__":

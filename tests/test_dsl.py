@@ -985,6 +985,10 @@ SCANNER_EDGES = [
     # failing token in the text is the one reported.
     'a 1e "', '" a 1e', "1e x 1e+", "x 1e y 1e", "1e+ 1e", "a\n1e x\n1e", "$ 1e $",
     "a " * 300 + "\n" + "b " * 300 + "\n1e+ $\n" + "c " * 300 + '\n" 1e+',
+    # A word character that starts no token, an underscore that starts an
+    # identifier, Arabic-Indic digits (decimal, so a number), and a sign
+    # before a blank.
+    "Ⅻ", "a Ⅻ", "_a", "١٢", "x = +١", "-\t1", "a +\n.5",
 ]
 
 NON_DECIMAL_DIGITS = ["²", "a ²", "x = ² 1e"]
@@ -1178,7 +1182,7 @@ def test_a_clean_parse_and_validate_look_up_no_offset(offset_lookups):
     result = parse(text, "x10.aur")
     assert not result.fatal and not result.diagnostics
     assert validate(result.case, None, result.span_index, result.reference_spans) == []
-    # Tokens that `_FIRST_KINDS` cannot place, but that lex, need none either.
+    # Tokens of unusual first characters that lex need none either.
     kind_of, words, _ = _lex('a .. b = -1.5 +2 .5 é_1 Ω "x" 3e+1', "odd.aur")
     assert [kind_of[word] for word in words[-4:]] == ["IDENT", "STRING", "NUMBER", "EOF"]
     assert offset_lookups == []
@@ -1215,7 +1219,8 @@ def _differential(parent: Path) -> subprocess.CompletedProcess:
 def test_the_differential_finds_no_difference_against_this_tree():
     started = time.perf_counter()
     done = _differential(ROOT)
-    assert (done.returncode, done.stdout) == (0, "0 differences in 455 texts\n"), done.stderr
+    expected = "0 differences in 455 texts\n0 differences in 49 command runs\n"
+    assert (done.returncode, done.stdout) == (0, expected), done.stderr
     assert time.perf_counter() - started < 10
 
 
@@ -1229,4 +1234,22 @@ def test_the_differential_reports_a_changed_message(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[:2] == ["first difference: random text 0 (seed 3)", "  diagnostics:"]
     assert '"unterminated string literal"' in lines[2] and '"open string"' in lines[3]
-    assert lines[-1] == "12 differences in 455 texts"
+    assert lines[-2:] == ["12 differences in 455 texts", "0 differences in 49 command runs"]
+
+
+def test_the_differential_reports_a_changed_command_output(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    changed = tmp_path / "src" / "aurcase" / "cli.py"
+    text = changed.read_text(encoding="utf-8")
+    changed.write_text(text.replace('"heatmap.svg"', '"heat.svg"'), "utf-8")
+    done = _differential(tmp_path)
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:3] == [
+        "0 differences in 455 texts",
+        "first difference: aurcase report balance_aggregate_only.aur --ledger golden.ledger"
+        " --out out",
+        "  stdout:",
+    ]
+    assert "heatmap.svg" in lines[3] and "heat.svg" in lines[4]
+    assert lines[-1] == "5 differences in 49 command runs"

@@ -472,6 +472,63 @@ class TestRecord:
         assert record != tuple(getattr(record, name) for name in cls.FIELDS)
 
 
+# -- what a record stores ------------------------------------------------------
+
+def _collection_fields(cls) -> list[tuple[str, type]]:
+    """(field, type) of each field of `cls` annotated `tuple[...]` or
+    `frozenset[...]`."""
+    kinds = {"tuple": tuple, "frozenset": frozenset}
+    return [
+        (name, kinds[kind])
+        for name in cls.FIELDS
+        if (kind := str(cls.__annotations__[name]).partition("[")[0]) in kinds
+    ]
+
+
+def test_collection_fields_are_stored_as_their_annotated_type(samples):
+    checked = set()
+    for cls, record in samples.items():
+        for name, kind in _collection_fields(cls):
+            value = getattr(record, name)
+            assert type(value) is kind, (cls.__name__, name)
+            for given in (list(value), iter(list(value))):
+                copy = record.replace(**{name: given})
+                assert type(getattr(copy, name)) is kind, (cls.__name__, name)
+                assert copy == record and _hash(copy) == _hash(record)
+            checked.add(f"{cls.__name__}.{name}")
+    assert {
+        "AcSpaceRegion.severities",
+        "AcSpaceRegion.weak_severities",
+        "ClaimNode.children",
+        "ClaimNode.rows",
+        "ParseResult.diagnostics",
+        "ReadinessDecision.blockers",
+        "ReadinessDecision.target_checks",
+        "TraceRow.evidence_ids",
+        "RuleConfig.required_facets",
+        "SafetyCase.hazards",
+    } <= checked
+
+
+def test_a_tuple_or_frozenset_given_is_kept_as_the_same_object():
+    severities = frozenset({SeverityLevel.S0, SeverityLevel.S2})
+    region = AcSpaceRegion(severities=severities, roles=frozenset({ConflictRole.RESPONDER}))
+    assert region.severities is severities
+    rows = (ArgumentRow("A.1", "it holds"),)
+    assert ClaimNode(ClaimKind.REASONABLENESS, rows=rows).rows is rows
+    categories = frozenset({HazardCategory.ARCHITECTURAL})
+    hazard = Hazard("H1", "collision", HazardCategory.BEHAVIORAL, categories)
+    assert hazard.secondary_categories is categories
+
+
+def test_a_mapping_field_is_stored_as_given(golden_cat_text):
+    result = parse(golden_cat_text, "golden_cat.aur")
+    copy = result.replace(diagnostics=[])
+    assert copy.span_index is result.span_index
+    assert copy.reference_spans is result.reference_spans
+    assert copy.diagnostics == ()
+
+
 def test_records_with_the_same_fields_and_values_differ_by_class():
     class Left(Record):
         value: int
