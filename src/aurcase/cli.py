@@ -19,11 +19,22 @@ does not check. Every early end is an `_Exit` that `run` turns into the
 exit code: a fatal parse prints its diagnostic (on stdout; on stderr for
 `fmt`) and exits 2; a refused case (dangling references) prints its
 findings and E008 to stderr and exits 1; an unreadable input or an
-unwritable `--out` is a usage error, exit 2.
+unwritable `--out` is a usage error, exit 2. A closed pipe on stdout or
+stderr (`aurcase fmt big.aur | head`) ends the process with exit 1 and
+nothing on stderr.
 
 A command runs with the cyclic garbage collector paused (see `run`): the
 parsed case is an acyclic tree, so collections during a command scan a
 growing heap and free nothing, and reference counting frees it anyway.
+
+How the process ends: `main`, the entry point of `python -m aurcase.cli`
+and of the `aurcase` script, flushes stdout and stderr once `run` returns
+and ends with `os._exit`. That skips the interpreter's teardown (freeing
+every module and object, and a last collection), about 10 ms of a 125 ms
+`review`. No `atexit` hook runs, so a tool that needs one calls `run`. A
+flush that fails other than on a closed pipe falls back to `sys.exit`,
+and the interpreter reports it as it always has (`Exception ignored in:
+<_io.TextIOWrapper name='<stdout>' ...>`, exit 120).
 """
 
 from __future__ import annotations
@@ -392,7 +403,21 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = None
+    try:
+        code = run()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed
+                stream.flush()
+    except BrokenPipeError:
+        # The reader went away: nothing more can be told, so no traceback
+        # and no exit-time flush that would raise again.
+        os._exit(1)
+    except Exception:
+        if code is None:  # raised by the command itself
+            raise
+        sys.exit(code)  # the exit-time flush fails again and reports it
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ operational context, not just on unmet targets.
 
 from __future__ import annotations
 
-import csv
 import enum
 import io
 import sys
@@ -114,6 +113,8 @@ def parse_ledger(text: str) -> ExposureLedger:
     entry.  No unit conversion is ever attempted.  One leading UTF-8 byte
     order mark, as spreadsheets write into "CSV UTF-8", is dropped.
     """
+    import csv  # here, so that a command reading no ledger never loads it
+
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         rows = [

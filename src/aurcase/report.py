@@ -15,7 +15,6 @@ instead of printing `NaN` or `Infinity`.
 
 from __future__ import annotations
 
-import json
 import time
 from itertools import product
 from typing import TYPE_CHECKING, Mapping
@@ -375,6 +374,8 @@ def report_dict(report: ReportDocument) -> dict:
 def render_json(payload) -> str:
     """Stable, strict JSON: sorted keys, two-space indent, plain decimal
     numbers, and a ValueError rather than `NaN` or `Infinity`."""
+    import json  # here, so that a command printing no JSON never loads it
+
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 

@@ -12,8 +12,9 @@ child interpreter.
   parse's diagnostics (the fatal one, or the dangling references), both
   span maps, the `serialize` output and the `validate` findings.
 - The CLI half runs `aurcase.cli.run` in-process over every fixture and
-  two edits of `golden_cat.aur` (one fatal, one with a dangling
-  reference), once per command line in `COMMANDS`.  For each run the
+  three edits of `golden_cat.aur` (one fatal, one with a dangling
+  reference, one whose E006 and W102 tie on position), once per command
+  line in `COMMANDS`.  For each run the
   children report the exit code, stdout, stderr and every file that
   `report` writes, with `generated_at` masked.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -142,6 +144,9 @@ def cli_cases() -> list[tuple[str, str]]:
         *fixtures(),
         ("fatal.aur", golden + "}\n"),
         ("dangling.aur", golden.replace("evidence = E1, E2", "evidence = E1, E9")),
+        # The first argument row without evidence and limitations: its E006
+        # and W102 share one position, so only severity orders them.
+        ("tied.aur", re.sub(r" *evidence = E1\n *limitations = .*\n", "", golden, count=1)),
     ]
 
 

@@ -402,6 +402,37 @@ def test_commands_hash_without_openssl(tmp_path, argv):
     assert not imported & {"hashlib", "_hashlib"}
 
 
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        pytest.param(["--version"], set(), id="version"),
+        pytest.param(["check", "golden_cat.aur"], set(), id="check"),
+        pytest.param(["coverage", "golden_cat.aur"], set(), id="coverage"),
+        pytest.param(["trace", "golden_cat.aur"], set(), id="trace"),
+        pytest.param(["fmt", "golden_cat.aur"], set(), id="fmt"),
+        pytest.param(
+            ["check", "golden_cat.aur", "--format", "machine"], {"json"}, id="check-machine"
+        ),
+        pytest.param(["review", "golden_cat.aur", "--ledger", "{ledger}"], {"csv"}, id="review"),
+        pytest.param(
+            ["report", "golden_cat.aur", "--ledger", "{ledger}", "--out", "{out}"],
+            {"json", "csv"},
+            id="report",
+        ),
+    ],
+)
+def test_commands_load_json_and_csv_only_when_they_use_them(tmp_path, argv, loaded):
+    """`json` is imported by `report.render_json` and `csv` by
+    `lifecycle.parse_ledger`, each when first called, so a command that
+    prints no JSON and reads no ledger loads neither."""
+    ledger = tmp_path / "nonzero.ledger"
+    ledger.write_text(_NONZERO_LEDGER)
+    argv = [arg.format(ledger=ledger, out=tmp_path / "out") for arg in argv]
+    _, _, imported = _cold_cli_imports(argv)
+    assert "aurcase.report" in imported
+    assert imported & {"json", "csv"} == loaded
+
+
 def test_cold_review_with_a_nonzero_count_stays_light(tmp_path):
     """The golden ledger's zero counts take the closed form; a nonzero
     count exercises the full Poisson solver in a cold process."""

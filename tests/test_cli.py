@@ -7,6 +7,8 @@ import json
 import os
 import random
 import re
+import shutil
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -956,3 +958,109 @@ class TestGarbageCollectorPause:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+# -- the command as its own process -------------------------------------------
+
+SRC = Path(cli.__file__).resolve().parents[1]
+PIPE_BUFFER = 1 << 16  # a Linux pipe's capacity: `fmt` writes more while it is read
+
+
+def cold(
+    argv: list[str], cwd: Path, stdout=subprocess.PIPE, shell: str = "", unbuffered: bool = False
+) -> subprocess.CompletedProcess:
+    """`python -m aurcase.cli ARGV` in `cwd`, with this tree's `src` first
+    on the path and buffered standard streams unless `unbuffered`; stderr
+    is captured. With `shell`, `sh` runs it with that redirection."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "aurcase.cli", *argv]
+    if shell:
+        command = ["sh", "-c", f'exec "$0" "$@" {shell}', *command]
+    return subprocess.run(
+        command, cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60
+    )
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory) -> Path:
+    """A directory with the golden case and ledger, a dirty case, a case
+    whose only error is E006 and a case whose `fmt` fills a pipe."""
+    root = tmp_path_factory.mktemp("process")
+    shutil.copy(FIXTURES / "golden_cat.aur", root)
+    shutil.copy(FIXTURES / "golden.ledger", root)
+    (root / "dirty.aur").write_text(scaled_findings(2), encoding="utf-8")
+    (root / "e006.aur").write_text(mutate("E006"), encoding="utf-8")
+    (root / "big.aur").write_text(scaled_golden(20), encoding="utf-8")
+    return root
+
+
+class TestProcess:
+    """`main` ends the process with `os._exit` once it has flushed, so these
+    run the command cold and compare it with `run` in-process, which the
+    other tests and `tests/differential.py` call."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--version"], 0),
+            (["check", "--no-such-flag", "golden_cat.aur"], 2),
+            (["check", "dirty.aur"], 1),
+            (["check", "dirty.aur", "--format", "machine"], 1),
+            (["fmt", "big.aur"], 0),
+            (["trace", "e006.aur"], 1),
+            (["review", "golden_cat.aur", "--ledger", "golden.ledger", "--format", "machine"], 0),
+            (["report", "golden_cat.aur", "--ledger", "golden.ledger", "--out", "out"], 0),
+        ],
+        ids=["version", "usage", "check", "check-machine", "fmt", "trace", "review", "report"],
+    )
+    def test_a_cold_process_prints_what_run_prints(
+        self, workspace, monkeypatch, capsys, argv, code
+    ):
+        monkeypatch.chdir(workspace)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        assert run(argv) == code
+        expected = capsys.readouterr()
+        done = cold(argv, workspace)
+        printed = (done.stdout.decode("utf-8"), done.stderr.decode("utf-8"))
+        assert (done.returncode, *printed) == (code, *expected)
+        if argv[0] == "fmt":
+            assert len(done.stdout) > PIPE_BUFFER
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    def test_a_failed_flush_is_reported_by_the_interpreter(self, workspace):
+        with open("/dev/full", "wb") as full:
+            done = cold(["check", "golden_cat.aur"], workspace, stdout=full)
+        assert done.returncode == 120
+        assert done.stderr.decode().splitlines() == [
+            "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>",
+            "OSError: [Errno 28] No space left on device",
+        ]
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["fmt", "big.aur"], ["check", "golden_cat.aur"]],
+        ids=["while-writing", "at-the-final-flush"],
+    )
+    def test_a_closed_pipe_exits_1_with_nothing_on_stderr(self, workspace, argv, unbuffered):
+        """The reader is gone before the command starts: `fmt` fills the
+        stdout buffer and meets the closed pipe inside `run`, and `check`'s
+        short output meets it at the flush in `main` unless unbuffered."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = cold(argv, workspace, stdout=write_end, unbuffered=unbuffered)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
+
+    def test_a_closed_stdout_exits_with_the_command_code_and_nothing_on_stderr(
+        self, workspace
+    ):
+        # With descriptor 1 closed, `sys.stdout` is None and `print` writes
+        # nothing.
+        done = cold(["check", "dirty.aur"], workspace, shell=">&-")
+        assert (done.returncode, done.stderr) == (1, b"")
