@@ -309,7 +309,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         result.case, args.file, diagnostics, review=review, input_digests=digests
     )
     artifacts = {
-        "report.txt": render_text(document.diagnostics, document),
+        "report.txt": render_text(document),
         "report.json": render_machine(document),
         "heatmap.svg": render_heatmap(document.coverage.map),
         "trace.txt": render_trace_text(document.trace),
@@ -356,8 +356,7 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
     del result
     lines, separator = _canonical_lines(case), ""
     while chunk := list(islice(lines, _WRITE_SLICE)):
-        sys.stdout.write(separator)
-        sys.stdout.write("\n".join(chunk))
+        print(separator, "\n".join(chunk), sep="", end="")
         separator = "\n"
     return EXIT_OK
 

@@ -13,12 +13,13 @@ downstream analyses can refuse with context.  The lexer keeps no object
 per token but its word, and one string per distinct word: it scans the
 text in runs of whole lines, one `findall` each, into a list of words,
 and works out the kind of each distinct word once.  The parser is a
-cursor over the words.  No token's offset is kept, only the offset and
-first token of each run.  A span keeps only the index of the token that
-declares an element or makes a cross-reference; the token's run is
-matched again up to it, and its precise source span made, only when the
-span is looked up, so a clean case looks up no offset.  One leading byte
-order mark is dropped, and positions count from after it.
+cursor over the words.  No token's offset is kept: the document's
+`_Source` keeps the offset and first token of each run.  A span map
+keeps the index of the token that declares an element or makes a
+cross-reference, and holds the `_Source`, which finds the token's offset
+by matching its run again only when the span is looked up, so a clean
+case looks up none.  One leading byte order mark is dropped, and
+positions count from after it.
 
 Serialization is canonical: stable field order, two-space indentation,
 elements ordered by identifier, and deterministic to the byte.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_right
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from functools import cached_property
 from itertools import chain, islice
 
@@ -116,8 +117,8 @@ _ESCAPE_OUT = str.maketrans({char: "\\" + escape for escape, char in _ESCAPES.it
 # break or an escape the format does not know.
 _STRING_BODY = re.compile(rf'[^"\\\n]*(?:\\[{re.escape("".join(_ESCAPES))}][^"\\\n]*)*')
 
-# Token kinds.  A token is its index into the lexer's words and starts; its
-# kind is its word's.
+# Token kinds.  A token is its index into the lexer's words; its kind is
+# its word's.
 IDENT, STRING, NUMBER, PUNCT, EOF = "IDENT", "STRING", "NUMBER", "PUNCT", "EOF"
 
 # The token grammar: each kind's alternative.  No two match at the same
@@ -151,13 +152,15 @@ _EXPONENT_WITHOUT_DIGITS = re.compile(r"[eE][+-]?\Z")
 
 
 class _Source:
-    """A document's text and name.  Line and column are worked out only
-    when a span is asked for, by bisecting the offsets at which lines
-    start; lines end at '\\n' only and columns count code points."""
+    """A document's text and name, and where its tokens are.  The lexer
+    records the offset and first token of each run of lines it scans; a
+    token is placed only when asked for, by matching its run again up to
+    it.  Lines end at '\\n' only, and columns count code points."""
 
     def __init__(self, text: str, file_name: str):
         self.text = text
         self.file = file_name
+        self.run_offsets, self.run_firsts = array("q"), array("q")
 
     @cached_property
     def _line_starts(self) -> list[int]:
@@ -172,25 +175,37 @@ class _Source:
         line, col = self.position(start)
         return SourceSpan(self.file, line, col, line, col + end - start)
 
+    def match(self, token: int) -> re.Match:
+        """The match of `_TOKEN` whose group 1 is `token`."""
+        run = bisect_right(self.run_firsts, token) - 1
+        matches = _TOKEN.finditer(self.text, self.run_offsets[run])
+        return next(islice(matches, token - self.run_firsts[run], None))
+
+    def token_span(self, token: int) -> SourceSpan:
+        return self.span(*self.match(token).span(1))
+
+    def where(self, token: int) -> str:
+        return "%d:%d" % self.position(self.match(token).start(1))
+
 
 # The fewest characters the lexer scans at once: a run of whole lines
 # ends just after the first line break this far past its start.
 _RUN = 512
 
 
-def _lex(text: str, file_name: str) -> tuple[dict[str, str], list[str], _Starts]:
-    """The kind of each distinct word ('' for EOF), and the words and start
-    offsets of the tokens of `text`, ending with EOF; raises `_Fatal` at
-    the first token that fails to lex."""
+def _lex(text: str, file_name: str) -> tuple[dict[str, str], list[str], _Source]:
+    """The kind of each distinct word ('' for EOF), the words of the tokens
+    of `text`, ending with EOF, and the `_Source` that places them; raises
+    `_Fatal` at the first token that fails to lex."""
     # Each run of lines is one `findall` in C, which makes no object but
     # the words; equal words then share the first one's string (`seen`).
-    # Only the offset and first token of each run are kept; a token's
-    # offset is found again when it is asked for (`_Starts`).
+    # Only the offset and first token of each run are kept, in `source`.
+    source = _Source(text, file_name)
     words: list[str] = []
     seen = {"": ""}  # EOF's word
-    run_offsets, run_firsts = array("q"), array("q")
+    run_offsets, run_firsts = source.run_offsets, source.run_firsts
     findall, size, pos = _TOKEN.findall, len(text), 0
-    while pos < size:
+    while pos < size or not run_firsts:  # an empty text is one empty run
         end = text.find("\n", pos + _RUN - 1) + 1 or size
         first = len(words)
         run_offsets.append(pos)
@@ -204,7 +219,6 @@ def _lex(text: str, file_name: str) -> tuple[dict[str, str], list[str], _Starts]
             del words[-1]
         pos = end
     words.append("")  # EOF
-    starts = _Starts(text, run_offsets, run_firsts, len(words))
     # A word's kind is worked out once.  `seen` is in the order of first
     # occurrence, so the first word that fails to lex is at the first
     # token that does.
@@ -212,38 +226,8 @@ def _lex(text: str, file_name: str) -> tuple[dict[str, str], list[str], _Starts]
     for word in seen:
         kind = kind_of[word] = _kind(word)
         if kind is None:
-            raise _lex_error(text, file_name, word, starts[words.index(word)])
-    return kind_of, words, starts
-
-
-class _Starts(Sequence):
-    """The start offsets of the lexer's tokens, each found when it is asked
-    for.  Only the offset and first token of each run of lines are kept:
-    a token's run is found by bisection, and the run matched again up to
-    the token.  A token that lexes needs no offset, so a clean case asks
-    for none."""
-
-    def __init__(self, text: str, run_offsets: array, run_firsts: array, count: int):
-        self._text = text
-        self._run_offsets = run_offsets
-        self._run_firsts = run_firsts
-        self._count = count
-
-    def match(self, token: int) -> re.Match:
-        """The match of `_TOKEN` whose group 1 is the token."""
-        if not 0 <= token < self._count:
-            raise IndexError("token index out of range")
-        if token == self._count - 1:  # EOF, at the end of the text
-            return _TOKEN.match(self._text, len(self._text))
-        run = bisect_right(self._run_firsts, token) - 1
-        matches = _TOKEN.finditer(self._text, self._run_offsets[run])
-        return next(islice(matches, token - self._run_firsts[run], None))
-
-    def __getitem__(self, token: int) -> int:
-        return self.match(token).start(1)
-
-    def __len__(self) -> int:
-        return self._count
+            raise _lex_error(source, word, words.index(word))
+    return kind_of, words, source
 
 
 def _kind(word: str) -> str | None:
@@ -262,8 +246,9 @@ def _kind(word: str) -> str | None:
     return kind
 
 
-def _lex_error(text: str, file_name: str, word: str, start: int) -> _Fatal:
-    """The fatal for the token `word` at offset `start`, which fails to lex."""
+def _lex_error(source: _Source, word: str, token: int) -> _Fatal:
+    """The fatal for `token`, whose word `word` fails to lex."""
+    text, start = source.text, source.match(token).start(1)
     if word == '"':
         message, start, end = _bad_string(text, start)
     elif (match := _KINDS.match(text, start)) and match.lastgroup == NUMBER:
@@ -276,7 +261,7 @@ def _lex_error(text: str, file_name: str, word: str, start: int) -> _Fatal:
     else:  # no token, or a word character that starts none ('²', 'Ⅻ')
         message = f"unexpected character {word[0]!r}"
         end = start + 1
-    return _Fatal(_syntax_error(message, _Source(text, file_name).span(start, end)))
+    return _Fatal(_syntax_error(message, source.span(start, end)))
 
 
 def _unquote(word: str) -> str:
@@ -306,15 +291,15 @@ _KIND_HINTS = {STRING: " (a quoted string)", NUMBER: " (a number)"}
 
 class _Spans(Mapping):
     """A read-only map from each key to the span of the token it was
-    recorded at.  Only the token's index is kept; on lookup `span` matches
-    the token again and makes its span."""
+    recorded at.  Only the token's index is kept; on lookup the document's
+    `_Source` places the token."""
 
-    def __init__(self, tokens: dict[object, int], span: Callable[[int], SourceSpan]):
+    def __init__(self, tokens: dict[object, int], source: _Source):
         self._tokens = tokens
-        self._span = span
+        self._source = source
 
     def __getitem__(self, key) -> SourceSpan:
-        return self._span(self._tokens[key])
+        return self._source.token_span(self._tokens[key])
 
     def __contains__(self, key) -> bool:
         return key in self._tokens
@@ -332,9 +317,8 @@ class _Spans(Mapping):
 class _Parser:
     """A cursor over the lexer's words; a token is its index."""
 
-    def __init__(self, tokens: tuple[dict[str, str], list[str], _Starts], source: _Source):
-        self.kind_of, self.words, self.starts = tokens
-        self.source = source
+    def __init__(self, tokens: tuple[dict[str, str], list[str], _Source]):
+        self.kind_of, self.words, self.source = tokens
         self.pos = 0
         # The token each span key and reference was recorded at.
         self.span_index: dict[str, int] = {}
@@ -350,22 +334,22 @@ class _Parser:
             self.pos += 1
         return token
 
-    def span(self, token: int) -> SourceSpan:
-        """The source span of `token`, found by matching its run again."""
-        return self.source.span(*self.starts.match(token).span(1))
-
-    def where(self, token: int) -> str:
-        return "%d:%d" % self.source.position(self.starts[token])
-
     def _fatal(self, message: str, token: int) -> _Fatal:
-        return _Fatal(_syntax_error(message, self.span(token)))
+        return _Fatal(_syntax_error(message, self.source.token_span(token)))
+
+    def build(self, record: type, token: int, /, **fields):
+        """`record(**fields)`; a `ModelError` is a fatal at `token`."""
+        try:
+            return record(**fields)
+        except ModelError as exc:
+            raise self._fatal(str(exc), token) from exc
 
     def _eof_message(self, expected: str) -> str:
         if self.open_blocks:
             desc, opener = self.open_blocks[-1]
             return (
                 f"expected {expected} to close {desc} opened at "
-                f"{self.where(opener)}, found end of document"
+                f"{self.source.where(opener)}, found end of document"
             )
         return f"expected {expected}, found end of document"
 
@@ -448,9 +432,7 @@ class _Parser:
                 raise self._fatal(twice, token)
             # An entry keyword is a word, so its token is never EOF.
             self.pos = token + 1
-            if read is STRING:
-                values[keyword] = self.assigned_string(token)
-            elif read.__class__ is str:
+            if read.__class__ is str:
                 values[keyword] = self.assigned_ids(referrer, read)
             elif twice is None:
                 values.setdefault(keyword, []).append(read(self, token))
@@ -473,9 +455,9 @@ class _Parser:
                     _DUPLICATE_RULE,
                     Severity.ERROR,
                     f"duplicate identifier {name!r}; first declared at "
-                    f"{self.where(previous)}",
+                    f"{self.source.where(previous)}",
                     subject_id=name,
-                    span=self.span(token),
+                    span=self.source.token_span(token),
                 )
             )
         self.span_index[name] = token
@@ -595,15 +577,14 @@ class _Parser:
         self.open_block(f"hazard {hazard_id}")
         description = self.assigned_string(self.take("description"))
         self.close_block()
-        try:
-            return Hazard(
-                id=hazard_id,
-                description=description,
-                primary_category=primary,
-                secondary_categories=secondary,
-            )
-        except ModelError as exc:
-            raise self._fatal(str(exc), ident) from exc
+        return self.build(
+            Hazard,
+            ident,
+            id=hazard_id,
+            description=description,
+            primary_category=primary,
+            secondary_categories=secondary,
+        )
 
     def parse_methodology(self, _keyword: int) -> Methodology:
         ident = self.expect(IDENT, "a methodology identifier")
@@ -612,15 +593,14 @@ class _Parser:
         body = self.block_body(_METHODOLOGY_ENTRIES)
         if "name" not in body:
             raise self._fatal(f"methodology {methodology_id} must state a name", ident)
-        try:
-            return Methodology(
-                id=methodology_id,
-                name=body["name"],
-                hazard_categories=body.get("category", frozenset()),
-                region=body.get("region"),
-            )
-        except ModelError as exc:
-            raise self._fatal(str(exc), ident) from exc
+        return self.build(
+            Methodology,
+            ident,
+            id=methodology_id,
+            name=body["name"],
+            hazard_categories=body.get("category", frozenset()),
+            region=body.get("region"),
+        )
 
     def parse_region(self, keyword: int) -> AcSpaceRegion:
         self.open_block("region block")
@@ -690,19 +670,18 @@ class _Parser:
         body = self.block_body(_CRITERION_ENTRIES, criterion_id)
         if "statement" not in body:
             raise self._fatal(f"criterion {criterion_id} must state a statement", ident)
-        try:
-            return AcceptanceCriterion(
-                id=criterion_id,
-                statement=body["statement"],
-                hazard_ids=hazard_ids,
-                methodology_id=methodology_id,
-                aggregation=aggregation,
-                indicator_ids=body.get("indicator", frozenset()),
-                region=body.get("region"),
-                target=body.get("target"),
-            )
-        except ModelError as exc:
-            raise self._fatal(str(exc), ident) from exc
+        return self.build(
+            AcceptanceCriterion,
+            ident,
+            id=criterion_id,
+            statement=body["statement"],
+            hazard_ids=hazard_ids,
+            methodology_id=methodology_id,
+            aggregation=aggregation,
+            indicator_ids=body.get("indicator", frozenset()),
+            region=body.get("region"),
+            target=body.get("target"),
+        )
 
     def parse_target(self, _keyword: int) -> ValidationTarget:
         kind_token = self.expect(IDENT, "'rate_bound' or 'qualitative'")
@@ -772,16 +751,15 @@ class _Parser:
         self.take("criterion", "=")
         criterion_id = self.reference(claim_id, "criterion_id", "a criterion identifier")
         children, rows = self.parse_claim_body(claim_id, f"claim {claim_id}", depth=1)
-        try:
-            return ClaimNode(
-                kind=ClaimKind.TOP_CLAIM,
-                id=claim_id,
-                criterion_id=criterion_id,
-                children=children,
-                rows=rows,
-            )
-        except ModelError as exc:
-            raise self._fatal(str(exc), ident) from exc
+        return self.build(
+            ClaimNode,
+            ident,
+            kind=ClaimKind.TOP_CLAIM,
+            id=claim_id,
+            criterion_id=criterion_id,
+            children=children,
+            rows=rows,
+        )
 
     def parse_claim_body(
         self, parent_key: str, description: str, depth: int
@@ -819,16 +797,15 @@ class _Parser:
         key = self.declare(token, node_key(parent_key, ordinal, node_id))
         description = f"{word} subclaim" + (f" {node_id}" if node_id else "")
         children, rows = self.parse_claim_body(key, description, depth + 1)
-        try:
-            return ClaimNode(
-                kind=kind,
-                id=node_id,
-                facet_label=facet_label,
-                children=children,
-                rows=rows,
-            )
-        except ModelError as exc:
-            raise self._fatal(str(exc), keyword) from exc
+        return self.build(
+            ClaimNode,
+            keyword,
+            kind=kind,
+            id=node_id,
+            facet_label=facet_label,
+            children=children,
+            rows=rows,
+        )
 
     def parse_row(self, parent_key: str, row_labels: dict[str, int]) -> ArgumentRow:
         keyword = self.take("argument")
@@ -839,26 +816,25 @@ class _Parser:
         body = self.block_body(_ROW_ENTRIES, key)
         if "text" not in body:
             raise self._fatal(f"argument {label} must state its text", label_token)
-        try:
-            return ArgumentRow(
-                label=label,
-                argument=body["text"],
-                evidence_ids=body.get("evidence", frozenset()),
-                limitations=body.get("limitations", ""),
-                counter_argument=body.get("counter", ""),
-            )
-        except ModelError as exc:
-            raise self._fatal(str(exc), label_token) from exc
+        return self.build(
+            ArgumentRow,
+            label_token,
+            label=label,
+            argument=body["text"],
+            evidence_ids=body.get("evidence", frozenset()),
+            limitations=body.get("limitations", ""),
+            counter_argument=body.get("counter", ""),
+        )
 
 
 def _entry_table(block: str, entries: dict, expected: str = "") -> tuple[str, str, dict]:
     """The table that `_Parser.block_body` reads a block kind by: where the
     block is and what it expects (by default its keywords), for an unknown
     keyword's message, then `entries`.  They map each keyword that may
-    start an entry to `(read, twice)`.  `read` is `STRING` for `= "..."`,
-    the name of a reference field for `= id, id, ...` (referred to from
-    the referrer `block_body` is given), or a `_Parser` method that reads
-    the rest of the entry from its keyword token.  `twice` is the fatal
+    start an entry to `(read, twice)`.  `read` is the name of a reference
+    field for `= id, id, ...` (referred to from the referrer `block_body`
+    is given), or a `_Parser` method that reads the rest of the entry from
+    its keyword token, such as `assigned_string` for `= "..."`.  `twice` is the fatal
     message for a second entry with that keyword, or None where entries
     may repeat.  Built once, at import, so a block makes no reader."""
     if not expected:
@@ -878,7 +854,7 @@ _DOCUMENT_ENTRIES = _entry_table(
 _METHODOLOGY_ENTRIES = _entry_table(
     " in methodology block",
     {
-        "name": (STRING, "name is set twice"),
+        "name": (_Parser.assigned_string, "name is set twice"),
         "category": (_Parser.categories, "category is set twice"),
         "region": (_Parser.parse_region, "region is declared twice"),
     },
@@ -895,7 +871,7 @@ _REGION_ENTRIES = _entry_table(
 _CRITERION_ENTRIES = _entry_table(
     " in criterion block",
     {
-        "statement": (STRING, "statement is set twice"),
+        "statement": (_Parser.assigned_string, "statement is set twice"),
         "target": (_Parser.parse_target, "target is declared twice"),
         "region": (_Parser.parse_region, "region is declared twice"),
         "indicator": ("indicator_ids", "indicator list is set twice"),
@@ -903,15 +879,18 @@ _CRITERION_ENTRIES = _entry_table(
 )
 _EVIDENCE_ENTRIES = _entry_table(
     " in evidence block",
-    {"kind": (STRING, "kind is set twice"), "uri": (STRING, "uri is set twice")},
+    {
+        "kind": (_Parser.assigned_string, "kind is set twice"),
+        "uri": (_Parser.assigned_string, "uri is set twice"),
+    },
 )
 _ROW_ENTRIES = _entry_table(
     " in argument block",
     {
-        "text": (STRING, "text is set twice"),
+        "text": (_Parser.assigned_string, "text is set twice"),
         "evidence": ("evidence_ids", "evidence list is set twice"),
-        "limitations": (STRING, "limitations is set twice"),
-        "counter": (STRING, "counter is set twice"),
+        "limitations": (_Parser.assigned_string, "limitations is set twice"),
+        "counter": (_Parser.assigned_string, "counter is set twice"),
     },
 )
 
@@ -937,9 +916,8 @@ def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:
             )
             return ParseResult(case=None, diagnostics=(diagnostic,))
     text = text.removeprefix("\ufeff")  # a byte order mark; positions count after it
-    source = _Source(text, file_name)
     try:
-        parser = _Parser(_lex(text, file_name), source)
+        parser = _Parser(_lex(text, file_name))
         case = parser.parse_document()
     except _Fatal as fatal:
         return ParseResult(case=None, diagnostics=(fatal.diagnostic,))
@@ -949,8 +927,8 @@ def parse(text: str | bytes, file_name: str = "<input>") -> ParseResult:
         )
         return ParseResult(case=None, diagnostics=(diagnostic,))
 
-    span_index = _Spans(parser.span_index, parser.span)
-    reference_spans = _Spans(parser.ref_spans, parser.span)
+    span_index = _Spans(parser.span_index, parser.source)
+    reference_spans = _Spans(parser.ref_spans, parser.source)
     diagnostics = dangling_references(
         resolve_references(case), Severity.ERROR, reference_spans, span_index
     )

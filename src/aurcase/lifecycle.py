@@ -445,16 +445,14 @@ def drift_check(criterion: AcceptanceCriterion, ledger: ExposureLedger) -> Drift
             status=DriftStatus.INSUFFICIENT_DATA,
             target=observed.target,
         )
-    predicted_bound: float | None = None
-    if ledger.for_phase(Phase.PREDICTED):
-        predicted_bound = check_target(criterion, ledger, Phase.PREDICTED).upper_bound
+    predicted = check_target(criterion, ledger, Phase.PREDICTED)
     drifted = observed.upper_bound is not None and observed.upper_bound > observed.target
     return DriftCheck(
         criterion_id=criterion.id,
         status=DriftStatus.DRIFT if drifted else DriftStatus.NO_DRIFT,
         target=observed.target,
         observed_upper_bound=observed.upper_bound,
-        predicted_upper_bound=predicted_bound,
+        predicted_upper_bound=predicted.upper_bound,
     )
 
 

@@ -240,13 +240,8 @@ def render_review_text(review: ReadinessDecision) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_text(
-    diagnostics: list[Diagnostic] | tuple[Diagnostic, ...],
-    report: ReportDocument | None = None,
-) -> str:
-    """Human-readable rendering: diagnostics alone, or the full report."""
-    if report is None:
-        return render_diagnostics(diagnostics)
+def render_text(report: ReportDocument) -> str:
+    """Human-readable rendering of the full report."""
     case = report.case
     parts = [
         f"aurcase report: {report.file_name}",
@@ -255,7 +250,7 @@ def render_text(
         + (f" platform {case.context.platform}" if case.context.platform else ""),
         "",
         "== diagnostics ==",
-        render_diagnostics(diagnostics).rstrip("\n"),
+        render_diagnostics(report.diagnostics).rstrip("\n"),
         "",
         "== coverage ==",
         render_coverage_text(report.coverage).rstrip("\n"),

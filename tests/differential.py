@@ -14,8 +14,10 @@ child interpreter.
 - The CLI half runs `aurcase.cli.run` in-process over every fixture and
   three edits of `golden_cat.aur` (one fatal, one with a dangling
   reference, one whose E006 and W102 tie on position), once per command
-  line in `COMMANDS`.  For each run the
-  children report the exit code, stdout, stderr and every file that
+  line in `COMMANDS`: with and without a config (named by `--config` or
+  by `$AURCASE_CONFIG`), `--review-ready` and `--coverage-threshold`,
+  and with the golden ledger and two bad ones (`INPUTS`).  For each run
+  the children report the exit code, stdout, stderr and every file that
   `report` writes, with `generated_at` masked.
 
 For each half the script prints the first difference and the number of
@@ -27,8 +29,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -78,31 +80,64 @@ for line in sys.stdin:
     print(json.dumps(record(json.loads(line))), flush=True)
 """
 
+GOLDEN_LEDGER = (FIXTURES / "golden.ledger").read_text(encoding="utf-8")
+
+# The files beside each case in a CLI child's directory.
+INPUTS = {
+    "golden.ledger": GOLDEN_LEDGER,
+    # Re-grades a rule, turns one off, requires a facet and narrows E006.
+    "strict.cfg": (
+        "rule.W104.severity = error\n"
+        "rule.E012.severity = off\n"
+        "facets.required = Fidelity, Coverage\n"
+        "rule.E006.scope = skip_reasonableness\n"
+    ),
+    "bad_header.ledger": GOLDEN_LEDGER.replace("exposure_unit", "unit", 1),
+    "unnamed.ledger": GOLDEN_LEDGER + "2024.3.1,predicted,1000000,mi,near miss,4\n",
+}
+
 # The command lines of the CLI half, `CASE` standing for the case's file.
-COMMANDS = (
+# Leading NAME=value words set the environment of that run alone.
+_GATED = (
     ("check", "CASE"),
+    ("review", "CASE", "--ledger", "golden.ledger"),
+    ("report", "CASE", "--ledger", "golden.ledger", "--out", "out"),
+)
+COMMANDS = (
+    *_GATED,
     ("check", "CASE", "--format", "machine"),
     ("coverage", "CASE"),
     ("trace", "CASE"),
-    ("review", "CASE", "--ledger", "golden.ledger"),
-    ("report", "CASE", "--ledger", "golden.ledger", "--out", "out"),
     ("fmt", "CASE"),
+    *((*argv, "--config", "strict.cfg") for argv in _GATED),
+    *(("AURCASE_CONFIG=strict.cfg", *argv) for argv in _GATED),
+    *((*argv, "--review-ready") for argv in _GATED),
+    *((*argv, "--coverage-threshold", "0.9") for argv in _GATED),
+    ("review", "CASE", "--ledger", "bad_header.ledger"),
+    ("report", "CASE", "--ledger", "bad_header.ledger", "--out", "out"),
+    ("review", "CASE", "--ledger", "unnamed.ledger"),
+    ("report", "CASE", "--ledger", "unnamed.ledger", "--out", "out"),
 )
 
-# Run by each child, in a directory of its own that holds `golden.ledger`,
-# with its tree's `src` first on the path: one JSON [file name, text,
-# argument lists] case per input line, one JSON record per argument list.
-# Every path is relative, so both trees print the same ones.
+# Run by each child, in a directory of its own that holds `INPUTS`, with
+# its tree's `src` first on the path: one JSON [file name, text, argument
+# lists] case per input line, one JSON record per argument list.  Every
+# path is relative, so both trees print the same ones.
 CLI_CHILD = r"""
 import contextlib, io, json, os, re, shutil, sys
 sys.path.insert(0, sys.argv[1])
 import aurcase
 from aurcase.cli import run
 
-def record(argv):
+def record(words):
+    env = dict(word.split("=", 1) for word in words if "=" in word)
+    argv = words[len(env):]
+    os.environ.update(env)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         out = {"exit": run(argv), "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    for name in env:
+        del os.environ[name]
     if os.path.isdir("out"):
         for name in sorted(os.listdir("out")):
             with open(os.path.join("out", name), encoding="utf-8") as handle:
@@ -150,6 +185,12 @@ def cli_cases() -> list[tuple[str, str]]:
     ]
 
 
+def label(words: list[str]) -> str:
+    """A command line as a shell would spell it: NAME=value words first."""
+    env = [word for word in words if "=" in word]
+    return " ".join([*env, "aurcase", *words[len(env):]])
+
+
 def start(root: Path, script: str = CHILD, cwd: Path | None = None) -> subprocess.Popen:
     child = subprocess.Popen(
         [sys.executable, "-c", script, str((root / "src").resolve())],
@@ -158,6 +199,7 @@ def start(root: Path, script: str = CHILD, cwd: Path | None = None) -> subproces
         text=True,
         encoding="utf-8",
         cwd=cwd,
+        env={name: value for name, value in os.environ.items() if name != "AURCASE_CONFIG"},
     )
     first = child.stdout.readline()
     if not first or not Path(json.loads(first)).resolve().is_relative_to(root.resolve()):
@@ -224,13 +266,14 @@ def main(argv: list[str] | None = None) -> int:
         (name, text, [[name if word == "CASE" else word for word in c] for c in COMMANDS])
         for name, text in cli_cases()
     ]
-    labels = [f"aurcase {' '.join(argv)}" for _, _, argvs in runs for argv in argvs]
+    labels = [label(argv) for _, _, argvs in runs for argv in argvs]
     with tempfile.TemporaryDirectory() as tmp:
         children = []
         for side, root in enumerate(roots):
             work = Path(tmp, str(side))
             work.mkdir()
-            shutil.copy(FIXTURES / "golden.ledger", work)
+            for name, text in INPUTS.items():
+                (work / name).write_text(text, encoding="utf-8")
             children.append(start(root, CLI_CHILD, cwd=work))
         ran = compare(labels, runs, children, "command runs")
     if parsed < 0 or ran < 0:

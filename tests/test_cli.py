@@ -253,7 +253,7 @@ class TestAnalysisExitReason:
             raise AssertionError(f"offset of token {token} looked up")
 
         # Only counts are printed, so no finding's span is looked up.
-        monkeypatch.setattr(dsl._Starts, "match", no_lookup)
+        monkeypatch.setattr(dsl._Source, "match", no_lookup)
         args = [command, path, "--format", output, "--review-ready"]
         assert run(args) == 1
         out, err = capsys.readouterr()
@@ -1062,5 +1062,6 @@ class TestProcess:
     ):
         # With descriptor 1 closed, `sys.stdout` is None and `print` writes
         # nothing.
-        done = cold(["check", "dirty.aur"], workspace, shell=">&-")
-        assert (done.returncode, done.stderr) == (1, b"")
+        for argv, code in [(["check", "dirty.aur"], 1), (["fmt", "golden_cat.aur"], 0)]:
+            done = cold(argv, workspace, shell=">&-")
+            assert (done.returncode, done.stderr) == (code, b""), argv

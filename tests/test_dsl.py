@@ -24,7 +24,6 @@ from aurcase.dsl import (
     _Fatal,
     _lex,
     _quote,
-    _Source,
     _unquote,
     parse,
     serialize,
@@ -956,15 +955,13 @@ def _reference_lex(text: str):
 
 def _library_lex(text: str):
     try:
-        kind_of, words, starts = _lex(text, "d.aur")
+        kind_of, words, source = _lex(text, "d.aur")
     except _Fatal as fatal:
         return None, fatal.diagnostic
-    source = _Source(text, "d.aur")
     values = {"IDENT": str, "STRING": _unquote, "NUMBER": float}
     return [
-        (kind, word, values[kind](word) if kind in values else None,
-         source.span(start, start + len(word)))
-        for kind, word, start in zip(map(kind_of.get, words), words, starts)
+        (kind, word, values[kind](word) if kind in values else None, source.token_span(token))
+        for token, (kind, word) in enumerate(zip(map(kind_of.get, words), words))
     ], None
 
 
@@ -1142,9 +1139,9 @@ def _lexed_and_parsed(text: str) -> tuple:
     from its run's start), or the fatal; then the diagnostics and, unless
     the parse was fatal, both span maps."""
     try:
-        kind_of, words, starts = _lex(text, "d.aur")
+        kind_of, words, source = _lex(text, "d.aur")
         kinds = [kind_of[word] for word in words]
-        tokens = (kinds, words, [starts[index] for index in range(0, len(starts), 13)])
+        tokens = (kinds, words, [source.match(t).start(1) for t in range(0, len(words), 13)])
     except _Fatal as fatal:
         tokens = fatal.diagnostic
     result = parse(text, "d.aur")
@@ -1167,13 +1164,13 @@ def test_the_run_length_changes_no_token_span_or_fatal(monkeypatch, corpus, run)
 def offset_lookups(monkeypatch) -> list[int]:
     """The tokens whose offset is looked up from here on."""
     looked_up: list[int] = []
-    match = dsl._Starts.match
+    match = dsl._Source.match
 
     def recording(self, token):
         looked_up.append(token)
         return match(self, token)
 
-    monkeypatch.setattr(dsl._Starts, "match", recording)
+    monkeypatch.setattr(dsl._Source, "match", recording)
     return looked_up
 
 
@@ -1219,7 +1216,7 @@ def _differential(parent: Path) -> subprocess.CompletedProcess:
 def test_the_differential_finds_no_difference_against_this_tree():
     started = time.perf_counter()
     done = _differential(ROOT)
-    expected = "0 differences in 455 texts\n0 differences in 56 command runs\n"
+    expected = "0 differences in 455 texts\n0 differences in 184 command runs\n"
     assert (done.returncode, done.stdout) == (0, expected), done.stderr
     assert time.perf_counter() - started < 10
 
@@ -1234,7 +1231,7 @@ def test_the_differential_reports_a_changed_message(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[:2] == ["first difference: random text 0 (seed 3)", "  diagnostics:"]
     assert '"unterminated string literal"' in lines[2] and '"open string"' in lines[3]
-    assert lines[-2:] == ["12 differences in 455 texts", "0 differences in 56 command runs"]
+    assert lines[-2:] == ["12 differences in 455 texts", "0 differences in 184 command runs"]
 
 
 def test_the_differential_reports_a_changed_command_output(tmp_path):
@@ -1252,4 +1249,21 @@ def test_the_differential_reports_a_changed_command_output(tmp_path):
         "  stdout:",
     ]
     assert "heatmap.svg" in lines[3] and "heat.svg" in lines[4]
-    assert lines[-1] == "6 differences in 56 command runs"
+    assert lines[-1] == "36 differences in 184 command runs"
+
+
+def test_the_differential_reports_an_ignored_config_variable(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    changed = tmp_path / "src" / "aurcase" / "cli.py"
+    text = changed.read_text(encoding="utf-8")
+    reading = "path = args.config or os.environ.get(CONFIG_ENV_VAR)"
+    assert reading in text
+    changed.write_text(text.replace(reading, "path = args.config"), "utf-8")
+    done = _differential(tmp_path)
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:2] == [
+        "0 differences in 455 texts",
+        "first difference: AURCASE_CONFIG=strict.cfg aurcase check balance_aggregate_only.aur",
+    ]
+    assert lines[-1] == "17 differences in 184 command runs"

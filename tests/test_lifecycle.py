@@ -436,6 +436,15 @@ class TestDriftCheck:
         result = drift_check(make_criterion(), ledger)
         assert result.status is DriftStatus.INSUFFICIENT_DATA
 
+    def test_an_observed_only_ledger_has_no_predicted_bound(self):
+        ledger = ExposureLedger(
+            entries=(entry(phase=Phase.OBSERVED, exposure=1e6, counts={"crash": 0}),)
+        )
+        result = drift_check(make_criterion(event="crash"), ledger)
+        assert result.status is DriftStatus.NO_DRIFT
+        assert rel_err(result.observed_upper_bound, 2.99573e-6) < 1e-5
+        assert result.predicted_upper_bound is None
+
 
 class TestReadinessReview:
     def golden_case(self, golden_text):

@@ -166,7 +166,7 @@ class TestMachineRendering:
 
     def test_full_text_report_contains_all_sections(self, golden_case):
         report = self.build(golden_case)
-        text = render_text(report.diagnostics, report)
+        text = render_text(report)
         for heading in ("== diagnostics ==", "== coverage ==", "== trace =="):
             assert heading in text
 
