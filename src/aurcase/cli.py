@@ -19,9 +19,16 @@ does not check. Every early end is an `_Exit` that `run` turns into the
 exit code: a fatal parse prints its diagnostic (on stdout; on stderr for
 `fmt`) and exits 2; a refused case (dangling references) prints its
 findings and E008 to stderr and exits 1; an unreadable input or an
-unwritable `--out` is a usage error, exit 2. A closed pipe on stdout or
-stderr (`aurcase fmt big.aur | head`) ends the process with exit 1 and
-nothing on stderr.
+unwritable `--out` is a usage error, exit 2.
+
+The command line: `run` itself reads `--version` alone and, from
+`_COMMANDS`, a command, its case file, then that command's own options
+spelt whole, each value as the next word. That skips importing argparse
+(with `gettext` and `locale`) and building seven parsers: about 4 ms of
+a 90 ms cold `review` on a 2-vCPU host. Any other argv (`-h`, `--form`,
+`--out=DIR`, `--`, a value that starts with `-`, a bad or missing value)
+goes to argparse, built from the same table, which prints the help,
+usage and errors.
 
 A command runs with the cyclic garbage collector paused (see `run`): the
 parsed case is an acyclic tree, so collections during a command scan a
@@ -29,22 +36,23 @@ growing heap and free nothing, and reference counting frees it anyway.
 
 How the process ends: `main`, the entry point of `python -m aurcase.cli`
 and of the `aurcase` script, flushes stdout and stderr once `run` returns
-and ends with `os._exit`. That skips the interpreter's teardown (freeing
-every module and object, and a last collection), about 10 ms of a 125 ms
-`review`. No `atexit` hook runs, so a tool that needs one calls `run`. A
-flush that fails other than on a closed pipe falls back to `sys.exit`,
-and the interpreter reports it as it always has (`Exception ignored in:
-<_io.TextIOWrapper name='<stdout>' ...>`, exit 120).
+and ends with `os._exit`, skipping the interpreter's teardown (freeing
+every module and object, and a last collection). No `atexit` hook runs,
+so a tool that needs one calls `run`. A closed pipe on stdout or stderr
+(`aurcase fmt big.aur | head`) ends the process with exit 1 and nothing
+on stderr. Any other failed write to stdout (`> /dev/full`), in the
+command or at the flush, is a usage error like an unwritable `--out`:
+one `aurcase: error: cannot write stdout: ...` line, exit 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 from ._version import __version__
 from .diagnostics import Diagnostic, Severity, diagnostic_line, render_diagnostics
@@ -78,6 +86,33 @@ CONFIG_ENV_VAR = "AURCASE_CONFIG"
 
 _WRITE_SLICE = 1 << 10  # lines of `fmt` output joined and written at a time
 
+_VERSION = f"aurcase {__version__}"
+
+# Every option that follows a command's case file, with argparse's keywords
+# for it: `_build_parser` hands them to argparse and `_canonical_args` reads
+# them. The only `action` is `store_true`.
+_OPTIONS = {
+    "--config": {"help": f"rule configuration file (default: ${CONFIG_ENV_VAR} if set)"},
+    "--review-ready": {
+        "action": "store_true",
+        "help": "require the full operational context (rule E011)",
+    },
+    "--coverage-threshold": {
+        "type": float,
+        "metavar": "0..1",
+        "help": "warn (W106) when covered fraction of the space falls below this",
+    },
+    "--format": {
+        "choices": ("text", "machine"),
+        "default": "text",
+        "help": "output format (default: text)",
+    },
+    "--ledger": {"help": "exposure ledger (.csv)"},
+    "--out": {"help": "output directory"},
+}
+_ANALYSIS = ("--config", "--review-ready", "--coverage-threshold", "--format")
+_REVIEW, _REPORT = (*_ANALYSIS, "--ledger"), (*_ANALYSIS, "--ledger", "--out")
+
 
 class _Exit(Exception):
     """Ends a command early with exit `code`. A `usage` message (a bad
@@ -89,54 +124,56 @@ class _Exit(Exception):
         self.usage = usage
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """argparse's reading of `_COMMANDS`, for the argv that `_canonical_args`
+    leaves: it prints the help, the usage line and every usage error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="aurcase",
         description="Parse, validate, and analyze ADS safety-case documents.",
     )
-    parser.add_argument("--version", action="version", version=f"aurcase {__version__}")
+    parser.add_argument("--version", action="version", version=_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("file", help="safety-case document (.aur)")
-        p.add_argument(
-            "--config",
-            help=f"rule configuration file (default: ${CONFIG_ENV_VAR} if set)",
-        )
-        p.add_argument(
-            "--review-ready",
-            action="store_true",
-            help="require the full operational context (rule E011)",
-        )
-        p.add_argument(
-            "--coverage-threshold",
-            type=float,
-            metavar="0..1",
-            help="warn (W106) when covered fraction of the space falls below this",
-        )
-        p.add_argument(
-            "--format",
-            choices=("text", "machine"),
-            default="text",
-            help="output format (default: text)",
-        )
-
-    add_common(sub.add_parser("check", help="parse and validate a document"))
-    add_common(sub.add_parser("coverage", help="coverage map, gaps, and balance"))
-    add_common(sub.add_parser("trace", help="hazard traceability matrix"))
-
-    review = sub.add_parser("review", help="readiness gate against an exposure ledger")
-    add_common(review)
-    review.add_argument("--ledger", required=True, help="exposure ledger (.csv)")
-
-    report = sub.add_parser("report", help="full report written to a directory")
-    add_common(report)
-    report.add_argument("--ledger", help="exposure ledger (.csv)")
-    report.add_argument("--out", required=True, help="output directory")
-
-    fmt = sub.add_parser("fmt", help="print the document in canonical form")
-    fmt.add_argument("file", help="safety-case document (.aur)")
+    for command, (_, summary, names, required) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=summary)
+        command_parser.add_argument("file", help="safety-case document (.aur)")
+        for name in names:
+            command_parser.add_argument(name, **_OPTIONS[name], required=name in required)
     return parser
+
+
+def _canonical_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds from `argv` when it is a command, its
+    file and then only that command's own options spelt whole, each value
+    (not starting with `-`) as the next word; None for any other argv."""
+    if len(argv) < 2 or argv[0] not in _COMMANDS or argv[1].startswith("-"):
+        return None
+    command, file, *words = argv
+    _, _, names, required = _COMMANDS[command]
+    given = {}
+    words = iter(words)
+    for word in words:
+        if word not in names:
+            return None
+        keywords = _OPTIONS[word]
+        if "action" in keywords:
+            given[word] = True
+            continue
+        value = next(words, "-")  # a missing value reads as an option
+        if value.startswith("-") or value not in keywords.get("choices", (value,)):
+            return None
+        try:
+            given[word] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+    if not given.keys() >= set(required):
+        return None
+    args = SimpleNamespace(command=command, file=file)
+    for name in names:
+        default = _OPTIONS[name].get("default", False if "action" in _OPTIONS[name] else None)
+        setattr(args, name[2:].replace("-", "_"), given.get(name, default))
+    return args
 
 
 def _read_bytes(path: str, digests: dict | None = None, role: str = "") -> bytes:
@@ -159,7 +196,7 @@ def _read_text(path: str, digests: dict | None = None, role: str = "") -> str:
         raise _Exit(EXIT_USAGE, f"{path}: {exc}") from exc
 
 
-def _load_config(args: argparse.Namespace, digests: dict | None = None) -> RuleConfig:
+def _load_config(args: SimpleNamespace, digests: dict | None = None) -> RuleConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     try:
         config = RuleConfig()
@@ -175,7 +212,7 @@ def _load_config(args: argparse.Namespace, digests: dict | None = None) -> RuleC
 
 
 def _parsed(
-    args: argparse.Namespace, digests: dict | None = None, to_stderr: bool = False
+    args: SimpleNamespace, digests: dict | None = None, to_stderr: bool = False
 ) -> ParseResult:
     """Parse `args.file`. A fatal parse prints its diagnostics and exits 2:
     on stdout in `args.format`, or, with `to_stderr` (for `fmt`, whose
@@ -197,7 +234,7 @@ def _validated(result: ParseResult, config: RuleConfig) -> list[Diagnostic]:
 
 
 def _resolved(
-    args: argparse.Namespace, digests: dict | None = None
+    args: SimpleNamespace, digests: dict | None = None
 ) -> tuple[ParseResult, RuleConfig]:
     """Config and parse for an analysis command. A case with dangling
     references is refused: its findings (E009) and E008 go to stderr and
@@ -217,7 +254,7 @@ def _exit_code(diagnostics: list[Diagnostic], blocked: bool = False) -> int:
     return EXIT_FINDINGS if failed else EXIT_OK
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     config = _load_config(args)
     diagnostics = _validated(_parsed(args), config)
     if args.format == "machine":
@@ -232,7 +269,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return _exit_code(diagnostics)
 
 
-def _cmd_analysis(args: argparse.Namespace) -> int:
+def _cmd_analysis(args: SimpleNamespace) -> int:
     """`coverage` and `trace`: one analysis of the case, in `args.format`."""
     # Built per call from the module names, so a rebinding of them (as
     # perfbench's layer tracer does) is what runs.
@@ -287,7 +324,7 @@ def _load_ledger(path: str, case: SafetyCase, digests: dict | None = None) -> Ex
     return ledger
 
 
-def _cmd_review(args: argparse.Namespace) -> int:
+def _cmd_review(args: SimpleNamespace) -> int:
     result, config = _resolved(args)
     decision = readiness_review(result.case, _load_ledger(args.ledger, result.case), config)
     if args.format == "machine":
@@ -297,7 +334,7 @@ def _cmd_review(args: argparse.Namespace) -> int:
     return EXIT_OK if decision.approved else EXIT_FINDINGS
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: SimpleNamespace) -> int:
     digests: dict[str, dict[str, str]] = {}
     result, config = _resolved(args, digests)
     diagnostics = _validated(result, config)
@@ -339,7 +376,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return _exit_code(diagnostics, blocked=review is not None and not review.approved)
 
 
-def _cmd_fmt(args: argparse.Namespace) -> int:
+def _cmd_fmt(args: SimpleNamespace) -> int:
     result = _parsed(args, to_stderr=True)
     if resolve_references(result.case):
         refusal = "cannot format a case with unresolved references"
@@ -361,13 +398,14 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Each command's handler, help line, options and the options it requires.
 _COMMANDS = {
-    "check": _cmd_check,
-    "coverage": _cmd_analysis,
-    "trace": _cmd_analysis,
-    "review": _cmd_review,
-    "report": _cmd_report,
-    "fmt": _cmd_fmt,
+    "check": (_cmd_check, "parse and validate a document", _ANALYSIS, ()),
+    "coverage": (_cmd_analysis, "coverage map, gaps, and balance", _ANALYSIS, ()),
+    "trace": (_cmd_analysis, "hazard traceability matrix", _ANALYSIS, ()),
+    "review": (_cmd_review, "readiness gate against an exposure ledger", _REVIEW, ("--ledger",)),
+    "report": (_cmd_report, "full report written to a directory", _REPORT, ("--out",)),
+    "fmt": (_cmd_fmt, "print the document in canonical form", (), ()),
 }
 
 
@@ -376,7 +414,7 @@ def run(argv: list[str] | None = None) -> int:
     # so the collector only rescans it: one x300 parse (53,711 lines) ran
     # 262 gen-0, 23 gen-1 and 1 gen-2 collections, and after a whole
     # command on the golden case, a dirty x100 case or the x300 case,
-    # `gc.collect()` finds the same 318-351 unreachable objects, which
+    # `gc.collect()` found the same 318-351 unreachable objects, which
     # are argparse's own cycles. Cold, over 8 alternating rounds, the
     # pause took `check` to 0.92x, `report` to 0.88x and `fmt` to 0.92x
     # of the time with GC on, at the same peak RSS. GC is re-enabled
@@ -384,14 +422,20 @@ def run(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        parser = _build_parser()
+        argv = sys.argv[1:] if argv is None else argv
+        if argv == ["--version"]:
+            # Where argparse prints it: on stderr when stdout is closed.
+            print(_VERSION, file=sys.stdout or sys.stderr)
+            return EXIT_OK
+        args = _canonical_args(argv)
+        if args is None:
+            try:
+                args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
+            except SystemExit as exc:
+                # argparse exits 2 on usage errors and 0 for --help/--version.
+                return int(exc.code or 0)
         try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            # argparse exits 2 on usage errors and 0 for --help/--version.
-            return int(exc.code or 0)
-        try:
-            return _COMMANDS[args.command](args)
+            return _COMMANDS[args.command][0](args)
         except _Exit as exc:
             if exc.usage:
                 print(f"aurcase: error: {exc.usage}", file=sys.stderr)
@@ -402,20 +446,25 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    code = None
     try:
         code = run()
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # None when the descriptor was closed
                 stream.flush()
     except BrokenPipeError:
-        # The reader went away: nothing more can be told, so no traceback
-        # and no exit-time flush that would raise again.
-        os._exit(1)
-    except Exception:
-        if code is None:  # raised by the command itself
+        # The reader went away: nothing more can be told.
+        code = EXIT_FINDINGS
+    except OSError as exc:
+        if exc.filename is not None:  # a file the command used, not a stream
             raise
-        sys.exit(code)  # the exit-time flush fails again and reports it
+        # Writing stdout failed (a full disk) in the command or at the flush: a
+        # usage error. `os._exit` drops the unwritten rest, so nothing raises again.
+        code = EXIT_USAGE
+        try:
+            message = f"aurcase: error: cannot write stdout: {exc.strerror or exc}"
+            print(message, file=sys.stderr, flush=True)
+        except OSError:  # stderr cannot be written either
+            pass
     os._exit(code)
 
 

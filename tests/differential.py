@@ -16,8 +16,10 @@ child interpreter.
   reference, one whose E006 and W102 tie on position), once per command
   line in `COMMANDS`: with and without a config (named by `--config` or
   by `$AURCASE_CONFIG`), `--review-ready` and `--coverage-threshold`,
-  and with the golden ledger and two bad ones (`INPUTS`).  For each run
-  the children report the exit code, stdout, stderr and every file that
+  and with the golden ledger and two bad ones (`INPUTS`), and in
+  spellings that `run` leaves to argparse (`--format=machine`, `--form`,
+  an option before the file, `--`, a bad choice, `-h`).  For each run the
+  children report the exit code, stdout, stderr and every file that
   `report` writes, with `generated_at` masked.
 
 For each half the script prints the first difference and the number of
@@ -97,7 +99,8 @@ INPUTS = {
 }
 
 # The command lines of the CLI half, `CASE` standing for the case's file.
-# Leading NAME=value words set the environment of that run alone.
+# Leading NAME=value words (NAME in capitals) set the environment of that
+# run alone.
 _GATED = (
     ("check", "CASE"),
     ("review", "CASE", "--ledger", "golden.ledger"),
@@ -117,6 +120,14 @@ COMMANDS = (
     ("report", "CASE", "--ledger", "bad_header.ledger", "--out", "out"),
     ("review", "CASE", "--ledger", "unnamed.ledger"),
     ("report", "CASE", "--ledger", "unnamed.ledger", "--out", "out"),
+    # `run` reads the lines above itself; these go through argparse.
+    ("check", "CASE", "--format=machine"),
+    ("check", "CASE", "--form", "machine"),
+    ("check", "--review-ready", "CASE"),
+    ("check", "--", "CASE"),
+    ("check", "CASE", "--format", "bogus"),
+    ("review", "CASE", "-h"),
+    ("--version",),
 )
 
 # Run by each child, in a directory of its own that holds `INPUTS`, with
@@ -130,7 +141,7 @@ import aurcase
 from aurcase.cli import run
 
 def record(words):
-    env = dict(word.split("=", 1) for word in words if "=" in word)
+    env = dict(word.split("=", 1) for word in words if re.match(r"[A-Z_]+=", word))
     argv = words[len(env):]
     os.environ.update(env)
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -187,7 +198,7 @@ def cli_cases() -> list[tuple[str, str]]:
 
 def label(words: list[str]) -> str:
     """A command line as a shell would spell it: NAME=value words first."""
-    env = [word for word in words if "=" in word]
+    env = [word for word in words if re.match(r"[A-Z_]+=", word)]
     return " ".join([*env, "aurcase", *words[len(env):]])
 
 
@@ -209,9 +220,12 @@ def start(root: Path, script: str = CHILD, cwd: Path | None = None) -> subproces
 
 
 def feed(child: subprocess.Popen, inputs: list) -> None:
-    with child.stdin:
-        for item in inputs:
-            child.stdin.write(json.dumps(item) + "\n")
+    try:
+        with child.stdin:
+            for item in inputs:
+                child.stdin.write(json.dumps(item) + "\n")
+    except BrokenPipeError:  # the child was stopped (see `compare`)
+        pass
 
 
 def first_difference(ours: dict, theirs: dict) -> str:
@@ -239,6 +253,11 @@ def compare(labels: list[str], inputs: list, children: list[subprocess.Popen], w
             if differences == 1:
                 print(f"first difference: {label}")
                 print(first_difference(json.loads(ours), json.loads(theirs)))
+    if compared != len(labels):
+        # A child ended early: stop the other, which would block on output
+        # that no one reads.
+        for child in children:
+            child.kill()
     for feeder in feeders:
         feeder.join()
     codes = [child.wait() for child in children]

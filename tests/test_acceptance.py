@@ -311,13 +311,14 @@ _NONZERO_LEDGER = (
 )
 
 
-def _cold_imports(*args: str):
+def _cold_imports(*args: str, code: int = 0):
     """Run `python *args` in a cold process with `-X importtime` and without
-    the site module, so that no site-packages hook imports anything; return
-    the process, its wall time and the dotted names of every module imported."""
+    the site module, so that no site-packages hook imports anything; expect
+    exit `code` and return the process, its wall time and the dotted names
+    of every module imported."""
     command = [sys.executable, "-S", "-X", "importtime", *args]
     completed, elapsed = _run_cli_in_fixtures(command)
-    assert completed.returncode == 0, completed.stderr
+    assert completed.returncode == code, completed.stderr
     imported = {
         line.rpartition("|")[2].strip()
         for line in completed.stderr.splitlines()
@@ -326,8 +327,8 @@ def _cold_imports(*args: str):
     return completed, elapsed, imported - {"imported package"}
 
 
-def _cold_cli_imports(argv: list[str]):
-    return _cold_imports("-m", "aurcase.cli", *argv)
+def _cold_cli_imports(argv: list[str], code: int = 0):
+    return _cold_imports("-m", "aurcase.cli", *argv, code=code)
 
 
 def _foreign(imported: set[str]) -> set[str]:
@@ -400,6 +401,41 @@ def test_commands_hash_without_openssl(tmp_path, argv):
     _, _, imported = _cold_cli_imports(argv)
     assert "aurcase.report" in imported
     assert not imported & {"hashlib", "_hashlib"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        pytest.param(["--version"], 0, False, id="version"),
+        pytest.param(["check", "golden_cat.aur"], 0, False, id="check"),
+        pytest.param(["coverage", "golden_cat.aur"], 0, False, id="coverage"),
+        pytest.param(["trace", "golden_cat.aur"], 0, False, id="trace"),
+        pytest.param(
+            ["review", "golden_cat.aur", "--ledger", "{ledger}", "--format", "machine"],
+            0,
+            False,
+            id="review-machine",
+        ),
+        pytest.param(
+            ["report", "golden_cat.aur", "--ledger", "{ledger}", "--out", "{out}"],
+            0,
+            False,
+            id="report",
+        ),
+        pytest.param(["fmt", "golden_cat.aur"], 0, False, id="fmt"),
+        pytest.param(["--help"], 0, True, id="help"),
+        pytest.param(["check", "golden_cat.aur", "--no-such-flag"], 2, True, id="usage-error"),
+    ],
+)
+def test_only_help_and_usage_errors_load_argparse(tmp_path, argv, code, loaded):
+    """`run` reads a canonical command line itself; argparse, and the
+    `gettext` it pulls in, load only for the argv it must print about."""
+    ledger = tmp_path / "nonzero.ledger"
+    ledger.write_text(_NONZERO_LEDGER)
+    argv = [arg.format(ledger=ledger, out=tmp_path / "out") for arg in argv]
+    _, _, imported = _cold_cli_imports(argv, code=code)
+    assert "aurcase" in imported
+    assert imported & {"argparse", "gettext"} == ({"argparse", "gettext"} if loaded else set())
 
 
 @pytest.mark.parametrize(

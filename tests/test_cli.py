@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
+import io
 import importlib.util
 import json
 import os
@@ -14,6 +16,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aurcase import cli, dsl, parse, serialize, validate
 from aurcase.cli import run
@@ -582,6 +586,140 @@ class TestUsage:
         assert run([]) == 2
 
 
+# -- reading the command line ------------------------------------------------
+
+_OPTION_NAMES = sorted(cli._OPTIONS)
+_VALUES = ["", "-x", "nan", "1e400", "0.5", "machine", "text", "bogus", "case.aur"]
+_WORDS = [
+    *_VALUES,
+    *_OPTION_NAMES,
+    *(name[:-2] for name in _OPTION_NAMES),  # abbreviated: `--form`, `--o`
+    *(f"{name}={value}" for name in _OPTION_NAMES for value in ("machine", "0.5", "")),
+    *("--", "-h", "--version", "--no-such-flag"),
+]
+_ARGPARSE = cli._build_parser()
+
+
+def _argparse_vars(argv: list[str]) -> dict | None:
+    """`vars()` of argparse's namespace for `argv`, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_ARGPARSE.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _same(canonical, parsed: dict) -> bool:
+    # `repr` tells 1.0 from 1 and reads nan as nan.
+    return repr(sorted(vars(canonical).items())) == repr(sorted(parsed.items()))
+
+
+@st.composite
+def canonical_shapes(draw) -> list[str]:
+    """A command, one positional, then some of the command's own options
+    spelt whole, each that takes a value followed by one of `_VALUES` or
+    the value it usually takes."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    argv, names = [command, draw(st.sampled_from(_VALUES))], cli._COMMANDS[command][2]
+    for name in draw(st.lists(st.sampled_from(names), max_size=5)) if names else ():
+        argv.append(name)
+        if "action" not in cli._OPTIONS[name]:
+            usual = {"--format": "machine", "--coverage-threshold": "0.5"}.get(name, "f")
+            argv.append(draw(st.sampled_from([usual, *_VALUES])))
+    return argv
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A canonical shape (or `bogus`, or `--version` alone) with one to
+    three of `_WORDS` put in it or in place of its words after the
+    command, and at times those words shuffled."""
+    argv = draw(st.sampled_from([["bogus", "case.aur"], ["--version"]]) | canonical_shapes())
+    for _ in range(draw(st.integers(1, 3))):
+        at, word = draw(st.integers(1, len(argv))), draw(st.sampled_from(_WORDS))
+        argv[at : at + draw(st.integers(0, 1))] = [word]
+    if draw(st.booleans()):
+        argv[1:] = draw(st.permutations(argv[1:]))
+    return argv
+
+
+class TestCommandLine:
+    """`run` reads a canonical argv without argparse; every other argv goes
+    to argparse, so the two must agree wherever the first answers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=canonical_shapes())
+    def test_the_canonical_shape_is_read_as_argparse_reads_it(self, argv):
+        """In this shape, the fast path answers wherever argparse does not
+        exit, and with argparse's namespace."""
+        canonical, parsed = cli._canonical_args(argv), _argparse_vars(argv)
+        assert (canonical is None) == (parsed is None)
+        assert canonical is None or _same(canonical, parsed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=command_lines())
+    def test_any_argv_the_fast_path_answers_is_read_as_argparse_reads_it(self, argv):
+        canonical = cli._canonical_args(argv)
+        if canonical is not None:
+            parsed = _argparse_vars(argv)
+            assert parsed is not None and _same(canonical, parsed)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "c.aur"],
+            ["check", "c.aur", "--format", "machine", "--review-ready"],
+            ["check", "c.aur", "--config", "r.cfg", "--coverage-threshold", "0.9"],
+            ["coverage", "c.aur"],
+            ["trace", "c.aur", "--format", "text"],
+            ["review", "c.aur", "--ledger", "l.csv", "--format", "machine"],
+            ["report", "c.aur", "--ledger", "l.csv", "--out", "out"],
+            ["report", "c.aur", "--out", "out"],
+            ["fmt", "c.aur"],
+        ],
+    )
+    def test_canonical_argv_is_read_without_argparse(self, argv):
+        assert vars(cli._canonical_args(argv)) == _argparse_vars(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "c.aur", "--format=machine"],
+            ["check", "c.aur", "--form", "machine"],
+            ["check", "--review-ready", "c.aur"],
+            ["check", "--", "c.aur"],
+            ["check", "c.aur", "--format", "bogus"],
+            ["check", "c.aur", "--coverage-threshold", "x"],
+            ["check", "c.aur", "--coverage-threshold", "-1"],
+            ["check", "c.aur", "--config"],
+            ["check", "c.aur", "-h"],
+            ["check", "c.aur", "d.aur"],
+            ["check"],
+            ["review", "c.aur"],
+            ["report", "c.aur", "--ledger", "l.csv"],
+            ["fmt", "c.aur", "--format", "text"],
+            ["--version", "check", "c.aur"],
+            ["bogus", "c.aur"],
+        ],
+    )
+    def test_any_other_argv_is_left_to_argparse(self, argv):
+        assert cli._canonical_args(argv) is None
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["stdout", "stdout-closed"])
+    def test_version_prints_what_argparses_version_action_prints(
+        self, capsys, monkeypatch, closed
+    ):
+        if closed:  # `sys.stdout` is None when descriptor 1 is closed
+            monkeypatch.setattr(sys, "stdout", None)
+        assert run(["--version"]) == 0
+        printed = capsys.readouterr()
+        with pytest.raises(SystemExit) as exited:
+            cli._build_parser().parse_args(["--version"])
+        assert exited.value.code == 0
+        assert capsys.readouterr() == printed
+        assert (printed.err if closed else printed.out) == f"aurcase {cli.__version__}\n"
+
+
 def _reject_constant(name: str):
     raise ValueError(f"not strict JSON: {name}")
 
@@ -1009,12 +1147,23 @@ class TestProcess:
             (["check", "--no-such-flag", "golden_cat.aur"], 2),
             (["check", "dirty.aur"], 1),
             (["check", "dirty.aur", "--format", "machine"], 1),
+            (["check", "--format=machine", "dirty.aur"], 1),
             (["fmt", "big.aur"], 0),
             (["trace", "e006.aur"], 1),
             (["review", "golden_cat.aur", "--ledger", "golden.ledger", "--format", "machine"], 0),
             (["report", "golden_cat.aur", "--ledger", "golden.ledger", "--out", "out"], 0),
         ],
-        ids=["version", "usage", "check", "check-machine", "fmt", "trace", "review", "report"],
+        ids=[
+            "version",
+            "usage",
+            "check",
+            "check-machine",
+            "check-through-argparse",
+            "fmt",
+            "trace",
+            "review",
+            "report",
+        ],
     )
     def test_a_cold_process_prints_what_run_prints(
         self, workspace, monkeypatch, capsys, argv, code
@@ -1030,14 +1179,21 @@ class TestProcess:
             assert len(done.stdout) > PIPE_BUFFER
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
-    def test_a_failed_flush_is_reported_by_the_interpreter(self, workspace):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["fmt", "big.aur"], ["check", "golden_cat.aur"]],
+        ids=["while-writing", "at-the-final-flush"],
+    )
+    def test_a_full_stdout_is_a_usage_error(self, workspace, argv, unbuffered):
+        """As an unwritable `--out` is: exit 2 and one stderr line, whether
+        the write fails inside `run` or at the flush in `main`."""
         with open("/dev/full", "wb") as full:
-            done = cold(["check", "golden_cat.aur"], workspace, stdout=full)
-        assert done.returncode == 120
-        assert done.stderr.decode().splitlines() == [
-            "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>",
-            "OSError: [Errno 28] No space left on device",
-        ]
+            done = cold(argv, workspace, stdout=full, unbuffered=unbuffered)
+        assert (done.returncode, done.stderr.decode()) == (
+            2,
+            "aurcase: error: cannot write stdout: No space left on device\n",
+        )
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
