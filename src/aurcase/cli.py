@@ -41,8 +41,8 @@ every module and object, and a last collection). No `atexit` hook runs,
 so a tool that needs one calls `run`. A closed pipe on stdout or stderr
 (`aurcase fmt big.aur | head`) ends the process with exit 1 and nothing
 on stderr. Any other failed write to stdout (`> /dev/full`), in the
-command or at the flush, is a usage error like an unwritable `--out`:
-one `aurcase: error: cannot write stdout: ...` line, exit 2.
+command, its help or at the flush, is a usage error like an unwritable
+`--out`: one `aurcase: error: cannot write stdout: ...` line, exit 2.
 """
 
 from __future__ import annotations
@@ -129,7 +129,14 @@ def _build_parser():
     leaves: it prints the help, the usage line and every usage error."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        # argparse swallows a failed write; let `main` end it as any other.
+        def _print_message(self, message, file=None):
+            file = file or sys.stderr
+            if message and file is not None:
+                file.write(message)
+
+    parser = Parser(
         prog="aurcase",
         description="Parse, validate, and analyze ADS safety-case documents.",
     )

@@ -221,8 +221,10 @@ def _categories(criterion, hazards):
             yield from hazards[hazard_id].categories
 
 
-def classify_levels(levels: set[AggregationLevel]) -> BalanceClass:
-    """Map a set of aggregation levels onto its quadrant."""
+def behavioral_balance(case: SafetyCase) -> BalanceClass:
+    """Map the aggregation levels of the behavioral criteria onto their
+    quadrant.  A hazard reference that does not resolve adds no category."""
+    levels = {criterion.aggregation for criterion in behavioral_criteria(case)}
     if not levels:
         return BalanceClass.NONE
     if levels == {AggregationLevel.EVENT_LEVEL, AggregationLevel.AGGREGATE_LEVEL}:
@@ -239,9 +241,7 @@ def aggregation_balance(case: SafetyCase) -> BalanceClass:
     duplicating criteria cannot change the class.
     """
     require_resolved(case)
-    return classify_levels(
-        {criterion.aggregation for criterion in behavioral_criteria(case)}
-    )
+    return behavioral_balance(case)
 
 
 def criteria_by_category(case: SafetyCase) -> dict[HazardCategory, int]:

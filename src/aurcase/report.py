@@ -31,13 +31,7 @@ from .coverage import (
     criteria_by_category,
     gap_report,
 )
-from .diagnostics import (  # the text lines too, for callers that read them here
-    Diagnostic,
-    diagnostic_line,
-    render_diagnostics,
-    sort_diagnostics,
-    summary_line,
-)
+from .diagnostics import Diagnostic, render_diagnostics, sort_diagnostics
 from .model import (
     ELEMENTS,
     EMPTY_MAPPING,

@@ -1,10 +1,13 @@
 """Structural credibility rules over a parsed safety case.
 
-Every rule has a stable identifier and a default severity; a `RuleConfig`
+Every rule has a stable identifier, whose letter gives its default
+severity: an `E` rule is an error, a `W` rule a warning.  A `RuleConfig`
 can re-grade or disable individual rules without affecting any other
-rule's findings.  Two identifiers are owned by the parser and listed here
-for the catalog only: E010 (duplicate identifier) and E013 (syntax error)
-abort parsing, so `validate` never sees a case that could trigger them.
+rule's findings.  It checks every value it is given, so `parse_config`
+names the line of each bad value.  Two identifiers are owned by the
+parser and listed here for the catalog only: E010 (duplicate identifier)
+and E013 (syntax error) abort parsing, so `validate` never sees a case
+that could trigger them.
 
 `validate` is a pure function of its inputs: the same case and config
 always produce the same diagnostics in the same order.
@@ -42,150 +45,133 @@ _SEVERITY_OVERRIDES = (*(severity.value for severity in Severity), "off")
 
 
 class RuleInfo(Record):
-    """Catalog entry: stable id, default severity, and the rationale the
-    rule is grounded in."""
+    """Catalog entry: stable id, title, and the rationale the rule is
+    grounded in.  The id's letter gives the default severity."""
 
     rule_id: str
-    default_severity: Severity
     title: str
     rationale: str
+
+    @property
+    def default_severity(self) -> Severity:
+        return Severity.ERROR if self.rule_id.startswith("E") else Severity.WARNING
 
 
 _CATALOG: tuple[RuleInfo, ...] = (
     RuleInfo(
         "E001",
-        Severity.ERROR,
         "case declares no acceptance criteria",
         "a safety determination needs explicit acceptance criteria; with none "
         "declared, no argumentation is possible at all",
     ),
     RuleInfo(
         "E002",
-        Severity.ERROR,
         "top claim lacks a reasonableness subclaim",
         "each top claim must justify that its stated acceptance criterion is a "
         "reasonable one, starting from the indicators it is predicated upon",
     ),
     RuleInfo(
         "E003",
-        Severity.ERROR,
         "top claim lacks a satisfaction subclaim",
         "each top claim must argue that credible evidence shows the stated "
         "acceptance criterion is met",
     ),
     RuleInfo(
         "E004",
-        Severity.ERROR,
         "satisfaction subclaim lacks a coverage assessment",
         "evidence credibility rests on a coverage assessment of analysis "
         "breadth alongside the confidence assessment",
     ),
     RuleInfo(
         "E005",
-        Severity.ERROR,
         "satisfaction subclaim lacks a confidence assessment",
         "evidence credibility rests on a confidence assessment of evidence "
         "rigor alongside the coverage assessment",
     ),
     RuleInfo(
         "E006",
-        Severity.ERROR,
         "argument row cites no evidence",
         "an argument is only as credible as the evidence it links to",
     ),
     RuleInfo(
         "E007",
-        Severity.ERROR,
         "hazard traces to no acceptance criterion",
         "traceability must link every identified hazard to at least one "
         "acceptance criterion defined for the system",
     ),
     RuleInfo(
         "E008",
-        Severity.ERROR,
         "analysis refused: unresolved references",
         "analyses assume a reference-resolved case; refusing is safer than "
         "computing over missing elements",
     ),
     RuleInfo(
         "E009",
-        Severity.ERROR,
         "dangling reference",
         "a cross-reference to a missing element breaks the traceability the "
         "case is meant to demonstrate",
     ),
     RuleInfo(
         "E010",
-        Severity.ERROR,
         "duplicate identifier",
         "ambiguous identifiers make a case unauditable; declarations must be "
         "unique",
     ),
     RuleInfo(
         "E011",
-        Severity.ERROR,
         "review-ready case has incomplete context",
         "a readiness determination is grounded in the vehicle configuration, "
         "operational configuration, ODD selection, and sought deployment scale",
     ),
     RuleInfo(
         "E012",
-        Severity.ERROR,
         "acceptance criterion has no top claim",
         "a criterion nobody claims anything about contributes nothing to the "
         "argument",
     ),
     RuleInfo(
         "E013",
-        Severity.ERROR,
         "syntax error",
         "the document must parse before its structure can be assessed",
     ),
     RuleInfo(
         "W101",
-        Severity.WARNING,
         "argument row states no counter-argument",
         "counter-arguments name the rejected alternatives and pressure-test "
         "the argument against confirmation bias",
     ),
     RuleInfo(
         "W102",
-        Severity.WARNING,
         "argument row states no limitations",
         "a statement of limitations and scope keeps a consistent, formal "
         "argument from overselling actual performance",
     ),
     RuleInfo(
         "W103",
-        Severity.WARNING,
         "orphan evidence",
         "evidence that no argument cites suggests an incomplete or stale "
         "argument",
     ),
     RuleInfo(
         "W104",
-        Severity.WARNING,
         "behavioral criteria are aggregate-level only",
         "aggregate rates considered in isolation can miss risk posed in "
         "individual scenarios",
     ),
     RuleInfo(
         "W105",
-        Severity.WARNING,
         "behavioral criteria are event-level only",
         "event-level instances alone preclude a holistic assessment of "
         "residual risk",
     ),
     RuleInfo(
         "W106",
-        Severity.WARNING,
         "coverage below configured threshold",
         "the behavioral criteria space must reach appropriate coverage before "
         "its gaps can be accepted knowingly",
     ),
     RuleInfo(
         "W107",
-        Severity.WARNING,
         "confidence assessment missing required facet",
         "confidence assessments decompose into named facets (scoring "
         "confidence, tool qualification, benchmark validity, ...); projects "
@@ -221,8 +207,15 @@ class RuleConfig(Record):
         for rule_id, value in self.severity_overrides.items():
             if rule_id not in _CATALOG_BY_ID:
                 raise ValueError(f"severity override for unregistered rule {rule_id!r}")
-            _check_severity(rule_id, value)
-        _check_e006_scope(self.e006_scope)
+            if value not in _SEVERITY_OVERRIDES:
+                raise ValueError(
+                    f"severity for {rule_id} must be error, warning, or off; got {value!r}"
+                )
+        if self.e006_scope not in _E006_SCOPES:
+            raise ValueError(
+                f"rule.E006.scope must be {E006_SCOPE_ALL!r} or "
+                f"{E006_SCOPE_SKIP_REASONABLENESS!r}"
+            )
         if self.coverage_threshold is not None and not (
             0.0 <= self.coverage_threshold <= 1.0
         ):
@@ -236,33 +229,17 @@ class RuleConfig(Record):
         return Severity(override) if override else _CATALOG_BY_ID[rule_id].default_severity
 
 
-def _check_severity(rule_id: str, value: str) -> None:
-    if value not in _SEVERITY_OVERRIDES:
-        raise ValueError(
-            f"severity for {rule_id} must be error, warning, or off; got {value!r}"
-        )
-
-
-def _check_e006_scope(value: str) -> None:
-    if value not in _E006_SCOPES:
-        raise ValueError(
-            f"rule.E006.scope must be {E006_SCOPE_ALL!r} or "
-            f"{E006_SCOPE_SKIP_REASONABLENESS!r}"
-        )
-
-
 def parse_config(text: str, source: str = "<config>") -> RuleConfig:
     """Read the key=value rule configuration format.
 
     Recognized keys: `rule.<ID>.severity` (error|warning|off),
     `rule.E006.scope` (all|skip_reasonableness), `facets.required`
-    (comma-separated labels), and `review_ready` (true|false).  Every error
-    names its line.  One leading byte order mark is dropped.
+    (comma-separated labels), and `review_ready` (true|false).  A key set
+    twice takes its later value; `facets.required` lines add up.  Every
+    error names its line: each line's value is checked by `RuleConfig` as
+    it is read.  One leading byte order mark is dropped.
     """
-    overrides: dict[str, str] = {}
-    facets: set[str] = set()
-    review_ready = False
-    e006_scope = E006_SCOPE_ALL
+    config = RuleConfig()
     lines = text.removeprefix("\ufeff").splitlines()
     for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -273,30 +250,25 @@ def parse_config(text: str, source: str = "<config>") -> RuleConfig:
                 raise ValueError("expected key = value")
             key, _, value = (part.strip() for part in line.partition("="))
             if key == "facets.required":
-                facets.update(label.strip() for label in value.split(",") if label.strip())
+                labels = filter(None, (label.strip() for label in value.split(",")))
+                config = config.replace(required_facets=config.required_facets.union(labels))
             elif key == "review_ready":
                 if value not in ("true", "false"):
                     raise ValueError("review_ready must be true or false")
-                review_ready = value == "true"
+                config = config.replace(review_ready=value == "true")
             elif key == "rule.E006.scope":
-                _check_e006_scope(value)
-                e006_scope = value
+                config = config.replace(e006_scope=value)
             elif key.startswith("rule.") and key.endswith(".severity"):
                 rule_id = key[len("rule.") : -len(".severity")]
                 if rule_id not in _CATALOG_BY_ID:
                     raise ValueError(f"unknown rule {rule_id!r}")
-                _check_severity(rule_id, value)
-                overrides[rule_id] = value
+                overrides = {**config.severity_overrides, rule_id: value}
+                config = config.replace(severity_overrides=overrides)
             else:
                 raise ValueError(f"unknown configuration key {key!r}")
         except ValueError as exc:
             raise ValueError(f"{source}:{line_no}: {exc}") from exc
-    return RuleConfig(
-        severity_overrides=overrides,
-        required_facets=facets,
-        review_ready=review_ready,
-        e006_scope=e006_scope,
-    )
+    return config
 
 
 class _Context:
@@ -503,14 +475,8 @@ def _check_orphan_evidence(ctx: _Context) -> None:
 
 
 def _check_aggregation_balance(ctx: _Context) -> None:
-    # Balance is classified over behavioral criteria only; missing hazard
-    # references are already reported as E009 and simply don't count here.
-    balance = coverage_mod.classify_levels(
-        {
-            criterion.aggregation
-            for criterion in coverage_mod.behavioral_criteria(ctx.case)
-        }
-    )
+    # Missing hazard references are already reported as E009.
+    balance = coverage_mod.behavioral_balance(ctx.case)
     if balance is coverage_mod.BalanceClass.AGGREGATE_ONLY:
         ctx.emit_for_case("W104", balance.advisory)
     elif balance is coverage_mod.BalanceClass.EVENT_ONLY:

@@ -16,11 +16,13 @@ child interpreter.
   reference, one whose E006 and W102 tie on position), once per command
   line in `COMMANDS`: with and without a config (named by `--config` or
   by `$AURCASE_CONFIG`), `--review-ready` and `--coverage-threshold`,
-  and with the golden ledger and two bad ones (`INPUTS`), and in
-  spellings that `run` leaves to argparse (`--format=machine`, `--form`,
-  an option before the file, `--`, a bad choice, `-h`).  For each run the
-  children report the exit code, stdout, stderr and every file that
-  `report` writes, with `generated_at` masked.
+  with the golden ledger and two bad ones (`INPUTS`), with five bad
+  configs and two that read (a key set twice, a byte order mark;
+  `CONFIGS`), and in spellings that `run` leaves to argparse
+  (`--format=machine`, `--form`, an option before the file, `--`, a bad
+  choice, `-h`, `--help`).  For each run the children report the exit
+  code, stdout, stderr and every file that `report` writes, with
+  `generated_at` masked.
 
 For each half the script prints the first difference and the number of
 texts or runs that differ, and it exits 1 if any do.  pytest does not
@@ -84,6 +86,20 @@ for line in sys.stdin:
 
 GOLDEN_LEDGER = (FIXTURES / "golden.ledger").read_text(encoding="utf-8")
 
+# Five configs with a bad line and two that read, each run by `check`.
+CONFIGS = {
+    "loud.cfg": "rule.W104.severity = error\nrule.E001.severity = loud\n",
+    "some.cfg": "# scope\nrule.E006.scope = some\n",
+    "unknown_rule.cfg": "rule.W101.severity = off\nrule.E099.severity = off\n",
+    "unknown_key.cfg": "rule.E006.enabled = false\n",
+    "maybe.cfg": "facets.required = Fidelity\nreview_ready = maybe\n",
+    "twice.cfg": (
+        "rule.W104.severity = error\nreview_ready = true\nfacets.required = Fidelity\n"
+        "rule.W104.severity = off\nreview_ready = false\nfacets.required = Coverage\n"
+    ),
+    "bom.cfg": "\ufeffrule.W104.severity = error\nrule.E012.severity = off\n",
+}
+
 # The files beside each case in a CLI child's directory.
 INPUTS = {
     "golden.ledger": GOLDEN_LEDGER,
@@ -96,6 +112,7 @@ INPUTS = {
     ),
     "bad_header.ledger": GOLDEN_LEDGER.replace("exposure_unit", "unit", 1),
     "unnamed.ledger": GOLDEN_LEDGER + "2024.3.1,predicted,1000000,mi,near miss,4\n",
+    **CONFIGS,
 }
 
 # The command lines of the CLI half, `CASE` standing for the case's file.
@@ -120,6 +137,8 @@ COMMANDS = (
     ("report", "CASE", "--ledger", "bad_header.ledger", "--out", "out"),
     ("review", "CASE", "--ledger", "unnamed.ledger"),
     ("report", "CASE", "--ledger", "unnamed.ledger", "--out", "out"),
+    *(("check", "CASE", "--config", name) for name in CONFIGS),
+    ("AURCASE_CONFIG=some.cfg", "check", "CASE"),
     # `run` reads the lines above itself; these go through argparse.
     ("check", "CASE", "--format=machine"),
     ("check", "CASE", "--form", "machine"),
@@ -127,6 +146,7 @@ COMMANDS = (
     ("check", "--", "CASE"),
     ("check", "CASE", "--format", "bogus"),
     ("review", "CASE", "-h"),
+    ("--help",),
     ("--version",),
 )
 

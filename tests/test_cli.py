@@ -1182,12 +1182,18 @@ class TestProcess:
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
         "argv",
-        [["fmt", "big.aur"], ["check", "golden_cat.aur"]],
-        ids=["while-writing", "at-the-final-flush"],
+        [
+            ["fmt", "big.aur"],
+            ["check", "golden_cat.aur"],
+            ["--help"],
+            ["review", "golden_cat.aur", "-h"],
+        ],
+        ids=["while-writing", "at-the-final-flush", "help", "command-help"],
     )
     def test_a_full_stdout_is_a_usage_error(self, workspace, argv, unbuffered):
         """As an unwritable `--out` is: exit 2 and one stderr line, whether
-        the write fails inside `run` or at the flush in `main`."""
+        the write fails inside `run`, in argparse's help or at the flush in
+        `main`."""
         with open("/dev/full", "wb") as full:
             done = cold(argv, workspace, stdout=full, unbuffered=unbuffered)
         assert (done.returncode, done.stderr.decode()) == (
@@ -1198,13 +1204,14 @@ class TestProcess:
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
         "argv",
-        [["fmt", "big.aur"], ["check", "golden_cat.aur"]],
-        ids=["while-writing", "at-the-final-flush"],
+        [["fmt", "big.aur"], ["check", "golden_cat.aur"], ["--help"]],
+        ids=["while-writing", "at-the-final-flush", "help"],
     )
     def test_a_closed_pipe_exits_1_with_nothing_on_stderr(self, workspace, argv, unbuffered):
         """The reader is gone before the command starts: `fmt` fills the
         stdout buffer and meets the closed pipe inside `run`, and `check`'s
-        short output meets it at the flush in `main` unless unbuffered."""
+        short output and the help meet it at the flush in `main` unless
+        unbuffered."""
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:

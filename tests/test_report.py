@@ -11,13 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from aurcase.coverage import CoverageMap, Signal, coverage_map
-from aurcase.diagnostics import Diagnostic, Severity, SourceSpan
+from aurcase.diagnostics import Diagnostic, Severity, SourceSpan, diagnostic_line
 from aurcase.dsl import parse
 from aurcase.lifecycle import parse_ledger, readiness_review
 from aurcase.model import Cell
 from aurcase.report import (
     build_report,
-    diagnostic_line,
     digest_of,
     render_diagnostics,
     render_coverage_text,

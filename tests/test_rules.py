@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from aurcase.diagnostics import Severity
@@ -29,6 +31,11 @@ class TestCatalog:
     def test_e004_rationale_mentions_coverage_assessment(self):
         info = {i.rule_id: i for i in rule_catalog()}["E004"]
         assert "coverage assessment" in info.rationale
+
+    def test_rule_ids_are_a_letter_e_or_w_and_three_digits(self):
+        # The default severity comes from the letter, so there is no third kind.
+        for info in rule_catalog():
+            assert re.fullmatch(r"[EW]\d{3}", info.rule_id), info.rule_id
 
     def test_default_severities_match_prefix(self):
         for info in rule_catalog():
@@ -211,6 +218,28 @@ class TestConfigFile:
         with pytest.raises(ValueError) as info:
             parse_config(f"# c\n{line}\n", "c.cfg")
         assert str(info.value) == message
+
+    def test_a_key_set_twice_takes_the_later_value(self):
+        config = parse_config(
+            "rule.E006.severity = warning\n"
+            "review_ready = true\n"
+            "rule.E006.severity = off\n"
+            "review_ready = false\n"
+        )
+        assert config.severity_overrides == {"E006": "off"}
+        assert config.review_ready is False
+
+    def test_facet_lines_add_up(self):
+        config = parse_config("facets.required = A, B\nfacets.required = B, C\n")
+        assert config.required_facets == {"A", "B", "C"}
+
+    def test_a_bad_value_after_valid_overrides_names_its_own_line(self):
+        text = "rule.E006.severity = warning\nrule.W101.severity = off\nrule.E007.severity = loud\n"
+        with pytest.raises(ValueError) as info:
+            parse_config(text, "c.cfg")
+        assert str(info.value) == (
+            "c.cfg:3: severity for E007 must be error, warning, or off; got 'loud'"
+        )
 
     def test_config_overrides_reference_registered_rules_only(self):
         with pytest.raises(ValueError, match="unregistered rule"):
