@@ -337,12 +337,13 @@ class _Parser:
     def _fatal(self, message: str, token: int) -> _Fatal:
         return _Fatal(_syntax_error(message, self.source.token_span(token)))
 
-    def build(self, record: type, token: int, /, **fields):
-        """`record(**fields)`; a `ModelError` is a fatal at `token`."""
+    def build(self, record: type, token: int, /, field_tokens: Mapping = EMPTY_MAPPING, **fields):
+        """`record(**fields)`; a `ModelError` is a fatal at the token that
+        `field_tokens` maps the field it names to, or else at `token`."""
         try:
             return record(**fields)
         except ModelError as exc:
-            raise self._fatal(str(exc), token) from exc
+            raise self._fatal(str(exc), field_tokens.get(exc.field_name, token)) from exc
 
     def _eof_message(self, expected: str) -> str:
         if self.open_blocks:
@@ -697,25 +698,30 @@ class _Parser:
                 kind_token,
             )
         self.take("(", "events", "=")
-        events = self.string("an event definition")
+        events_token = self.expect(STRING, "an event definition")
         self.take(",", "max", "=")
         max_token = self.expect(NUMBER, "a maximum rate")
         self.take(",", "per", "=")
-        unit = self.string("an exposure unit")
+        unit_token = self.expect(STRING, "an exposure unit")
         self.take(",", "confidence", "=")
         confidence_token = self.expect(NUMBER, "a confidence level")
         self.take(")")
-        try:
-            return ValidationTarget(
-                kind=TargetKind.RATE_BOUND,
-                event_definition=events,
-                max_rate=float(self.words[max_token]),
-                exposure_unit=unit,
-                confidence=float(self.words[confidence_token]),
-            )
-        except ModelError as exc:
-            token = max_token if exc.field_name == "max_rate" else confidence_token
-            raise self._fatal(str(exc), token) from exc
+        field_tokens = {
+            "event_definition": events_token,
+            "max_rate": max_token,
+            "exposure_unit": unit_token,
+            "confidence": confidence_token,
+        }
+        return self.build(
+            ValidationTarget,
+            confidence_token,
+            field_tokens,
+            kind=TargetKind.RATE_BOUND,
+            event_definition=_unquote(self.words[events_token]),
+            max_rate=float(self.words[max_token]),
+            exposure_unit=_unquote(self.words[unit_token]),
+            confidence=float(self.words[confidence_token]),
+        )
 
     def parse_evidence(self, _keyword: int) -> Evidence:
         ident = self.expect(IDENT, "an evidence identifier")

@@ -23,7 +23,6 @@ import enum
 import io
 import sys
 from math import exp, inf, isfinite, lgamma, log, log1p, pi, sqrt
-from typing import Mapping
 
 from .diagnostics import Severity
 from .model import (
@@ -68,7 +67,7 @@ class LedgerEntry(Record):
     phase: Phase
     exposure: float
     exposure_unit: str
-    event_counts: Mapping[str, int] = EMPTY_MAPPING
+    event_counts: dict[str, int] = EMPTY_MAPPING
 
     def __post_init__(self) -> None:
         if not self.exposure > 0:
@@ -80,7 +79,6 @@ class LedgerEntry(Record):
                 raise ValueError(
                     f"ledger entry {self.release}: negative count for {definition!r}"
                 )
-        object.__setattr__(self, "event_counts", dict(self.event_counts))
 
 
 class ExposureLedger(Record):
@@ -343,17 +341,16 @@ class TargetCheck(Record):
     """Outcome of checking one criterion's rate bound against the ledger."""
 
     criterion_id: str
-    status: TargetStatus
     target: float
     upper_bound: float | None = None
     exposure: float = 0.0
     count: int = 0
 
-    def __post_init__(self) -> None:
-        if self.upper_bound is not None:
-            met = self.upper_bound <= self.target
-            if met != (self.status is TargetStatus.MET):
-                raise ValueError("status must agree with upper_bound vs target")
+    @property
+    def status(self) -> TargetStatus:
+        if self.upper_bound is None:
+            return TargetStatus.INSUFFICIENT_DATA
+        return TargetStatus.MET if self.upper_bound <= self.target else TargetStatus.UNMET
 
     def figures(self) -> tuple[str, str]:
         """The upper bound ("n/a" if none) and the target as printed: to six
@@ -388,11 +385,7 @@ def check_target(
         )
     entries = ledger.for_phase(phase)
     if not entries:
-        return TargetCheck(
-            criterion_id=criterion.id,
-            status=TargetStatus.INSUFFICIENT_DATA,
-            target=target.max_rate,
-        )
+        return TargetCheck(criterion_id=criterion.id, target=target.max_rate)
     for entry in entries:
         if entry.exposure_unit != target.exposure_unit:
             raise ValueError(
@@ -408,13 +401,10 @@ def check_target(
             )
     exposure = sum(entry.exposure for entry in entries)
     count = sum(entry.event_counts[target.event_definition] for entry in entries)
-    bound = rate_upper_bound(count, exposure, target.confidence)
-    status = TargetStatus.MET if bound <= target.max_rate else TargetStatus.UNMET
     return TargetCheck(
         criterion_id=criterion.id,
-        status=status,
         target=target.max_rate,
-        upper_bound=bound,
+        upper_bound=rate_upper_bound(count, exposure, target.confidence),
         exposure=exposure,
         count=count,
     )
@@ -425,10 +415,17 @@ class DriftCheck(Record):
     pre-deployment prediction satisfied."""
 
     criterion_id: str
-    status: DriftStatus
     target: float
     observed_upper_bound: float | None = None
     predicted_upper_bound: float | None = None
+
+    @property
+    def status(self) -> DriftStatus:
+        if self.observed_upper_bound is None:
+            return DriftStatus.INSUFFICIENT_DATA
+        if self.observed_upper_bound > self.target:
+            return DriftStatus.DRIFT
+        return DriftStatus.NO_DRIFT
 
 
 def drift_check(criterion: AcceptanceCriterion, ledger: ExposureLedger) -> DriftCheck:
@@ -440,16 +437,10 @@ def drift_check(criterion: AcceptanceCriterion, ledger: ExposureLedger) -> Drift
     """
     observed = check_target(criterion, ledger, Phase.OBSERVED)
     if observed.status is TargetStatus.INSUFFICIENT_DATA:
-        return DriftCheck(
-            criterion_id=criterion.id,
-            status=DriftStatus.INSUFFICIENT_DATA,
-            target=observed.target,
-        )
+        return DriftCheck(criterion_id=criterion.id, target=observed.target)
     predicted = check_target(criterion, ledger, Phase.PREDICTED)
-    drifted = observed.upper_bound is not None and observed.upper_bound > observed.target
     return DriftCheck(
         criterion_id=criterion.id,
-        status=DriftStatus.DRIFT if drifted else DriftStatus.NO_DRIFT,
         target=observed.target,
         observed_upper_bound=observed.upper_bound,
         predicted_upper_bound=predicted.upper_bound,

@@ -169,7 +169,7 @@ EMPTY_MAPPING: Mapping = MappingProxyType({})  # the default of every mapping fi
 def _stored(name: str, annotation: object) -> str:
     """The expression the generated `__init__` stores for field `name`."""
     collection = str(annotation).partition("[")[0]
-    return f"{collection}({name})" if collection in ("tuple", "frozenset") else name
+    return f"{collection}({name})" if collection in ("tuple", "frozenset", "dict") else name
 
 
 class Record:
@@ -177,7 +177,9 @@ class Record:
     names a subclass annotates (defaults, shared so immutable, last); its
     `__init__` sets them and calls any `__post_init__`, as `replace` does.
     A field annotated `tuple[...]` or `frozenset[...]` is stored as one,
-    whatever iterable it is given; a tuple or frozenset is kept as is."""
+    whatever iterable it is given; a tuple or frozenset is kept as is.  A
+    field annotated `dict[...]` is stored as a new dict, a copy of the
+    mapping given."""
 
     FIELDS: tuple[str, ...] = ()
 
@@ -350,27 +352,16 @@ class ValidationTarget(Record):
     confidence: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind is TargetKind.RATE_BOUND:
-            _require(
-                self.max_rate > 0, "rate_bound target: max_rate must be > 0", "max_rate"
-            )
-            _require(
-                isfinite(self.max_rate),
-                "rate_bound target: max_rate must be finite",
-                "max_rate",
-            )
-            _require(
-                0.0 < self.confidence < 1.0,
-                "rate_bound target: confidence must lie in (0, 1)",
-            )
-            _require(
-                bool(self.event_definition),
-                "rate_bound target: event_definition must be non-empty",
-            )
-            _require(
-                bool(self.exposure_unit),
-                "rate_bound target: exposure_unit must be non-empty",
-            )
+        if self.kind is not TargetKind.RATE_BOUND:
+            return
+        for met, field_name, rule in (
+            (self.max_rate > 0, "max_rate", "be > 0"),
+            (isfinite(self.max_rate), "max_rate", "be finite"),
+            (0.0 < self.confidence < 1.0, "confidence", "lie in (0, 1)"),
+            (bool(self.event_definition), "event_definition", "be non-empty"),
+            (bool(self.exposure_unit), "exposure_unit", "be non-empty"),
+        ):
+            _require(met, f"rate_bound target: {field_name} must {rule}", field_name)
 
 
 class AcceptanceCriterion(Record):

@@ -195,7 +195,7 @@ class RuleConfig(Record):
     that rule's findings entirely and nothing else).
     """
 
-    severity_overrides: Mapping[str, str] = EMPTY_MAPPING
+    severity_overrides: dict[str, str] = EMPTY_MAPPING
     required_facets: frozenset[str] = frozenset()
     review_ready: bool = False
     require_resolved: bool = False
@@ -203,7 +203,6 @@ class RuleConfig(Record):
     e006_scope: str = E006_SCOPE_ALL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "severity_overrides", dict(self.severity_overrides))
         for rule_id, value in self.severity_overrides.items():
             if rule_id not in _CATALOG_BY_ID:
                 raise ValueError(f"severity override for unregistered rule {rule_id!r}")
@@ -214,7 +213,7 @@ class RuleConfig(Record):
         if self.e006_scope not in _E006_SCOPES:
             raise ValueError(
                 f"rule.E006.scope must be {E006_SCOPE_ALL!r} or "
-                f"{E006_SCOPE_SKIP_REASONABLENESS!r}"
+                f"{E006_SCOPE_SKIP_REASONABLENESS!r}; got {self.e006_scope!r}"
             )
         if self.coverage_threshold is not None and not (
             0.0 <= self.coverage_threshold <= 1.0
@@ -254,7 +253,7 @@ def parse_config(text: str, source: str = "<config>") -> RuleConfig:
                 config = config.replace(required_facets=config.required_facets.union(labels))
             elif key == "review_ready":
                 if value not in ("true", "false"):
-                    raise ValueError("review_ready must be true or false")
+                    raise ValueError(f"review_ready must be true or false; got {value!r}")
                 config = config.replace(review_ready=value == "true")
             elif key == "rule.E006.scope":
                 config = config.replace(e006_scope=value)

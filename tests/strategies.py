@@ -8,6 +8,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from aurcase.lifecycle import LEDGER_COLUMNS
 from aurcase.model import (
     AcceptanceCriterion,
     AcSpaceRegion,
@@ -292,6 +293,41 @@ def safety_cases(draw) -> SafetyCase:
         evidence=tuple(evidence),
         claims=tuple(claims),
     )
+
+
+# -- exposure ledgers for the golden case ------------------------------------
+
+GOLDEN_EVENT = "injury-causing collision"  # what its one rate-bound target counts
+LEDGER_RELEASES = ("2024.1.0", "2024.2.0", "2024.3.1", "2025.1.0")
+UNNAMED_EVENTS = ("near miss", "hard brake")  # named by no target of the golden case
+
+
+@st.composite
+def ledger_rows(draw) -> list[tuple[str, ...]]:
+    """The rows of a well-formed exposure ledger for the golden case, in
+    `LEDGER_COLUMNS` order, header aside.  One to four releases, each in one
+    or both phases; each (release, phase) has one exposure and unit, usually
+    the target's "mi", and a count for one or more definitions, usually
+    including the target's own."""
+    rows = []
+    releases = st.lists(st.sampled_from(LEDGER_RELEASES), min_size=1, max_size=4, unique=True)
+    phases = st.lists(st.sampled_from(("predicted", "observed")), min_size=1, unique=True)
+    for release in draw(releases):
+        for phase in draw(phases):
+            exposure = repr(draw(st.floats(1e3, 1e8)))
+            unit = draw(st.sampled_from(("mi", "mi", "mi", "km")))
+            named = draw(st.sampled_from((True, True, True, False)))
+            others = draw(st.lists(st.sampled_from(UNNAMED_EVENTS), max_size=2, unique=True))
+            definitions = [GOLDEN_EVENT] * named + others or [UNNAMED_EVENTS[0]]
+            for definition in definitions:
+                count = str(draw(st.integers(0, 20)))
+                rows.append((release, phase, exposure, unit, definition, count))
+    return rows
+
+
+def ledger_text(rows) -> str:
+    lines = [",".join(LEDGER_COLUMNS), *(",".join(row) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 # -- seeded corpora of texts -------------------------------------------------

@@ -18,6 +18,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -529,6 +530,15 @@ def test_report_imports_neither_the_gate_nor_the_parser():
     _, _, imported = _cold_imports("-c", "import aurcase.report")
     assert "aurcase.report" in imported
     assert not imported & {"aurcase.lifecycle", "aurcase.rules", "aurcase.dsl"}
+
+
+def test_the_package_version_is_read_from_the_version_module():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # older setuptools call `[tool.setuptools]` beta
+        pyproject = FIXTURES.parents[1] / "pyproject.toml"
+        config = pyprojecttoml.read_configuration(pyproject, expand=True)
+    assert config["project"]["version"] == aurcase.__version__
 
 
 def test_every_public_name_is_its_defining_modules_object():

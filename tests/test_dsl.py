@@ -897,17 +897,20 @@ def test_infinite_rate_bound_maximum_is_a_positioned_e013():
 
 
 @pytest.mark.parametrize(
-    "max_rate, confidence, message, spanned",
+    "field, value, message",
     [
-        ("0", "0.95", "rate_bound target: max_rate must be > 0", "max = 0"),
-        ("1e-6", "1.5", "rate_bound target: confidence must lie in (0, 1)", "confidence = 1.5"),
+        ("events", '""', "rate_bound target: event_definition must be non-empty"),
+        ("max", "0", "rate_bound target: max_rate must be > 0"),
+        ("per", '""', "rate_bound target: exposure_unit must be non-empty"),
+        ("confidence", "1.5", "rate_bound target: confidence must lie in (0, 1)"),
     ],
+    ids=["events", "max", "per", "confidence"],
 )
-def test_rate_bound_errors_point_at_the_field_at_fault(max_rate, confidence, message, spanned):
-    target = (
-        f'    target rate_bound(events = "crash", max = {max_rate}, per = "mi", '
-        f"confidence = {confidence})\n"
-    )
+def test_rate_bound_errors_point_at_the_field_at_fault(field, value, message):
+    values = {"events": '"crash"', "max": "1e-6", "per": '"mi"', "confidence": "0.95"}
+    values[field] = value
+    arguments = ", ".join(f"{name} = {text}" for name, text in values.items())
+    target = f"    target rate_bound({arguments})\n"
     text = MINIMAL.replace(
         '    statement = "every event dispositioned"\n',
         '    statement = "every event dispositioned"\n' + target,
@@ -916,8 +919,8 @@ def test_rate_bound_errors_point_at_the_field_at_fault(max_rate, confidence, mes
     assert diagnostic.rule_id == "E013"
     assert diagnostic.message == message
     assert diagnostic.span.start_line == text.splitlines().index(target.rstrip("\n")) + 1
-    value = spanned.split(" = ")[1]
     assert slice_at(text, diagnostic.span) == value
+    spanned = f"{field} = {value}"
     assert diagnostic.span.start_col == target.index(spanned) + len(spanned) - len(value) + 1
 
 

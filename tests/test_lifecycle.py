@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import io
+import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aurcase import lifecycle
+from aurcase import cli, lifecycle
 from aurcase.dsl import parse
 from aurcase.lifecycle import (
+    DriftCheck,
     DriftStatus,
     ExposureLedger,
     LedgerEntry,
     Phase,
+    TargetCheck,
     TargetNotApplicableError,
     TargetStatus,
     check_target,
@@ -32,6 +38,7 @@ from aurcase.rules import RuleConfig
 
 from mutations import MUTATIONS
 from oracles import poisson_cdf, poisson_sf, poisson_smaller_tail, upper_bound_bisect
+from strategies import GOLDEN, ledger_rows, ledger_text
 
 
 _LEDGER_HEADER = "release,phase,exposure,exposure_unit,event_definition,count\n"
@@ -360,6 +367,15 @@ class TestCheckTarget:
         assert check.status is TargetStatus.INSUFFICIENT_DATA
         assert check.upper_bound is None
 
+    def test_status_is_read_from_the_bound(self):
+        assert TargetCheck.FIELDS == ("criterion_id", "target", "upper_bound", "exposure", "count")
+        check = TargetCheck("AC1", target=5e-6)
+        assert check.status is TargetStatus.INSUFFICIENT_DATA
+        assert check.replace(upper_bound=5e-6).status is TargetStatus.MET
+        assert check.replace(upper_bound=math.nextafter(5e-6, 1.0)).status is TargetStatus.UNMET
+        with pytest.raises(TypeError):
+            TargetCheck("AC1", target=5e-6, status=TargetStatus.MET)
+
     def test_exposure_sums_across_releases(self):
         ledger = ExposureLedger(
             entries=(
@@ -443,6 +459,21 @@ class TestDriftCheck:
         result = drift_check(make_criterion(event="crash"), ledger)
         assert result.status is DriftStatus.NO_DRIFT
         assert rel_err(result.observed_upper_bound, 2.99573e-6) < 1e-5
+        assert result.predicted_upper_bound is None
+
+    def test_status_is_read_from_the_observed_bound(self):
+        assert "status" not in DriftCheck.FIELDS
+        check = DriftCheck("AC1", target=5e-6, predicted_upper_bound=1.0)
+        assert check.status is DriftStatus.INSUFFICIENT_DATA
+        assert check.replace(observed_upper_bound=5e-6).status is DriftStatus.NO_DRIFT
+        drifted = check.replace(observed_upper_bound=math.nextafter(5e-6, 1.0))
+        assert drifted.status is DriftStatus.DRIFT
+
+    def test_without_observed_rows_the_predicted_rows_are_not_checked(self):
+        # Predicted rows that could not support the target raise nothing.
+        ledger = ExposureLedger(entries=(entry(unit="km", counts={"other": 1}),))
+        result = drift_check(make_criterion(), ledger)
+        assert result.status is DriftStatus.INSUFFICIENT_DATA
         assert result.predicted_upper_bound is None
 
 
@@ -621,6 +652,79 @@ class TestReadinessReview:
         approval_needs_every_definition()
         # Neither side of the property is vacuous.
         assert {(True, True), (False, False)} <= outcomes
+
+
+class TestGateProperties:
+    """What the gate's decision on the golden case must not depend on."""
+
+    @staticmethod
+    def review(ledger_path: Path) -> tuple[tuple, dict, list]:
+        """`review --format machine` run in process: the decision (exit code,
+        status, blocked subjects and each target's status and count), its
+        sums, and the stderr lines in an order-free form."""
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            argv = ["review", str(GOLDEN), "--ledger", str(ledger_path), "--format", "machine"]
+            code = cli.run(argv)
+        review = json.loads(out.getvalue())
+        checks = review["targets"]
+        decision = (
+            code,
+            review["status"],
+            sorted(blocker["subject"] for blocker in review["blockers"]),
+            [(check["criterion"], check["status"], check["events"]) for check in checks],
+        )
+        sums = {check["criterion"]: (check["exposure"], check["upper_bound"]) for check in checks}
+        # Each line names a definition and its releases in ledger order, by
+        # design (see test_unnamed_definitions_are_those_no_rate_bound_target_names).
+        lines = []
+        for line in err.getvalue().splitlines():
+            head, _, rest = line.partition(" (")
+            releases, _, tail = rest.partition(") ")
+            lines.append((head, sorted(releases.split(", ")), tail))
+        return decision, sums, sorted(lines)
+
+    def test_the_order_of_ledger_rows_changes_no_decision_and_no_stderr_line(self, tmp_path):
+        outcomes = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(rows=ledger_rows(), data=st.data())
+        def order_free(rows, data):
+            path = tmp_path / "rows.ledger"
+            path.write_text(ledger_text(rows), encoding="utf-8")
+            decision, sums, lines = self.review(path)
+            # Reversed, the ledger lists its releases the other way round.
+            for shuffled in (rows[::-1], data.draw(st.permutations(rows))):
+                path.write_text(ledger_text(shuffled), encoding="utf-8")
+                again, shuffled_sums, shuffled_lines = self.review(path)
+                assert again == decision
+                assert shuffled_lines == lines
+                # Floating-point sums may differ in their last bit with the order.
+                for criterion, figures in sums.items():
+                    assert shuffled_sums[criterion] == pytest.approx(figures, rel=1e-12)
+            outcomes.add((decision[1], bool(lines)))
+
+        order_free()
+        assert {("approved", True), ("blocked", False)} <= outcomes
+
+    def test_raising_one_predicted_count_never_turns_blocked_into_approved(self, golden_case):
+        outcomes = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(rows=ledger_rows(), data=st.data())
+        def no_approval_by_more_events(rows, data):
+            predicted = [i for i, row in enumerate(rows) if row[1] == "predicted"]
+            assume(predicted)
+            at = data.draw(st.sampled_from(predicted))
+            raised = list(rows)
+            raised[at] = (*rows[at][:5], str(int(rows[at][5]) + data.draw(st.integers(1, 10**4))))
+            before = readiness_review(golden_case, parse_ledger(ledger_text(rows)))
+            after = readiness_review(golden_case, parse_ledger(ledger_text(raised)))
+            assert before.approved or not after.approved
+            outcomes.add((before.approved, after.approved))
+
+        no_approval_by_more_events()
+        assert {(True, False), (False, False)} <= outcomes
 
 
 class TestNonFiniteInputs:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -527,6 +528,17 @@ def test_a_mapping_field_is_stored_as_given(golden_cat_text):
     assert copy.span_index is result.span_index
     assert copy.reference_spans is result.reference_spans
     assert copy.diagnostics == ()
+
+
+def test_a_dict_field_is_stored_as_a_new_dict():
+    counts = {"crash": 1}
+    entry = LedgerEntry("r1", Phase.PREDICTED, 10.0, "mi", counts)
+    counts["crash"] = 5
+    assert entry.event_counts == {"crash": 1}
+    assert type(LedgerEntry("r1", Phase.PREDICTED, 10.0, "mi").event_counts) is dict
+    config = RuleConfig(severity_overrides=MappingProxyType({"E006": "off"}))
+    assert type(config.severity_overrides) is dict
+    assert type(RuleConfig().severity_overrides) is dict
 
 
 def test_records_with_the_same_fields_and_values_differ_by_class():

@@ -209,10 +209,11 @@ class TestConfigFile:
             ),
             (
                 "rule.E006.scope = some",
-                "c.cfg:2: rule.E006.scope must be 'all' or 'skip_reasonableness'",
+                "c.cfg:2: rule.E006.scope must be 'all' or 'skip_reasonableness'; got 'some'",
             ),
+            ("review_ready = maybe", "c.cfg:2: review_ready must be true or false; got 'maybe'"),
         ],
-        ids=["severity", "scope"],
+        ids=["severity", "scope", "review_ready"],
     )
     def test_bad_values_name_their_line(self, line, message):
         with pytest.raises(ValueError) as info:
