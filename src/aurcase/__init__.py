@@ -17,7 +17,7 @@ from ._version import __version__
 
 # Each submodule and the public names it defines.
 _EXPORTS = {
-    "coverage": "BalanceClass CoverageMap GapReport InvalidRegionError Signal"
+    "coverage": "BalanceClass CoverageMap GapReport Signal"
     " aggregation_balance coverage_map gap_report region_cells",
     "diagnostics": "Diagnostic Severity SourceSpan",
     "dsl": "ParseResult parse serialize",

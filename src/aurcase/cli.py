@@ -393,9 +393,7 @@ def _cmd_fmt(args: SimpleNamespace) -> int:
     # Only the case is written: the text and span maps go first, so they
     # are not held while the output is built.  The output's lines are
     # built, joined and written a slice at a time, so no list of them all,
-    # no whole text and no encoded copy of it is ever held.  A parsed case
-    # has no region that the format cannot write, so no `ValueError` stops
-    # the output part way.
+    # no whole text and no encoded copy of it is ever held.
     case = result.case
     del result
     lines, separator = _canonical_lines(case), ""

@@ -4,10 +4,12 @@ The behavioral space is the cartesian product of five dimensions, laid
 out once in `model.SPACE_DIMENSIONS`.  In canonical order they are
 severity, role, capability, status and aggregation (4 x 2 x 3 x 2 x 2 = 96
 cells).  A severity is spelled by its name (`S0`..`S3`), any other value by
-its lowercase value (`responder`, `collision_avoidance`, ...).  Methodology
-regions are rectangular subsets; the case-wide coverage map joins their
-per-cell signal (none < weak < strong) and the gap report summarizes what
-remains uncovered, per dimension value.  `FULL_SPACE` and the report's
+its lowercase value (`responder`, `collision_avoidance`, ...).  A
+methodology's region is a rectangular block of cells: `model.AcSpaceRegion`
+holds at least one value in each dimension and one contiguous severity
+range.  The case-wide coverage map joins the regions' per-cell signal
+(none < weak < strong) and the gap report summarizes what remains
+uncovered, per dimension value.  `FULL_SPACE` and the report's
 `uncovered` list cells in canonical order: by severity first, then role,
 and so on, each dimension in its enum's order.
 """
@@ -38,10 +40,6 @@ DIMENSIONS: dict[str, tuple] = {dim: tuple(members) for dim, _, members in SPACE
 FULL_SPACE: tuple[Cell, ...] = tuple(starmap(Cell, product(*DIMENSIONS.values())))
 
 FULL_REGION = AcSpaceRegion(*map(frozenset, DIMENSIONS.values()))
-
-
-class InvalidRegionError(ValueError):
-    """A region with an empty dimension set covers nothing and is invalid."""
 
 
 class Signal(enum.IntEnum):
@@ -86,16 +84,8 @@ _BALANCE_ADVISORIES = {
 
 
 def region_cells(region: AcSpaceRegion) -> frozenset[Cell]:
-    """Expand a region to the exact set of cells it covers.
-
-    Raises `InvalidRegionError` if any dimension set is empty (the
-    cartesian product would be empty, which no valid region is).
-    """
-    sets = region.dimension_sets
-    for name, values in sets.items():
-        if not values:
-            raise InvalidRegionError(f"invalid region: empty dimension set '{name}'")
-    return frozenset(starmap(Cell, product(*sets.values())))
+    """Expand a region to the exact set of cells it covers."""
+    return frozenset(starmap(Cell, product(*region.dimension_sets.values())))
 
 
 class CoverageMap(Record):

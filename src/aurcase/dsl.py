@@ -611,16 +611,16 @@ class _Parser:
             raise self._fatal(
                 f"region is missing dimension(s): {', '.join(missing)}", keyword
             )
-        severities, *others = (body[dim] for dim in DIMENSION_NAMES)
+        dimensions = {attribute: body[dim] for dim, attribute, _ in SPACE_DIMENSIONS}
         weak = set()
         for level, token in body.get("weak", ()):
-            if level not in severities:
+            if level not in body["severity"]:
                 raise self._fatal(
                     f"weak({level.name}) lies outside the region's severity range",
                     token,
                 )
             weak.add(level)
-        return AcSpaceRegion(severities, *others, weak_severities=weak)
+        return self.build(AcSpaceRegion, keyword, weak_severities=weak, **dimensions)
 
     def severity_range(self, _keyword: int) -> frozenset[SeverityLevel]:
         self.take("=")
@@ -962,17 +962,6 @@ def _format_number(value: float) -> str:
     return repr(float(value))
 
 
-def _severity_range(severities: frozenset[SeverityLevel]) -> str:
-    levels = sorted(severities)
-    expected = [level for level in SeverityLevel if levels[0] <= level <= levels[-1]]
-    if levels != expected:
-        raise ValueError(
-            "region severities are not a contiguous range and cannot be written "
-            f"in the aurcase format: {[s.name for s in levels]}"
-        )
-    return f"{levels[0].name}..{levels[-1].name}"
-
-
 def _names(members, table: dict) -> str:
     """`members` as a comma list of their names, in the name table's order."""
     return ", ".join(name for name, member in table.items() if member in members)
@@ -1005,14 +994,10 @@ def _methodology(methodology: Methodology) -> list[str]:
 
 
 def _region(region: AcSpaceRegion) -> list[str]:
-    for dim, attribute, _ in SPACE_DIMENSIONS:
-        if not getattr(region, attribute):
-            raise ValueError(
-                f"region has no {dim} value and cannot be written in the aurcase format"
-            )
+    levels = region.severities
     return _block(
         "region",
-        f"severity = {_severity_range(region.severities)}",
+        f"severity = {min(levels).name}..{max(levels).name}",
         # Severity, first, is written as a range; the rest as name lists.
         *[
             f"{dim} = {_names(getattr(region, attribute), DIMENSION_NAMES[dim])}"
@@ -1106,8 +1091,7 @@ def serialize(case: SafetyCase) -> str:
     indentation, top-level elements ordered by identifier.
 
     Requires a reference-resolved case; raises `UnresolvedCaseError`
-    otherwise, and `ValueError` for regions the format cannot express
-    (an empty dimension, non-contiguous severity sets).
+    otherwise.
     """
     return "\n".join(_canonical_lines(case))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import io
 import sys
-from math import exp, inf, isfinite, lgamma, log, log1p, pi, sqrt
+from math import exp, fsum, inf, isfinite, lgamma, log, log1p, pi, sqrt
 
 from .diagnostics import Severity
 from .model import (
@@ -386,21 +386,28 @@ def check_target(
     entries = ledger.for_phase(phase)
     if not entries:
         return TargetCheck(criterion_id=criterion.id, target=target.max_rate)
-    for entry in entries:
-        if entry.exposure_unit != target.exposure_unit:
-            raise ValueError(
-                f"criterion {criterion.id}: ledger exposure unit "
-                f"{entry.exposure_unit!r} does not match target unit "
-                f"{target.exposure_unit!r} (no unit conversion)"
-            )
-        if target.event_definition not in entry.event_counts:
-            raise ValueError(
-                f"criterion {criterion.id}: release {entry.release} "
-                f"({phase.value}) records no count for event definition "
-                f"{target.event_definition!r}"
-            )
-    exposure = sum(entry.exposure for entry in entries)
-    count = sum(entry.event_counts[target.event_definition] for entry in entries)
+    # Every unit before any count, and every release without a count, in
+    # sorted order: the error does not depend on the order of the rows.
+    units = sorted({entry.exposure_unit for entry in entries} - {target.exposure_unit})
+    if units:
+        raise ValueError(
+            f"criterion {criterion.id}: ledger exposure unit "
+            f"{units[0]!r} does not match target unit "
+            f"{target.exposure_unit!r} (no unit conversion)"
+        )
+    definition = target.event_definition
+    uncounted = sorted({entry.release for entry in entries if definition not in entry.event_counts})
+    if uncounted:
+        subject, verb = ("release", "records") if len(uncounted) == 1 else ("releases", "record")
+        raise ValueError(
+            f"criterion {criterion.id}: {subject} {', '.join(uncounted)} "
+            f"({phase.value}) {verb} no count for event definition {definition!r}"
+        )
+    try:  # exactly rounded, so not dependent on the order either
+        exposure = fsum(entry.exposure for entry in entries)
+    except OverflowError:  # beyond the largest float
+        exposure = inf
+    count = sum(entry.event_counts[definition] for entry in entries)
     return TargetCheck(
         criterion_id=criterion.id,
         target=target.max_rate,

@@ -241,24 +241,34 @@ class Cell(Record):
 class AcSpaceRegion(Record):
     """A rectangular subset of the 5D acceptance-criteria space.
 
-    Dimension sets may be empty on a draft region; `coverage.region_cells`
-    rejects such regions rather than the constructor, so that validity can
-    be reported instead of raised.  As the format's `weak(...)` does,
+    As the format writes one, a region has at least one value in each
+    dimension and one contiguous severity range (`S1..S3`); any other
+    raises `ModelError`.  As the format's `weak(...)` does,
     `weak_severities` marks the severity slices of the region where only
     weak signal is available; each must be one of its `severities`.
     """
 
-    severities: frozenset[SeverityLevel] = frozenset()
-    roles: frozenset[ConflictRole] = frozenset()
-    capabilities: frozenset[BehavioralCapability] = frozenset()
-    statuses: frozenset[FunctionalityStatus] = frozenset()
-    aggregations: frozenset[AggregationLevel] = frozenset()
+    severities: frozenset[SeverityLevel]
+    roles: frozenset[ConflictRole]
+    capabilities: frozenset[BehavioralCapability]
+    statuses: frozenset[FunctionalityStatus]
+    aggregations: frozenset[AggregationLevel]
     weak_severities: frozenset[SeverityLevel] = frozenset()
 
     def __post_init__(self) -> None:
+        for dim, attribute, _ in SPACE_DIMENSIONS:
+            if not getattr(self, attribute):  # tested before the message is built
+                raise ModelError(f"region has no {dim} value", attribute)
+        levels = self.severities
         _require(
-            self.weak_severities <= self.severities,
+            len(levels) == max(levels) - min(levels) + 1,
+            "region severities are not one contiguous range",
+            "severities",
+        )
+        _require(
+            self.weak_severities <= levels,
             "weak_severities must be a subset of the region's severities",
+            "weak_severities",
         )
 
     @property

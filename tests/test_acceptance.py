@@ -495,7 +495,7 @@ PUBLIC_NAMES = frozenset(
     BalanceClass BehavioralCapability CausalStage Cell ClaimKind ClaimNode
     ConflictRole ContextBlock CoverageMap Diagnostic DriftCheck DriftStatus Evidence
     EvidenceStrength ExposureLedger FunctionalityStatus GapReport Hazard
-    HazardCategory Indicator IndicatorKind InvalidRegionError LedgerEntry
+    HazardCategory Indicator IndicatorKind LedgerEntry
     Methodology ModelError ParseResult Phase ReadinessDecision ReportDocument
     RuleConfig RuleInfo SafetyCase Severity SeverityLevel Signal SourceSpan
     TargetCheck TargetKind TargetStatus TraceMatrix UnresolvedCaseError

@@ -8,7 +8,6 @@ from aurcase.coverage import (
     FULL_REGION,
     FULL_SPACE,
     BalanceClass,
-    InvalidRegionError,
     Signal,
     aggregation_balance,
     coverage_map,
@@ -25,6 +24,7 @@ from aurcase.model import (
     ConflictRole,
     FunctionalityStatus,
     HazardCategory,
+    ModelError,
     SeverityLevel,
 )
 
@@ -76,9 +76,8 @@ class TestRegionCells:
         assert len(FULL_SPACE) == 96
 
     def test_empty_dimension_is_an_invalid_region(self):
-        empty = CAMPAIGN_REGION.replace(severities=frozenset())
-        with pytest.raises(InvalidRegionError, match="severity"):
-            region_cells(empty)
+        with pytest.raises(ModelError, match="region has no severity value"):
+            CAMPAIGN_REGION.replace(severities=frozenset())
 
     @settings(max_examples=200, deadline=None)
     @given(region=regions())

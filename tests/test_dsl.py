@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 import random
 import shutil
 import subprocess
@@ -33,6 +34,7 @@ from aurcase.model import (
     SPACE_DIMENSIONS,
     AcSpaceRegion,
     ContextBlock,
+    ModelError,
     SafetyCase,
     SeverityLevel,
     iter_claim_nodes,
@@ -760,46 +762,53 @@ def test_the_canonical_lines_are_built_as_they_are_pulled():
     assert "\n".join(_canonical_lines(case)) == serialize(case) == golden
 
 
-def test_serialize_rejects_gapped_severity_sets():
-    text = """
-safety_case "g" {
-  context { use_case = "pilot" }
-  methodology M1 {
-    name = "campaign"
-    category = behavioral
-    region {
-      severity = S0..S3
-      role = responder
-      capability = collision_avoidance
-      status = nominal
-      aggregation = event_level
-    }
-  }
-}
-"""
-    case = parse(text, "case.aur").case
-    region = case.methodologies[0].region
-    gapped = AcSpaceRegion(
-        severities=frozenset({SeverityLevel.S0, SeverityLevel.S2}),
-        roles=region.roles,
-        capabilities=region.capabilities,
-        statuses=region.statuses,
-        aggregations=region.aggregations,
-    )
-    methodology = case.methodologies[0].replace(region=gapped)
-    broken = case.replace(methodologies=(methodology,))
-    with pytest.raises(ValueError, match="contiguous"):
-        serialize(broken)
+def test_a_gapped_severity_set_is_refused_when_the_region_is_built(golden_case):
+    region = golden_case.methodologies[0].region
+    gapped = frozenset({SeverityLevel.S0, SeverityLevel.S2})
+    with pytest.raises(ModelError, match="contiguous") as info:
+        region.replace(severities=gapped, weak_severities=frozenset())
+    assert info.value.field_name == "severities"
 
 
 @pytest.mark.parametrize("attribute", [attribute for _, attribute, _ in SPACE_DIMENSIONS])
-def test_serialize_refuses_a_region_with_an_empty_dimension(golden_case, attribute):
-    methodology, *others = golden_case.methodologies
-    region = methodology.region.replace(weak_severities=frozenset(), **{attribute: frozenset()})
-    case = golden_case.replace(methodologies=(methodology.replace(region=region), *others))
+def test_a_region_with_an_empty_dimension_is_refused_when_built(golden_case, attribute):
+    region = golden_case.methodologies[0].region
     dim = next(dim for dim, field, _ in SPACE_DIMENSIONS if field == attribute)
-    with pytest.raises(ValueError, match=f"region has no {dim} value"):
-        serialize(case)
+    with pytest.raises(ModelError, match=f"region has no {dim} value") as info:
+        region.replace(weak_severities=frozenset(), **{attribute: frozenset()})
+    assert info.value.field_name == attribute
+
+
+# Any set of each dimension's values, empty and gapped ones included.
+_VALUE_SETS = {
+    attribute: st.frozensets(st.sampled_from(list(members)))
+    for _, attribute, members in SPACE_DIMENSIONS
+}
+
+
+def test_a_region_is_refused_when_built_or_written_and_read_back(golden_case):
+    """Whatever sets a region is given, it raises `ModelError` when it is
+    built, or the golden case with it as `M1`'s region round-trips and it
+    covers the product of its dimension sizes."""
+    methodology, *others = golden_case.methodologies
+    outcomes = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({**_VALUE_SETS, "weak_severities": _VALUE_SETS["severities"]}))
+    def refused_or_round_trips(fields):
+        try:
+            region = AcSpaceRegion(**fields)
+        except ModelError:
+            outcomes.add("refused")
+            return
+        case = golden_case.replace(methodologies=(methodology.replace(region=region), *others))
+        assert parse(serialize(case), "case.aur").case == case
+        sizes = [len(values) for values in region.dimension_sets.values()]
+        assert len(region_cells(region)) == math.prod(sizes)
+        outcomes.add("built")
+
+    refused_or_round_trips()
+    assert outcomes == {"refused", "built"}
 
 
 def test_serialize_is_deterministic(golden_case):

@@ -38,7 +38,7 @@ from aurcase.rules import RuleConfig
 
 from mutations import MUTATIONS
 from oracles import poisson_cdf, poisson_sf, poisson_smaller_tail, upper_bound_bisect
-from strategies import GOLDEN, ledger_rows, ledger_text
+from strategies import GOLDEN, GOLDEN_EVENT, UNNAMED_EVENTS, ledger_rows, ledger_text
 
 
 _LEDGER_HEADER = "release,phase,exposure,exposure_unit,event_definition,count\n"
@@ -409,6 +409,37 @@ class TestCheckTarget:
                 "for event definition 'crash'"
             )
 
+    def test_every_release_without_a_count_is_named_in_sorted_order(self):
+        entries = (
+            entry(release="r2", counts={"near miss": 1}),
+            entry(release="r1", counts={"near miss": 0}),
+            entry(release="r3", counts={"crash": 0}),
+        )
+        for ordered in (entries, entries[::-1]):
+            with pytest.raises(ValueError) as excinfo:
+                check_target(make_criterion(event="crash"), ExposureLedger(ordered), Phase.PREDICTED)
+            assert str(excinfo.value) == (
+                "criterion AC1: releases r1, r2 (predicted) record no count "
+                "for event definition 'crash'"
+            )
+
+    def test_a_unit_mismatch_is_reported_before_a_missing_count(self):
+        entries = (entry(release="r1", counts={"near miss": 0}), entry(release="r2", unit="km"))
+        for ordered in (entries, entries[::-1]):
+            with pytest.raises(ValueError, match="ledger exposure unit 'km' does not match"):
+                check_target(make_criterion(event="crash"), ExposureLedger(ordered), Phase.PREDICTED)
+
+    def test_the_summed_exposure_is_exact_in_any_row_order(self):
+        entries = tuple(
+            entry(release=f"r{i}", exposure=exposure, counts={"crash": 1})
+            for i, exposure in enumerate((0.1, 0.2, 0.3))
+        )
+        criterion = make_criterion(event="crash")
+        forward = check_target(criterion, ExposureLedger(entries), Phase.PREDICTED)
+        backward = check_target(criterion, ExposureLedger(entries[::-1]), Phase.PREDICTED)
+        assert forward.exposure == backward.exposure == 0.6
+        assert forward.upper_bound == backward.upper_bound
+
     def test_qualitative_target_not_applicable(self):
         criterion = AcceptanceCriterion(
             id="AC1",
@@ -671,7 +702,7 @@ class TestGateProperties:
         decision = (
             code,
             review["status"],
-            sorted(blocker["subject"] for blocker in review["blockers"]),
+            sorted((blocker["subject"], blocker["reason"]) for blocker in review["blockers"]),
             [(check["criterion"], check["status"], check["events"]) for check in checks],
         )
         sums = {check["criterion"]: (check["exposure"], check["upper_bound"]) for check in checks}
@@ -699,9 +730,7 @@ class TestGateProperties:
                 again, shuffled_sums, shuffled_lines = self.review(path)
                 assert again == decision
                 assert shuffled_lines == lines
-                # Floating-point sums may differ in their last bit with the order.
-                for criterion, figures in sums.items():
-                    assert shuffled_sums[criterion] == pytest.approx(figures, rel=1e-12)
+                assert shuffled_sums == sums
             outcomes.add((decision[1], bool(lines)))
 
         order_free()
@@ -725,6 +754,87 @@ class TestGateProperties:
 
         no_approval_by_more_events()
         assert {(True, False), (False, False)} <= outcomes
+
+    def test_more_exposure_at_the_same_counts_never_turns_approved_into_blocked(
+        self, golden_case
+    ):
+        outcomes = set()
+
+        @settings(max_examples=100, deadline=None)
+        @given(rows=ledger_rows())
+        def no_block_by_more_exposure(rows):
+            release = rows[0][0]
+            rows = [row for row in rows if row[0] == release]
+            assume(any(row[1] == "predicted" for row in rows))
+            approvals = []
+            # The predicted exposure from far below the target's reach to far above it.
+            for scale in (10.0**power for power in range(-12, 7)):
+                scaled = [
+                    (*row[:2], repr(float(row[2]) * scale), *row[3:])
+                    if row[1] == "predicted"
+                    else row
+                    for row in rows
+                ]
+                decision = readiness_review(golden_case, parse_ledger(ledger_text(scaled)))
+                approvals.append(decision.approved)
+            # Blocked up to some exposure, and approved from there on.
+            assert approvals == sorted(approvals)
+            outcomes.add(approvals[-1])
+
+        no_block_by_more_exposure()
+        assert outcomes == {True, False}
+
+    def test_renaming_a_definition_no_target_names_changes_no_decision(self, golden_case):
+        renamed = []
+        # Case variants of the target's own definition are names no target uses.
+        names = st.sampled_from(
+            (GOLDEN_EVENT.upper(), GOLDEN_EVENT.title(), GOLDEN_EVENT.capitalize())
+        ) | st.text("abcdefghij -", min_size=1, max_size=12).map(lambda name: f"x{name}x")
+
+        @settings(max_examples=150, deadline=None)
+        @given(rows=ledger_rows(), name=names, data=st.data())
+        def rename_free(rows, name, data):
+            definitions = {row[4] for row in rows}
+            unnamed = sorted(definitions - {GOLDEN_EVENT})
+            assume(unnamed and name not in definitions)
+            old = data.draw(st.sampled_from(unnamed))
+            rows_renamed = [(*row[:4], name, row[5]) if row[4] == old else row for row in rows]
+            before = readiness_review(golden_case, parse_ledger(ledger_text(rows)))
+            after = readiness_review(golden_case, parse_ledger(ledger_text(rows_renamed)))
+            assert after == before
+            renamed.append(name.casefold() == GOLDEN_EVENT.casefold())
+
+        rename_free()
+        assert True in renamed and False in renamed
+
+    def test_a_unit_mismatch_or_a_missing_count_always_blocks(self, golden_case):
+        faults = set()
+        reasons = ("does not match target unit", "no count for event definition")
+
+        @settings(max_examples=150, deadline=None)
+        @given(rows=ledger_rows(), unit=st.sampled_from((None, "km", "MI", "miles")), data=st.data())
+        def blocked(rows, unit, data):
+            predicted = sorted({row[0] for row in rows if row[1] == "predicted"})
+            assume(predicted)
+            release = data.draw(st.sampled_from(predicted))
+            at_fault = lambda row: row[:2] == (release, "predicted")  # noqa: E731
+            if unit is not None:  # the release's predicted exposure in another unit
+                rows = [(*row[:3], unit, *row[4:]) if at_fault(row) else row for row in rows]
+            else:  # the release's predicted rows without the target's count
+                kept = [row for row in rows if not (at_fault(row) and row[4] == GOLDEN_EVENT)]
+                if not any(at_fault(row) for row in kept):
+                    first = next(row for row in rows if at_fault(row))
+                    kept.append((*first[:4], UNNAMED_EVENTS[0], "0"))
+                rows = kept
+            decision = readiness_review(golden_case, parse_ledger(ledger_text(rows)))
+            assert any(
+                blocker.subject_id == "AC1" and any(reason in blocker.reason for reason in reasons)
+                for blocker in decision.blockers
+            )
+            faults.add(unit)
+
+        blocked()
+        assert faults == {None, "km", "MI", "miles"}
 
 
 class TestNonFiniteInputs:

@@ -4,7 +4,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aurcase
@@ -338,6 +338,7 @@ def test_claim_walk_keys_follow_ids_then_ordinals():
     assert row_keys == ["C1.2.2.1.B.1", "C1.2.2.1.B.1@2"]
 
 
+@settings(deadline=None)
 @given(case=safety_cases())
 def test_claim_walks_are_the_oracle_walk_kept_off_the_fields(case):
     def same(items) -> list[tuple]:  # nodes and rows by identity, keys by value
@@ -512,8 +513,14 @@ def test_collection_fields_are_stored_as_their_annotated_type(samples):
 
 
 def test_a_tuple_or_frozenset_given_is_kept_as_the_same_object():
-    severities = frozenset({SeverityLevel.S0, SeverityLevel.S2})
-    region = AcSpaceRegion(severities=severities, roles=frozenset({ConflictRole.RESPONDER}))
+    severities = frozenset({SeverityLevel.S1, SeverityLevel.S2})
+    region = AcSpaceRegion(
+        severities=severities,
+        roles=frozenset({ConflictRole.RESPONDER}),
+        capabilities=frozenset({BehavioralCapability.COLLISION_AVOIDANCE}),
+        statuses=frozenset({FunctionalityStatus.NOMINAL}),
+        aggregations=frozenset({AggregationLevel.EVENT_LEVEL}),
+    )
     assert region.severities is severities
     rows = (ArgumentRow("A.1", "it holds"),)
     assert ClaimNode(ClaimKind.REASONABLENESS, rows=rows).rows is rows
