@@ -28,6 +28,7 @@ from .model import (
     AggregationLevel,
     Cell,
     HazardCategory,
+    IdentityEnum,
     Record,
     SafetyCase,
     require_resolved,
@@ -50,7 +51,7 @@ class Signal(enum.IntEnum):
     STRONG = 2
 
 
-class BalanceClass(enum.Enum):
+class BalanceClass(IdentityEnum):
     """Which aggregation levels the behavioral criteria exercise."""
 
     BALANCED = "balanced"

@@ -3,13 +3,12 @@ and the one text form of a diagnostic list."""
 
 from __future__ import annotations
 
-import enum
 from typing import Iterable, Mapping
 
-from .model import REFERENCE_NOUNS, Record, ReferenceFinding
+from .model import REFERENCE_NOUNS, IdentityEnum, Record, ReferenceFinding
 
 
-class Severity(enum.Enum):
+class Severity(IdentityEnum):
     ERROR = "error"
     WARNING = "warning"
 

@@ -115,7 +115,7 @@ _ESCAPE_OUT = str.maketrans({char: "\\" + escape for escape, char in _ESCAPES.it
 
 # Where a string literal's body stops: at its closing quote, or at a line
 # break or an escape the format does not know.
-_STRING_BODY = re.compile(rf'[^"\\\n]*(?:\\[{re.escape("".join(_ESCAPES))}][^"\\\n]*)*')
+_STRING_BODY = re.compile(rf'[^"\\\n]*+(?:\\[{re.escape("".join(_ESCAPES))}][^"\\\n]*+)*+')
 
 # Token kinds.  A token is its index into the lexer's words; its kind is
 # its word's.
@@ -128,10 +128,13 @@ IDENT, STRING, NUMBER, PUNCT, EOF = "IDENT", "STRING", "NUMBER", "PUNCT", "EOF"
 # before a digit or a dot, or a dot before a digit; a dot joins an
 # identifier only when another identifier character follows it, so `..`
 # stays the range operator.  No alternative holds a line break, and no
-# lookahead reads past one.
+# lookahead reads past one.  The repeats of identifiers and strings, and
+# of the blanks and comments before a token, are possessive (`*+`): no
+# match needs a character that one of them would hand back, so the matches
+# are those of plain repeats, and `re` keeps no backtracking state per token.
 _ALTERNATIVES = {
     PUNCT: r"[{}()=,]|\.\.",
-    IDENT: r"[^\W\d][\w-]*(?:\.[\w-]+)*",
+    IDENT: r"[^\W\d][\w-]*+(?:\.[\w-]++)*+",
     STRING: f'"{_STRING_BODY.pattern}"',
     NUMBER: r"(?:[+-](?=[\d.])|(?=\.?\d))\d*(?:\.(?!\.)\d*)?(?:[eE][+-]?\d*)?",
 }
@@ -142,7 +145,7 @@ _ALTERNATIVES = {
 # opens a malformed string), or nothing at the end of the text.  So a run
 # of whole lines lexes alone as it does in the whole text.
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)(" + "|".join(_ALTERNATIVES.values()) + r"|.|\Z)",
+    r"(?:[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+)(" + "|".join(_ALTERNATIVES.values()) + r"|.|\Z)",
     re.DOTALL,
 )
 # The same alternatives, each a group named by its kind.

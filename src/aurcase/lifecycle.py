@@ -19,7 +19,6 @@ operational context, not just on unmet targets.
 
 from __future__ import annotations
 
-import enum
 import io
 import sys
 from math import exp, fsum, inf, isfinite, lgamma, log, log1p, pi, sqrt
@@ -28,6 +27,7 @@ from .diagnostics import Severity
 from .model import (
     EMPTY_MAPPING,
     AcceptanceCriterion,
+    IdentityEnum,
     Record,
     SafetyCase,
     TargetKind,
@@ -43,18 +43,18 @@ _MEAN_REL_TOL = 1e-12
 MAX_BOUND_COUNT = 10**9
 
 
-class Phase(enum.Enum):
+class Phase(IdentityEnum):
     PREDICTED = "predicted"
     OBSERVED = "observed"
 
 
-class TargetStatus(enum.Enum):
+class TargetStatus(IdentityEnum):
     MET = "met"
     UNMET = "unmet"
     INSUFFICIENT_DATA = "insufficient_data"
 
 
-class DriftStatus(enum.Enum):
+class DriftStatus(IdentityEnum):
     DRIFT = "drift"
     NO_DRIFT = "no_drift"
     INSUFFICIENT_DATA = "insufficient_data"

@@ -22,7 +22,15 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 
-class HazardCategory(enum.Enum):
+class IdentityEnum(enum.Enum):
+    """The base of every plain (not integer) enum of the package.  Members
+    compare by identity, so they hash by identity too: `enum.Enum` hashes
+    by name in Python code, once per set, dict or `Cell` lookup."""
+
+    __hash__ = object.__hash__
+
+
+class HazardCategory(IdentityEnum):
     """The three hazard categories a safety case decomposes risk into."""
 
     ARCHITECTURAL = "architectural"
@@ -41,7 +49,7 @@ class CausalStage(enum.IntEnum):
     HARM = 4
 
 
-class IndicatorKind(enum.Enum):
+class IndicatorKind(IdentityEnum):
     LEADING = "leading"
     LAGGING = "lagging"
 
@@ -55,38 +63,38 @@ class SeverityLevel(enum.IntEnum):
     S3 = 3
 
 
-class ConflictRole(enum.Enum):
+class ConflictRole(IdentityEnum):
     INITIATOR = "initiator"
     RESPONDER = "responder"
 
 
-class BehavioralCapability(enum.Enum):
+class BehavioralCapability(IdentityEnum):
     REGULATORY_COMPLIANCE = "regulatory_compliance"
     CONFLICT_AVOIDANCE = "conflict_avoidance"
     COLLISION_AVOIDANCE = "collision_avoidance"
 
 
-class FunctionalityStatus(enum.Enum):
+class FunctionalityStatus(IdentityEnum):
     NOMINAL = "nominal"
     DEGRADED = "degraded"
 
 
-class AggregationLevel(enum.Enum):
+class AggregationLevel(IdentityEnum):
     EVENT_LEVEL = "event_level"
     AGGREGATE_LEVEL = "aggregate_level"
 
 
-class EvidenceStrength(enum.Enum):
+class EvidenceStrength(IdentityEnum):
     STRONG = "strong"
     WEAK = "weak"
 
 
-class TargetKind(enum.Enum):
+class TargetKind(IdentityEnum):
     QUALITATIVE = "qualitative"
     RATE_BOUND = "rate_bound"
 
 
-class ClaimKind(enum.Enum):
+class ClaimKind(IdentityEnum):
     TOP_CLAIM = "top_claim"
     REASONABLENESS = "reasonableness"
     SATISFACTION = "satisfaction"
@@ -151,16 +159,12 @@ DIMENSION_NAMES: dict[str, dict[str, enum.Enum]] = {
 
 class ModelError(ValueError):
     """A constructed value violates a model invariant; `field_name` names
-    the field at fault, where a check blames one."""
+    the field at fault, where a check blames one.  Each check tests before
+    it formats its message, since a parse builds every element."""
 
     def __init__(self, message: str, field_name: str = ""):
         super().__init__(message)
         self.field_name = field_name
-
-
-def _require(condition: bool, message: str, field_name: str = "") -> None:
-    if not condition:
-        raise ModelError(message, field_name)
 
 
 EMPTY_MAPPING: Mapping = MappingProxyType({})  # the default of every mapping field
@@ -257,19 +261,15 @@ class AcSpaceRegion(Record):
 
     def __post_init__(self) -> None:
         for dim, attribute, _ in SPACE_DIMENSIONS:
-            if not getattr(self, attribute):  # tested before the message is built
+            if not getattr(self, attribute):
                 raise ModelError(f"region has no {dim} value", attribute)
         levels = self.severities
-        _require(
-            len(levels) == max(levels) - min(levels) + 1,
-            "region severities are not one contiguous range",
-            "severities",
-        )
-        _require(
-            self.weak_severities <= levels,
-            "weak_severities must be a subset of the region's severities",
-            "weak_severities",
-        )
+        if len(levels) != max(levels) - min(levels) + 1:
+            raise ModelError("region severities are not one contiguous range", "severities")
+        if not self.weak_severities <= levels:
+            raise ModelError(
+                "weak_severities must be a subset of the region's severities", "weak_severities"
+            )
 
     @property
     def dimension_sets(self) -> dict[str, frozenset]:
@@ -310,10 +310,10 @@ class Hazard(Record):
     secondary_categories: frozenset[HazardCategory] = frozenset()
 
     def __post_init__(self) -> None:
-        _require(
-            self.primary_category not in self.secondary_categories,
-            f"hazard {self.id}: primary category repeated in secondary categories",
-        )
+        if self.primary_category in self.secondary_categories:
+            raise ModelError(
+                f"hazard {self.id}: primary category repeated in secondary categories"
+            )
 
     @property
     def categories(self) -> frozenset[HazardCategory]:
@@ -339,11 +339,10 @@ class Methodology(Record):
     region: AcSpaceRegion | None = None
 
     def __post_init__(self) -> None:
-        if self.region is not None:
-            _require(
-                HazardCategory.BEHAVIORAL in self.hazard_categories,
+        if self.region is not None and HazardCategory.BEHAVIORAL not in self.hazard_categories:
+            raise ModelError(
                 f"methodology {self.id}: an acceptance-criteria region is only "
-                "defined for the behavioral hazard category",
+                "defined for the behavioral hazard category"
             )
 
 
@@ -371,7 +370,8 @@ class ValidationTarget(Record):
             (bool(self.event_definition), "event_definition", "be non-empty"),
             (bool(self.exposure_unit), "exposure_unit", "be non-empty"),
         ):
-            _require(met, f"rate_bound target: {field_name} must {rule}", field_name)
+            if not met:
+                raise ModelError(f"rate_bound target: {field_name} must {rule}", field_name)
 
 
 class AcceptanceCriterion(Record):
@@ -388,15 +388,12 @@ class AcceptanceCriterion(Record):
     target: ValidationTarget | None = None
 
     def __post_init__(self) -> None:
-        _require(
-            len(self.hazard_ids) > 0,
-            f"criterion {self.id}: must cover at least one identified hazard",
-        )
-        if self.region is not None:
-            _require(
-                self.aggregation in self.region.aggregations,
+        if not self.hazard_ids:
+            raise ModelError(f"criterion {self.id}: must cover at least one identified hazard")
+        if self.region is not None and self.aggregation not in self.region.aggregations:
+            raise ModelError(
                 f"criterion {self.id}: aggregation level {self.aggregation.value} "
-                "is outside the criterion's own region",
+                "is outside the criterion's own region"
             )
 
 
@@ -432,8 +429,6 @@ class ClaimNode(Record):
     rows: tuple[ArgumentRow, ...] = ()
 
     def __post_init__(self) -> None:
-        # Test before formatting: `_require` would build each message for
-        # every node of every parse.
         kind = self.kind
         if kind is ClaimKind.TOP_CLAIM:
             if not self.id:
@@ -514,17 +509,16 @@ class SafetyCase(Record):
     claims: tuple[ClaimNode, ...] = ()
 
     def __post_init__(self) -> None:
+        by_id = attrgetter("id")
         for _, name in ELEMENTS:
-            items = tuple(sorted(getattr(self, name), key=lambda e: e.id))
-            object.__setattr__(self, name, items)
+            object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=by_id)))
         for root in self.claims:
-            _require(
-                root.kind is ClaimKind.TOP_CLAIM,
-                f"claim {root.id or root.kind.value}: only top claims may be roots",
-            )
+            if root.kind is not ClaimKind.TOP_CLAIM:
+                raise ModelError(f"claim {root._where}: only top claims may be roots")
         seen: set[str] = set()
         for element_id in self._all_ids():
-            _require(element_id not in seen, f"duplicate identifier {element_id}")
+            if element_id in seen:
+                raise ModelError(f"duplicate identifier {element_id}")
             seen.add(element_id)
 
     def _all_ids(self) -> Iterator[str]:
@@ -544,8 +538,9 @@ class SafetyCase(Record):
         findings: list[ReferenceFinding] = []
 
         def check(referrer: str, field_name: str, refs) -> None:
-            for ref in sorted(refs - ids[REFERENCE_NOUNS[field_name]]):
-                findings.append(ReferenceFinding(referrer, field_name, ref))
+            missing = refs - ids[REFERENCE_NOUNS[field_name]]
+            if missing:
+                findings.extend(ReferenceFinding(referrer, field_name, r) for r in sorted(missing))
 
         for criterion in self.criteria:
             check(criterion.id, "hazard_ids", criterion.hazard_ids)

@@ -158,7 +158,7 @@ def digest_of(path: str, data: bytes) -> dict[str, str]:
     """The path and SHA-256 of an input, hashed by the interpreter's own
     SHA-256 module, the one `hashlib` falls back to.  `hashlib` would load
     OpenSSL for one digest: 3.6 MB more peak RSS (CPython 3.11, Linux)."""
-    for module in ("_sha2", "_sha256"):  # Python 3.12+, then 3.10-3.11
+    for module in ("_sha2", "_sha256"):  # Python 3.12+, then 3.11
         try:
             sha256 = __import__(module).sha256
             break

@@ -1105,15 +1105,23 @@ PIPE_BUFFER = 1 << 16  # a Linux pipe's capacity: `fmt` writes more while it is 
 
 
 def cold(
-    argv: list[str], cwd: Path, stdout=subprocess.PIPE, shell: str = "", unbuffered: bool = False
+    argv: list[str],
+    cwd: Path,
+    stdout=subprocess.PIPE,
+    shell: str = "",
+    unbuffered: bool = False,
+    hash_seed: int | None = None,
 ) -> subprocess.CompletedProcess:
     """`python -m aurcase.cli ARGV` in `cwd`, with this tree's `src` first
     on the path and buffered standard streams unless `unbuffered`; stderr
-    is captured. With `shell`, `sh` runs it with that redirection."""
+    is captured. With `shell`, `sh` runs it with that redirection. With
+    `hash_seed`, it is the child's `PYTHONHASHSEED`."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     command = [sys.executable, "-m", "aurcase.cli", *argv]
     if shell:
         command = ["sh", "-c", f'exec "$0" "$@" {shell}', *command]
@@ -1177,6 +1185,43 @@ class TestProcess:
         assert (done.returncode, *printed) == (code, *expected)
         if argv[0] == "fmt":
             assert len(done.stdout) > PIPE_BUFFER
+
+    def test_no_output_depends_on_the_hash_seed(self, workspace):
+        """Strings hash by the seed and plain enum members by identity, so
+        the order a set or dict of them iterates in changes between
+        processes. No stdout, stderr, exit code or artifact may follow it.
+        `wide.aur` gives the golden case's sets of enum members more than
+        one member each, in no canonical order."""
+        wide = fixture_text("golden_cat.aur")
+        for old, new in [
+            ("= behavioral {", "= behavioral also = in_service_operational, architectural {"),
+            ("= behavioral\n", "= in_service_operational, behavioral, architectural\n"),
+            ("= responder\n", "= responder, initiator\n"),
+            ("= collision_avoidance\n", "= conflict_avoidance, collision_avoidance\n"),
+            ("= nominal\n", "= nominal, degraded\n"),
+        ]:
+            wide = wide.replace(old, new)
+        (workspace / "wide.aur").write_text(wide, encoding="utf-8")
+        commands = [
+            ["report", "golden_cat.aur", "--ledger", "golden.ledger", "--out", "seeded"],
+            ["fmt", "wide.aur"],
+            ["fmt", "dirty.aur"],
+            ["review", "golden_cat.aur", "--ledger", "golden.ledger", "--format", "machine"],
+            ["check", "dirty.aur", "--format", "machine"],
+        ]
+        runs = []
+        for seed in (0, 4242):
+            outputs = []
+            for argv in commands:
+                done = cold(argv, workspace, hash_seed=seed)
+                outputs.append((argv[0], done.returncode, done.stdout, done.stderr))
+            for name in ("report.json", "report.txt", "heatmap.svg", "trace.txt"):
+                data = (workspace / "seeded" / name).read_bytes()
+                outputs.append((name, re.sub(rb'"generated_at": "[^"]*"', b"", data)))
+            runs.append(outputs)
+        assert [code for _, code, _, _ in runs[0][:5]] == [0, 0, 0, 0, 1]
+        assert runs[0][1][2] != wide.encode("utf-8")  # `fmt` put the sets in order
+        assert runs[0] == runs[1]
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

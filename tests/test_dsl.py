@@ -998,6 +998,12 @@ SCANNER_EDGES = [
     # identifier, Arabic-Indic digits (decimal, so a number), and a sign
     # before a blank.
     "Ⅻ", "a Ⅻ", "_a", "١٢", "x = +١", "-\t1", "a +\n.5",
+    # Where a possessive repeat would differ from a backtracking one, if
+    # anything after it could use a character it hands back: an escaped
+    # quote that closes nothing, a backslash at the end, an unknown escape,
+    # a quote inside a comment, and dots that end or double in identifiers.
+    '"a\\"', '"a\\', '"\\q"', '# "x\n"y"',
+    "a.", "a.b.", "a-.b", "x..y", "1..2", "\n# a\n\n# b\n x",
 ]
 
 NON_DECIMAL_DIGITS = ["²", "a ²", "x = ² 1e"]
