@@ -55,10 +55,10 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from ._version import __version__
-from .diagnostics import Diagnostic, Severity, diagnostic_line, render_diagnostics
+from .diagnostics import Diagnostic, Severity, render_diagnostics
 from .dsl import ParseResult, _canonical_lines, parse
 from .lifecycle import ExposureLedger, parse_ledger, readiness_review, unnamed_definitions
-from .model import SafetyCase, resolve_references
+from .model import CASE_SPAN, SafetyCase, resolve_references
 from .report import (
     build_report,
     coverage_bundle,
@@ -386,9 +386,14 @@ def _cmd_report(args: SimpleNamespace) -> int:
 def _cmd_fmt(args: SimpleNamespace) -> int:
     result = _parsed(args, to_stderr=True)
     if resolve_references(result.case):
-        refusal = "cannot format a case with unresolved references"
-        print(render_diagnostics(result.diagnostics), end="", file=sys.stderr)
-        print(diagnostic_line(Diagnostic("E008", Severity.ERROR, refusal)), file=sys.stderr)
+        refusal = Diagnostic(
+            "E008",
+            Severity.ERROR,
+            "cannot format a case with unresolved references",
+            subject_id=result.case.id,
+            span=result.span_index.get(CASE_SPAN),
+        )
+        print(render_diagnostics([*result.diagnostics, refusal]), end="", file=sys.stderr)
         raise _Exit(EXIT_FINDINGS)
     # Only the case is written: the text and span maps go first, so they
     # are not held while the output is built.  The output's lines are

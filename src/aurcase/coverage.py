@@ -90,23 +90,17 @@ def region_cells(region: AcSpaceRegion) -> frozenset[Cell]:
 
 
 class CoverageMap(Record):
-    """Cell -> signal over the full space, with contributing methodologies.
+    """Cell -> signal over the full space.
 
-    Only covered cells are stored; `signal()` reads NONE for the rest.
+    Only covered cells are stored, so a stored NONE is refused; `signal()`
+    reads NONE for the rest.
     """
 
     signals: Mapping[Cell, Signal] = EMPTY_MAPPING
-    contributors: Mapping[Cell, frozenset[str]] = EMPTY_MAPPING
 
     def __post_init__(self) -> None:
-        for cell, sig in self.signals.items():
-            if sig is Signal.NONE:
-                raise ValueError("covered-cell map must not store NONE signals")
-            if not self.contributors.get(cell):
-                raise ValueError(f"covered cell {cell} has no contributors")
-        for cell in self.contributors:
-            if cell not in self.signals:
-                raise ValueError(f"contributors recorded for uncovered cell {cell}")
+        if Signal.NONE in self.signals.values():
+            raise ValueError("covered-cell map must not store NONE signals")
 
     def signal(self, cell: Cell) -> Signal:
         return self.signals.get(cell, Signal.NONE)
@@ -122,12 +116,11 @@ def coverage_map(case: SafetyCase) -> CoverageMap:
 
     A cell is strong if any methodology covers it outside that
     methodology's weak severity slices, weak if it is only covered in such
-    slices, and uncovered otherwise.  Contributors list every covering
-    methodology, weak or strong.
+    slices, and uncovered otherwise.  Only the joined signal is kept, not
+    which methodologies gave it.
     """
     require_resolved(case)
     signals: dict[Cell, Signal] = {}
-    contributors: dict[Cell, set[str]] = {}
     for methodology in case.methodologies:
         if methodology.region is None:
             continue
@@ -135,11 +128,7 @@ def coverage_map(case: SafetyCase) -> CoverageMap:
         for cell in region_cells(methodology.region):
             sig = Signal.WEAK if cell.severity in weak else Signal.STRONG
             signals[cell] = max(signals.get(cell, Signal.NONE), sig)
-            contributors.setdefault(cell, set()).add(methodology.id)
-    return CoverageMap(
-        signals=signals,
-        contributors={cell: frozenset(ids) for cell, ids in contributors.items()},
-    )
+    return CoverageMap(signals=signals)
 
 
 class Fraction(Record):

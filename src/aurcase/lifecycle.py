@@ -418,13 +418,12 @@ def check_target(
 
 
 class DriftCheck(Record):
-    """Whether post-deployment observation still satisfies a target that
-    pre-deployment prediction satisfied."""
+    """Whether post-deployment observation, the observed phase of the
+    ledger, still satisfies a rate-bound target."""
 
     criterion_id: str
     target: float
     observed_upper_bound: float | None = None
-    predicted_upper_bound: float | None = None
 
     @property
     def status(self) -> DriftStatus:
@@ -438,19 +437,17 @@ class DriftCheck(Record):
 def drift_check(criterion: AcceptanceCriterion, ledger: ExposureLedger) -> DriftCheck:
     """Flag drift when the observed-phase upper bound exceeds the target.
 
-    Raises `TargetNotApplicableError` (from `check_target`) for a criterion
-    without a rate-bound target, and `ValueError` for a ledger that cannot
-    support it.
+    Only observed-phase entries are read; predicted rows, whatever their
+    unit or counts, neither support nor refuse the check.  Raises
+    `TargetNotApplicableError` (from `check_target`) for a criterion
+    without a rate-bound target, and `ValueError` for observed entries
+    that cannot support it.
     """
     observed = check_target(criterion, ledger, Phase.OBSERVED)
-    if observed.status is TargetStatus.INSUFFICIENT_DATA:
-        return DriftCheck(criterion_id=criterion.id, target=observed.target)
-    predicted = check_target(criterion, ledger, Phase.PREDICTED)
     return DriftCheck(
         criterion_id=criterion.id,
         target=observed.target,
         observed_upper_bound=observed.upper_bound,
-        predicted_upper_bound=predicted.upper_bound,
     )
 
 

@@ -12,11 +12,13 @@ child interpreter.
   parse's diagnostics (the fatal one, or the dangling references), both
   span maps, the `serialize` output and the `validate` findings.
 - The CLI half runs `aurcase.cli.run` in-process over every fixture and
-  three edits of `golden_cat.aur` (one fatal, one with a dangling
-  reference, one whose E006 and W102 tie on position), once per command
-  line in `COMMANDS`: with and without a config (named by `--config` or
-  by `$AURCASE_CONFIG`), `--review-ready` and `--coverage-threshold`,
-  with the golden ledger and two bad ones (`INPUTS`), with five bad
+  four edits of `golden_cat.aur` (one fatal, one with a dangling
+  evidence reference, one with two dangling indicators, one whose E006
+  and W102 tie on position), once per command line in `COMMANDS`: with
+  and without a config (named by `--config` or by `$AURCASE_CONFIG`),
+  `--review-ready` and `--coverage-threshold`, with the golden ledger
+  and four bad ones (`INPUTS`: a bad header, an event definition no
+  target names, a non-finite and a conflicting exposure), with five bad
   configs and two that read (a key set twice, a byte order mark;
   `CONFIGS`), and in spellings that `run` leaves to argparse
   (`--format=machine`, `--form`, an option before the file, `--`, a bad
@@ -112,6 +114,10 @@ INPUTS = {
     ),
     "bad_header.ledger": GOLDEN_LEDGER.replace("exposure_unit", "unit", 1),
     "unnamed.ledger": GOLDEN_LEDGER + "2024.3.1,predicted,1000000,mi,near miss,4\n",
+    # Rows the reader refuses: an exposure that is not finite, and a
+    # release whose rows disagree on its exposure.
+    "nonfinite.ledger": GOLDEN_LEDGER.replace(",1000000,", ",inf,", 1),
+    "conflict.ledger": GOLDEN_LEDGER + "2024.3.1,predicted,2000000,mi,near miss,4\n",
     **CONFIGS,
 }
 
@@ -136,6 +142,8 @@ COMMANDS = (
     ("review", "CASE", "--ledger", "bad_header.ledger"),
     ("report", "CASE", "--ledger", "bad_header.ledger", "--out", "out"),
     ("review", "CASE", "--ledger", "unnamed.ledger"),
+    ("review", "CASE", "--ledger", "nonfinite.ledger"),
+    ("review", "CASE", "--ledger", "conflict.ledger"),
     ("report", "CASE", "--ledger", "unnamed.ledger", "--out", "out"),
     *(("check", "CASE", "--config", name) for name in CONFIGS),
     ("AURCASE_CONFIG=some.cfg", "check", "CASE"),
@@ -210,6 +218,8 @@ def cli_cases() -> list[tuple[str, str]]:
         *fixtures(),
         ("fatal.aur", golden + "}\n"),
         ("dangling.aur", golden.replace("evidence = E1, E2", "evidence = E1, E9")),
+        # Two dangling indicators in one list, so E008 counts two.
+        ("indicators.aur", golden.replace("indicator = I1, I2", "indicator = I1, I2, I9, I8")),
         # The first argument row without evidence and limitations: its E006
         # and W102 share one position, so only severity orders them.
         ("tied.aur", re.sub(r" *evidence = E1\n *limitations = .*\n", "", golden, count=1)),

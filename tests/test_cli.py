@@ -727,7 +727,8 @@ def _reject_constant(name: str):
 class TestEarlyExits:
     """The analysis commands end early the same way: a fatal parse prints
     its diagnostic to stdout and exits 2; a case with dangling references
-    prints its E009 findings and one E008 to stderr and exits 1."""
+    prints its E009 findings and one E008 to stderr and exits 1 (as `fmt`
+    does)."""
 
     COMMANDS = ["coverage", "trace", "review", "report"]
 
@@ -814,6 +815,16 @@ class TestEarlyExits:
         assert re.search(rf"^{re.escape(path)}:\d+:\d+: error\[E009\]: ", captured.err, re.M)
         assert captured.err.count("error[E008]") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [*COMMANDS, "fmt"])
+    def test_a_refusal_counts_every_finding_it_prints(self, tmp_path, capsys, command):
+        path = write(tmp_path, "dangling.aur", mutate("E009"))
+        assert run(self.argv(command, path, tmp_path)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        errors = sum("error[" in line for line in lines)
+        warnings = sum("warning[" in line for line in lines)
+        assert lines[-1] == f"{errors} error(s), {warnings} warning(s)"
+        assert lines[0].startswith(f"{path}:1:1: error[E008]: ")
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from aurcase.coverage import (
     FULL_REGION,
     FULL_SPACE,
     BalanceClass,
+    CoverageMap,
     Signal,
     aggregation_balance,
     coverage_map,
@@ -115,7 +116,13 @@ class TestCoverageMap:
             assert cell.aggregation is AggregationLevel.AGGREGATE_LEVEL
         (weak_cell,) = weak
         assert weak_cell.severity is SeverityLevel.S3
-        assert all(coverage.contributors[c] == {"M1"} for c in strong | weak)
+        assert set(coverage.signals) == strong | weak
+
+    def test_a_stored_none_signal_is_refused(self):
+        cell = next(iter(FULL_SPACE))
+        with pytest.raises(ValueError, match="must not store NONE signals"):
+            CoverageMap(signals={cell: Signal.NONE})
+        assert CoverageMap(signals={cell: Signal.WEAK}).signal(cell) is Signal.WEAK
 
     def test_join_of_weak_and_strong_is_strong(self):
         text = """
@@ -150,7 +157,6 @@ safety_case "two" {
         coverage = coverage_map(case)
         (cell,) = coverage.signals
         assert coverage.signal(cell) is Signal.STRONG
-        assert coverage.contributors[cell] == {"M1", "M2"}
 
     def test_no_behavioral_methodologies_covers_nothing(self):
         text = """
@@ -240,8 +246,6 @@ safety_case "full" {
                 assert fraction.value == 1.0
 
     def test_empty_map(self):
-        from aurcase.coverage import CoverageMap
-
         gaps = gap_report(CoverageMap())
         assert gaps.covered.numerator == 0
         assert len(gaps.uncovered) == 96

@@ -1234,7 +1234,7 @@ def _differential(parent: Path) -> subprocess.CompletedProcess:
 def test_the_differential_finds_no_difference_against_this_tree():
     started = time.perf_counter()
     done = _differential(ROOT)
-    expected = "0 differences in 455 texts\n0 differences in 312 command runs\n"
+    expected = "0 differences in 455 texts\n0 differences in 369 command runs\n"
     assert (done.returncode, done.stdout) == (0, expected), done.stderr
     assert time.perf_counter() - started < 10
 
@@ -1249,7 +1249,7 @@ def test_the_differential_reports_a_changed_message(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[:2] == ["first difference: random text 0 (seed 3)", "  diagnostics:"]
     assert '"unterminated string literal"' in lines[2] and '"open string"' in lines[3]
-    assert lines[-2:] == ["12 differences in 455 texts", "0 differences in 312 command runs"]
+    assert lines[-2:] == ["12 differences in 455 texts", "0 differences in 369 command runs"]
 
 
 def test_the_differential_reports_a_changed_command_output(tmp_path):
@@ -1267,7 +1267,7 @@ def test_the_differential_reports_a_changed_command_output(tmp_path):
         "  stdout:",
     ]
     assert "heatmap.svg" in lines[3] and "heat.svg" in lines[4]
-    assert lines[-1] == "36 differences in 312 command runs"
+    assert lines[-1] == "36 differences in 369 command runs"
 
 
 def test_the_differential_reports_an_ignored_config_variable(tmp_path):
@@ -1284,4 +1284,4 @@ def test_the_differential_reports_an_ignored_config_variable(tmp_path):
         "0 differences in 455 texts",
         "first difference: AURCASE_CONFIG=strict.cfg aurcase check balance_aggregate_only.aur",
     ]
-    assert lines[-1] == "25 differences in 312 command runs"
+    assert lines[-1] == "29 differences in 369 command runs"

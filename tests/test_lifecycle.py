@@ -476,25 +476,23 @@ class TestDriftCheck:
         assert result.status is DriftStatus.DRIFT
         assert rel_err(result.observed_upper_bound, 7.75366e-5) < 1e-5
         assert rel_err(result.observed_upper_bound, upper_bound_bisect(3, 1e5, 0.95)) < 1e-6
-        assert result.predicted_upper_bound is not None
 
     def test_no_observed_entries_is_insufficient_data(self):
         ledger = ExposureLedger(entries=(entry(phase=Phase.PREDICTED),))
         result = drift_check(make_criterion(), ledger)
         assert result.status is DriftStatus.INSUFFICIENT_DATA
 
-    def test_an_observed_only_ledger_has_no_predicted_bound(self):
+    def test_an_observed_only_ledger_is_checked(self):
         ledger = ExposureLedger(
             entries=(entry(phase=Phase.OBSERVED, exposure=1e6, counts={"crash": 0}),)
         )
         result = drift_check(make_criterion(event="crash"), ledger)
         assert result.status is DriftStatus.NO_DRIFT
         assert rel_err(result.observed_upper_bound, 2.99573e-6) < 1e-5
-        assert result.predicted_upper_bound is None
 
     def test_status_is_read_from_the_observed_bound(self):
-        assert "status" not in DriftCheck.FIELDS
-        check = DriftCheck("AC1", target=5e-6, predicted_upper_bound=1.0)
+        assert DriftCheck.FIELDS == ("criterion_id", "target", "observed_upper_bound")
+        check = DriftCheck("AC1", target=5e-6)
         assert check.status is DriftStatus.INSUFFICIENT_DATA
         assert check.replace(observed_upper_bound=5e-6).status is DriftStatus.NO_DRIFT
         drifted = check.replace(observed_upper_bound=math.nextafter(5e-6, 1.0))
@@ -505,7 +503,22 @@ class TestDriftCheck:
         ledger = ExposureLedger(entries=(entry(unit="km", counts={"other": 1}),))
         result = drift_check(make_criterion(), ledger)
         assert result.status is DriftStatus.INSUFFICIENT_DATA
-        assert result.predicted_upper_bound is None
+
+    def test_predicted_rows_that_cannot_support_the_target_do_not_hide_drift(
+        self, golden_case
+    ):
+        # Checked, the predicted row would raise on its unit.
+        ledger = parse_ledger(
+            _LEDGER_HEADER
+            + f"2024.3.1,predicted,1000000,km,{GOLDEN_EVENT},0\n"
+            + f"2024.2.0,observed,250000,mi,{GOLDEN_EVENT},50\n"
+        )
+        (criterion,) = (c for c in golden_case.criteria if c.id == "AC1")
+        with pytest.raises(ValueError, match="unit 'km' does not match"):
+            check_target(criterion, ledger, Phase.PREDICTED)
+        result = drift_check(criterion, ledger)
+        assert result.status is DriftStatus.DRIFT
+        assert rel_err(result.observed_upper_bound, upper_bound_bisect(50, 250000, 0.95)) < 1e-6
 
 
 class TestReadinessReview:

@@ -235,10 +235,7 @@ class TestHeatmap:
     def test_full_strong_map_is_uniformly_strong(self):
         from aurcase.coverage import FULL_SPACE
 
-        full = CoverageMap(
-            signals={cell: Signal.STRONG for cell in FULL_SPACE},
-            contributors={cell: frozenset({"M1"}) for cell in FULL_SPACE},
-        )
+        full = CoverageMap(signals={cell: Signal.STRONG for cell in FULL_SPACE})
         cells = svg_cells(render_heatmap(full))
         assert {value[0] for value in cells.values()} == {"strong"}
 
