@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from itertools import product, starmap
+from types import MappingProxyType
 from typing import Mapping
 
 from .model import (
@@ -93,14 +94,18 @@ class CoverageMap(Record):
     """Cell -> signal over the full space.
 
     Only covered cells are stored, so a stored NONE is refused; `signal()`
-    reads NONE for the rest.
+    reads NONE for the rest.  `signals` is kept as a read-only copy of the
+    mapping given, so the map cannot change after the check.  Like every
+    record with a `Mapping` field, a map cannot be hashed.
     """
 
     signals: Mapping[Cell, Signal] = EMPTY_MAPPING
 
     def __post_init__(self) -> None:
-        if Signal.NONE in self.signals.values():
+        signals = MappingProxyType(dict(self.signals))
+        if Signal.NONE in signals.values():
             raise ValueError("covered-cell map must not store NONE signals")
+        object.__setattr__(self, "signals", signals)
 
     def signal(self, cell: Cell) -> Signal:
         return self.signals.get(cell, Signal.NONE)

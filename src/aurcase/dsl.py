@@ -74,6 +74,8 @@ _MAX_CLAIM_DEPTH = 64
 
 # Every claim kind but the top claim is a subclaim keyword, spelt as its value.
 _SUBCLAIM_KINDS = {k.value: k for k in ClaimKind if k is not ClaimKind.TOP_CLAIM}
+# Each region dimension's name table, and what a fatal calls one of its values.
+_DIMENSION_VALUES = {dim: (table, f"{dim} value") for dim, table in DIMENSION_NAMES.items()}
 
 
 class ParseResult(Record):
@@ -318,7 +320,13 @@ class _Spans(Mapping):
 
 
 class _Parser:
-    """A cursor over the lexer's words; a token is its index."""
+    """A cursor over the lexer's words; a token is its index.
+
+    A success path checks each token it expects in place: it compares the
+    word at `pos` (or the word's kind) and advances `pos`.  The general
+    helpers (`take`, `expect`, `string`, `unexpected`) are called where
+    such a check fails, to raise its fatal, so a message or a block's
+    description is formatted only when a fatal prints it."""
 
     def __init__(self, tokens: tuple[dict[str, str], list[str], _Source]):
         self.kind_of, self.words, self.source = tokens
@@ -350,9 +358,9 @@ class _Parser:
 
     def _eof_message(self, expected: str) -> str:
         if self.open_blocks:
-            desc, opener = self.open_blocks[-1]
+            description, opener = self.open_blocks[-1]
             return (
-                f"expected {expected} to close {desc} opened at "
+                f"expected {expected} to close {' '.join(filter(None, description))} opened at "
                 f"{self.source.where(opener)}, found end of document"
             )
         return f"expected {expected}, found end of document"
@@ -404,26 +412,34 @@ class _Parser:
         message = f"unknown keyword {self.words[token]!r}{block}; expected {expected}"
         return self._fatal(message, token)
 
-    def comma_list(self, item) -> list:
-        """`item()`, then once more after each comma."""
-        items = [item()]
-        while self.at(","):
-            self.advance()
-            items.append(item())
+    def comma_list(self, item, *args) -> list:
+        """`item(*args)`, then once more after each comma."""
+        items = [item(*args)]
+        while self.words[self.pos] == ",":
+            self.pos += 1
+            items.append(item(*args))
         return items
 
-    def open_block(self, description: str) -> None:
-        opener = self.take("{")
+    def open_block(self, *description: str) -> None:
+        """Consume '{'.  A fatal at the end of the document names the block
+        by the nonempty words of `description`."""
+        opener = self.pos
+        if self.words[opener] != "{":
+            raise self.unexpected(PUNCT, "'{'")
+        self.pos = opener + 1
         self.open_blocks.append((description, opener))
 
     def close_block(self) -> None:
-        self.take("}")
+        if self.words[self.pos] != "}":
+            raise self.unexpected(PUNCT, "'}'")
+        self.pos += 1
         self.open_blocks.pop()
 
     def block_body(self, table: tuple[str, str, dict], referrer: str = "") -> dict:
         """Read an open block's entries by its entry `table` (see
         `_entry_table`), then its closing '}'.  Returns each keyword's
-        value, as a list of values for a keyword that may repeat."""
+        value, as a list of values for a keyword that may repeat.  The loop
+        reads each entry's keyword, and the closing '}', in place."""
         block, expected, entries = table
         values: dict = {}
         words = self.words
@@ -442,7 +458,8 @@ class _Parser:
                 values.setdefault(keyword, []).append(read(self, token))
             else:
                 values[keyword] = read(self, token)
-        self.close_block()
+        self.pos = token + 1
+        self.open_blocks.pop()
         return values
 
     # -- declarations and references ----------------------------------------
@@ -480,12 +497,13 @@ class _Parser:
     def enum_value(self, table: dict, what: str):
         """Consume an identifier that names a `what`; return the member of
         `table` it names."""
-        article = "an" if what[0] in "aeiou" else "a"
-        token = self.expect(IDENT, f"{article} {what}")
+        token = self.pos
         word = self.words[token]
-        if word not in table:
+        if word not in table:  # which names members by identifiers only
+            self.expect(IDENT, f"{'an' if what[0] in 'aeiou' else 'a'} {what}")
             expected = ", ".join(sorted(table))
             raise self._fatal(f"unknown {what} {word!r}; expected one of: {expected}", token)
+        self.pos = token + 1
         return table[word]
 
     def category(self):
@@ -497,13 +515,17 @@ class _Parser:
 
     def assigned_string(self, keyword: int) -> str:
         """`= "..."`, the value of `keyword`."""
-        self.take("=")
-        return self.string(f"a value for {self.words[keyword]}")
+        words, pos = self.words, self.pos
+        if words[pos] != "=" or self.kind_of[words[pos + 1]] != STRING:
+            self.take("=")
+            raise self.unexpected(STRING, f"a value for {words[keyword]}")
+        self.pos = pos + 2
+        return _unquote(words[pos + 1])
 
-    def assigned_list(self, item) -> frozenset:
-        """`= item, item, ...`."""
+    def assigned_list(self, item, *args) -> frozenset:
+        """`= item(*args), item(*args), ...`."""
         self.take("=")
-        return self.shared(self.comma_list(item))
+        return self.shared(self.comma_list(item, *args))
 
     def shared(self, items) -> frozenset:
         """`items` as a frozenset: the one this parse made before, if equal.
@@ -513,11 +535,23 @@ class _Parser:
         return self.shared_sets.setdefault(value, value)
 
     def assigned_ids(self, referrer: str, field_name: str) -> frozenset[str]:
-        """`= id, id, ...`, each read by `reference`."""
-        self.take("=")
-        return frozenset(
-            self.comma_list(lambda: self.reference(referrer, field_name, "an identifier"))
-        )
+        """`= id, id, ...`, each kept as `reference` keeps one."""
+        words, kind_of, ref_spans = self.words, self.kind_of, self.ref_spans
+        if words[self.pos] != "=":
+            raise self.unexpected(PUNCT, "'='")
+        pos = self.pos + 1
+        names = []
+        while kind_of[name := words[pos]] == IDENT:
+            key = (referrer, field_name, name)
+            if key not in ref_spans:
+                ref_spans[key] = pos
+            names.append(name)
+            if words[pos + 1] != ",":
+                self.pos = pos + 1
+                return frozenset(names)
+            pos += 2
+        self.pos = pos
+        raise self.unexpected(IDENT, "an identifier")
 
     # -- grammar -------------------------------------------------------------
 
@@ -525,7 +559,7 @@ class _Parser:
         header = self.take("safety_case")
         case_id = self.string("the case identifier")
         self.span_index[CASE_SPAN] = header
-        self.open_block(f"safety_case {case_id!r}")
+        self.open_block("safety_case", repr(case_id))
         body = self.block_body(_DOCUMENT_ENTRIES)
 
         trailing = self.pos
@@ -578,7 +612,7 @@ class _Parser:
         if self.at("also"):
             self.advance()
             secondary = self.assigned_list(self.category)
-        self.open_block(f"hazard {hazard_id}")
+        self.open_block("hazard", hazard_id)
         description = self.assigned_string(self.take("description"))
         self.close_block()
         return self.build(
@@ -593,7 +627,7 @@ class _Parser:
     def parse_methodology(self, _keyword: int) -> Methodology:
         ident = self.expect(IDENT, "a methodology identifier")
         methodology_id = self.declare(ident)
-        self.open_block(f"methodology {methodology_id}")
+        self.open_block("methodology", methodology_id)
         body = self.block_body(_METHODOLOGY_ENTRIES)
         if "name" not in body:
             raise self._fatal(f"methodology {methodology_id} must state a name", ident)
@@ -640,8 +674,7 @@ class _Parser:
         return self.assigned_list(self.category)
 
     def region_dimension(self, keyword: int) -> frozenset:
-        dim = self.words[keyword]
-        return self.assigned_list(lambda: self.enum_value(DIMENSION_NAMES[dim], f"{dim} value"))
+        return self.assigned_list(self.enum_value, *_DIMENSION_VALUES[self.words[keyword]])
 
     def weak_level(self, _keyword: int) -> tuple[SeverityLevel, int]:
         self.take("(")
@@ -654,7 +687,7 @@ class _Parser:
         indicator_id = self.declare(ident)
         self.take("stage", "=")
         stage = self.enum_value(STAGE_NAMES, "causal stage")
-        self.open_block(f"indicator {indicator_id}")
+        self.open_block("indicator", indicator_id)
         description = self.assigned_string(self.take("description"))
         self.close_block()
         return Indicator(id=indicator_id, description=description, causal_stage=stage)
@@ -670,7 +703,7 @@ class _Parser:
         )
         self.take("aggregation", "=")
         aggregation = self.enum_value(DIMENSION_NAMES["aggregation"], "aggregation level")
-        self.open_block(f"criterion {criterion_id}")
+        self.open_block("criterion", criterion_id)
         body = self.block_body(_CRITERION_ENTRIES, criterion_id)
         if "statement" not in body:
             raise self._fatal(f"criterion {criterion_id} must state a statement", ident)
@@ -740,7 +773,7 @@ class _Parser:
             raise self._fatal(
                 f"strength must be strong or weak, got {strength!r}", strength_token
             )
-        self.open_block(f"evidence {evidence_id}")
+        self.open_block("evidence", evidence_id)
         body = self.block_body(_EVIDENCE_ENTRIES)
         if "kind" not in body or "uri" not in body:
             raise self._fatal(
@@ -759,7 +792,7 @@ class _Parser:
         claim_id = self.declare(ident)
         self.take("criterion", "=")
         criterion_id = self.reference(claim_id, "criterion_id", "a criterion identifier")
-        children, rows = self.parse_claim_body(claim_id, f"claim {claim_id}", depth=1)
+        children, rows = self.parse_claim_body(claim_id, 1, "claim", claim_id)
         return self.build(
             ClaimNode,
             ident,
@@ -771,13 +804,13 @@ class _Parser:
         )
 
     def parse_claim_body(
-        self, parent_key: str, description: str, depth: int
+        self, parent_key: str, depth: int, *description: str
     ) -> tuple[list[ClaimNode], list[ArgumentRow]]:
         if depth > _MAX_CLAIM_DEPTH:
             raise self._fatal(
                 f"claim nesting exceeds the depth limit of {_MAX_CLAIM_DEPTH}", self.pos
             )
-        self.open_block(description)
+        self.open_block(*description)
         children: list[ClaimNode] = []
         rows: list[ArgumentRow] = []
         row_labels: dict[str, int] = {}
@@ -789,7 +822,8 @@ class _Parser:
             else:
                 expected = ", ".join((*_SUBCLAIM_KINDS, "argument"))
                 raise self.unknown_keyword(" in claim body", f"one of: {expected}")
-        self.close_block()
+        self.pos += 1
+        self.open_blocks.pop()
         return children, rows
 
     def parse_subclaim(self, parent_key: str, ordinal: int, depth: int) -> ClaimNode:
@@ -799,13 +833,13 @@ class _Parser:
         facet_label = ""
         if kind is ClaimKind.FACET:
             facet_label = self.string("a facet label")
-        word = self.words[self.pos]
-        node_id = word if self.kind_of[word] == IDENT else ""
+        node_id = self.words[self.pos]
+        if self.kind_of[node_id] != IDENT:
+            node_id = ""
         # An anonymous node is declared under its derived key, at its keyword.
         token = self.advance() if node_id else keyword
         key = self.declare(token, node_key(parent_key, ordinal, node_id))
-        description = f"{word} subclaim" + (f" {node_id}" if node_id else "")
-        children, rows = self.parse_claim_body(key, description, depth + 1)
+        children, rows = self.parse_claim_body(key, depth + 1, word, "subclaim", node_id)
         return self.build(
             ClaimNode,
             keyword,
@@ -821,7 +855,7 @@ class _Parser:
         label_token = self.expect(IDENT, "an argument label")
         label = self.words[label_token]
         key = self.declare(keyword, row_key(parent_key, label, row_labels))
-        self.open_block(f"argument {label}")
+        self.open_block("argument", label)
         body = self.block_body(_ROW_ENTRIES, key)
         if "text" not in body:
             raise self._fatal(f"argument {label} must state its text", label_token)

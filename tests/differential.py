@@ -6,9 +6,11 @@ The trees are this checkout and DIR, the root of another one (each with
 `src/aurcase`).  It compares them in two halves, each tree in its own
 child interpreter.
 
-- The parse half runs over every fixture, then K line edits and K
-  character edits of `golden_cat.aur` and K random texts, all drawn from
-  seed N (see `strategies.py`).  For each text the children report the
+- The parse half runs over every fixture, then `golden_cat.aur` cut
+  after each of its lines but the last (so each text ends inside the
+  blocks open there), then K line edits and K character edits of
+  `golden_cat.aur` and K random texts, all drawn from seed N (see
+  `strategies.py`).  For each text the children report the
   parse's diagnostics (the fatal one, or the dangling references), both
   span maps, the `serialize` output and the `validate` findings.
 - The CLI half runs `aurcase.cli.run` in-process over every fixture and
@@ -203,6 +205,9 @@ def fixtures() -> list[tuple[str, str]]:
 def corpus(seed: int, edits: int):
     """(label, text) pairs, the same for every run with these arguments."""
     yield from fixtures()
+    lines = (FIXTURES / "golden_cat.aur").read_text(encoding="utf-8").splitlines(keepends=True)
+    for end in range(1, len(lines)):
+        yield f"golden_cat.aur cut after line {end}", "".join(lines[:end])
     for kind, texts in (
         ("line edit", golden_line_edits(seed, edits)),
         ("character edit", golden_char_edits(seed, edits)),

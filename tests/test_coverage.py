@@ -124,6 +124,18 @@ class TestCoverageMap:
             CoverageMap(signals={cell: Signal.NONE})
         assert CoverageMap(signals={cell: Signal.WEAK}).signal(cell) is Signal.WEAK
 
+    def test_the_signals_cannot_change_after_the_check(self):
+        cell, other = list(FULL_SPACE)[:2]
+        given = {cell: Signal.WEAK}
+        coverage = CoverageMap(signals=given)
+        with pytest.raises(TypeError):
+            coverage.signals[cell] = Signal.NONE
+        given[cell] = Signal.NONE
+        given[other] = Signal.STRONG
+        assert dict(coverage.signals) == {cell: Signal.WEAK}
+        assert coverage.signal(cell) is Signal.WEAK
+        assert coverage == CoverageMap(signals={cell: Signal.WEAK})
+
     def test_join_of_weak_and_strong_is_strong(self):
         text = """
 safety_case "two" {

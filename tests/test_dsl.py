@@ -115,6 +115,26 @@ def test_truncated_document_names_the_open_block():
     assert "end of document" in diagnostic.message
 
 
+@pytest.mark.parametrize(
+    "opener, description",
+    [
+        ("satisfaction S1 {", "satisfaction subclaim S1"),
+        ("confidence_assessment {", "confidence_assessment subclaim"),
+        ('facet "scoring" F1 {', "facet subclaim F1"),
+    ],
+)
+def test_a_document_that_ends_in_a_subclaim_names_it_by_its_keyword(opener, description):
+    text = MINIMAL[: MINIMAL.index("    argument A.1")] + f"    {opener}\n"
+    result = parse(text, "case.aur")
+    (diagnostic,) = result.diagnostics
+    assert diagnostic.message == (
+        f"expected '}}' to close {description} opened at 11:{4 + len(opener)}, "
+        "found end of document"
+    )
+    got = diagnostic.span
+    assert (got.start_line, got.start_col, got.end_line, got.end_col) == (12, 1, 12, 1)
+
+
 def test_unknown_keyword_is_fatal_with_span():
     text = MINIMAL.replace("hazard H1", "hazzard H1")
     result = parse(text, "case.aur")
@@ -512,6 +532,186 @@ def test_malformed_entries_keep_their_messages_and_positions(entries, cut, messa
     if cut:
         text = text[: text.index(entries) + len(entries)]
     result = parse(text, "entries.aur")
+    assert result.fatal
+    (diagnostic,) = result.diagnostics
+    assert diagnostic.rule_id == "E013"
+    assert diagnostic.message == message
+    got = diagnostic.span
+    assert (got.start_line, got.start_col, got.end_line, got.end_col) == span
+
+
+# (text of `FULL` to replace, its replacement, whether the document ends
+# right after the replacement, the fatal message, its span as start line
+# and column, end line and column).  The parser checks these tokens in
+# place; each malformed one reaches the general helper that raises.
+IN_PLACE_FALLBACKS = [
+    # A keyword or punctuation that `take` reads alone.
+    (
+        '{ description = "collision" }',
+        '{ desc = "collision" }',
+        False,
+        "expected 'description', found 'desc'",
+        (3, 37, 3, 41),
+    ),
+    ("      weak(S1)", "      weak S1)", False, "expected '(', found 'S1'", (13, 12, 13, 14)),
+    (
+        "      weak(S1)",
+        "      weak(S1",
+        True,
+        "expected ')' to close region block opened at 7:12, found end of document",
+        (13, 14, 13, 14),
+    ),
+    # A reference.
+    (
+        "methodology = M1 aggregation",
+        'methodology = "M1" aggregation',
+        False,
+        "expected a methodology identifier, found '\"M1\"'",
+        (17, 43, 17, 47),
+    ),
+    (
+        "claim C1 criterion = AC1 {",
+        "claim C1 criterion = 1 {",
+        False,
+        "expected a criterion identifier, found '1'",
+        (27, 24, 27, 25),
+    ),
+    (
+        "claim C1 criterion = AC1 {",
+        "claim C1 criterion =",
+        True,
+        "expected a criterion identifier to close safety_case 'blocks' opened at 1:22, "
+        "found end of document",
+        (27, 23, 27, 23),
+    ),
+    # An enumeration value, alone or in a region dimension's list.
+    (
+        "      role = responder",
+        '      role = "responder"',
+        False,
+        "expected a role value, found '\"responder\"'",
+        (9, 14, 9, 25),
+    ),
+    (
+        "      role = responder",
+        "      role = responder, 3",
+        False,
+        "expected a role value, found '3'",
+        (9, 25, 9, 26),
+    ),
+    (
+        "      capability = collision_avoidance",
+        "      capability =",
+        True,
+        "expected a capability value to close region block opened at 7:12, found end of "
+        "document",
+        (10, 19, 10, 19),
+    ),
+    ("stage = harm", "stage = 2", False, "expected a causal stage, found '2'", (16, 24, 16, 25)),
+    # An argument label.
+    (
+        "    argument A.1 {",
+        '    argument "A.1" {',
+        False,
+        "expected an argument label, found '\"A.1\"'",
+        (28, 14, 28, 19),
+    ),
+    (
+        "    argument A.1 {",
+        "    argument {",
+        False,
+        "expected an argument label, found '{'",
+        (28, 14, 28, 15),
+    ),
+    (
+        "    argument A.1 {",
+        "    argument",
+        True,
+        "expected an argument label to close claim C1 opened at 27:28, found end of document",
+        (28, 13, 28, 13),
+    ),
+    # What starts an entry of a claim body.
+    (
+        "    argument A.1 {",
+        "    argumentt A.1 {",
+        False,
+        "unknown keyword 'argumentt' in claim body; expected one of: reasonableness, "
+        "satisfaction, coverage_assessment, confidence_assessment, facet, argument",
+        (28, 5, 28, 14),
+    ),
+    (
+        "    argument A.1 {",
+        '    "argument" A.1 {',
+        False,
+        "unknown keyword '\"argument\"' in claim body; expected one of: reasonableness, "
+        "satisfaction, coverage_assessment, confidence_assessment, facet, argument",
+        (28, 5, 28, 15),
+    ),
+    (
+        "  claim C1 criterion = AC1 {",
+        "  claim C1 criterion = AC1 {",
+        True,
+        "expected '}' to close claim C1 opened at 27:28, found end of document",
+        (27, 29, 27, 29),
+    ),
+    # A block's braces, and a document that ends inside a block.
+    (
+        '{ description = "collision" }',
+        'description = "collision" }',
+        False,
+        "expected '{', found 'description'",
+        (3, 35, 3, 46),
+    ),
+    (
+        '{ description = "collision" }',
+        '{ description = "collision" extra }',
+        False,
+        "expected '}', found 'extra'",
+        (3, 63, 3, 68),
+    ),
+    (
+        "  evidence E1 methodology = M1 strength = strong {",
+        "  evidence E1 methodology = M1 strength = strong",
+        True,
+        "expected '{' to close safety_case 'blocks' opened at 1:22, found end of document",
+        (23, 49, 23, 49),
+    ),
+    (
+        "    region {\n      severity = S0..S1",
+        "    region {",
+        True,
+        "expected '}' to close region block opened at 7:12, found end of document",
+        (7, 13, 7, 13),
+    ),
+    (
+        '{ description = "collision" }',
+        "{",
+        True,
+        "expected 'description' to close hazard H1 opened at 3:35, found end of document",
+        (3, 36, 3, 36),
+    ),
+    (
+        "    argument A.1 {",
+        "    argument A.1 {",
+        True,
+        "expected '}' to close argument A.1 opened at 28:18, found end of document",
+        (28, 19, 28, 19),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "anchor, replacement, cut, message, span",
+    IN_PLACE_FALLBACKS,
+    ids=[f"{i}-{'cut' if cut else 'ok'}" for i, (_, _, cut, *_) in enumerate(IN_PLACE_FALLBACKS)],
+)
+def test_tokens_checked_in_place_keep_their_fatals(anchor, replacement, cut, message, span):
+    assert FULL.count(anchor) == 1
+    if cut:
+        text = FULL[: FULL.index(anchor)] + replacement
+    else:
+        text = FULL.replace(anchor, replacement)
+    result = parse(text, "in_place.aur")
     assert result.fatal
     (diagnostic,) = result.diagnostics
     assert diagnostic.rule_id == "E013"
@@ -1234,7 +1434,7 @@ def _differential(parent: Path) -> subprocess.CompletedProcess:
 def test_the_differential_finds_no_difference_against_this_tree():
     started = time.perf_counter()
     done = _differential(ROOT)
-    expected = "0 differences in 455 texts\n0 differences in 369 command runs\n"
+    expected = "0 differences in 644 texts\n0 differences in 369 command runs\n"
     assert (done.returncode, done.stdout) == (0, expected), done.stderr
     assert time.perf_counter() - started < 10
 
@@ -1249,7 +1449,7 @@ def test_the_differential_reports_a_changed_message(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[:2] == ["first difference: random text 0 (seed 3)", "  diagnostics:"]
     assert '"unterminated string literal"' in lines[2] and '"open string"' in lines[3]
-    assert lines[-2:] == ["12 differences in 455 texts", "0 differences in 369 command runs"]
+    assert lines[-2:] == ["12 differences in 644 texts", "0 differences in 369 command runs"]
 
 
 def test_the_differential_reports_a_changed_command_output(tmp_path):
@@ -1261,7 +1461,7 @@ def test_the_differential_reports_a_changed_command_output(tmp_path):
     assert done.returncode == 1, done.stderr
     lines = done.stdout.splitlines()
     assert lines[:3] == [
-        "0 differences in 455 texts",
+        "0 differences in 644 texts",
         "first difference: aurcase report balance_aggregate_only.aur --ledger golden.ledger"
         " --out out",
         "  stdout:",
@@ -1281,7 +1481,7 @@ def test_the_differential_reports_an_ignored_config_variable(tmp_path):
     assert done.returncode == 1, done.stderr
     lines = done.stdout.splitlines()
     assert lines[:2] == [
-        "0 differences in 455 texts",
+        "0 differences in 644 texts",
         "first difference: AURCASE_CONFIG=strict.cfg aurcase check balance_aggregate_only.aur",
     ]
     assert lines[-1] == "29 differences in 369 command runs"
