@@ -334,7 +334,7 @@ class _Parser:
         # The token each span key and reference was recorded at.
         self.span_index: dict[str, int] = {}
         self.ref_spans: dict[tuple[str, str, str], int] = {}
-        self.open_blocks: list[tuple[str, int]] = []
+        self.open_blocks: list[tuple[tuple[str, ...], int]] = []
         self.shared_sets: dict[frozenset, frozenset] = {}
 
     # -- token plumbing ----------------------------------------------------
@@ -439,7 +439,8 @@ class _Parser:
         """Read an open block's entries by its entry `table` (see
         `_entry_table`), then its closing '}'.  Returns each keyword's
         value, as a list of values for a keyword that may repeat.  The loop
-        reads each entry's keyword, and the closing '}', in place."""
+        reads each entry's keyword in place; a helper is called only to
+        raise a fatal."""
         block, expected, entries = table
         values: dict = {}
         words = self.words
@@ -458,8 +459,7 @@ class _Parser:
                 values.setdefault(keyword, []).append(read(self, token))
             else:
                 values[keyword] = read(self, token)
-        self.pos = token + 1
-        self.open_blocks.pop()
+        self.close_block()
         return values
 
     # -- declarations and references ----------------------------------------
@@ -822,8 +822,7 @@ class _Parser:
             else:
                 expected = ", ".join((*_SUBCLAIM_KINDS, "argument"))
                 raise self.unknown_keyword(" in claim body", f"one of: {expected}")
-        self.pos += 1
-        self.open_blocks.pop()
+        self.close_block()
         return children, rows
 
     def parse_subclaim(self, parent_key: str, ordinal: int, depth: int) -> ClaimNode:
