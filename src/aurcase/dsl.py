@@ -42,6 +42,7 @@ from .model import (
     DIMENSION_NAMES,
     ELEMENTS,
     EMPTY_MAPPING,
+    MAX_CLAIM_DEPTH,
     SPACE_DIMENSIONS,
     STAGE_NAMES,
     AcceptanceCriterion,
@@ -69,8 +70,6 @@ from .model import (
 
 _SYNTAX_RULE = "E013"
 _DUPLICATE_RULE = "E010"
-
-_MAX_CLAIM_DEPTH = 64
 
 # Every claim kind but the top claim is a subclaim keyword, spelt as its value.
 _SUBCLAIM_KINDS = {k.value: k for k in ClaimKind if k is not ClaimKind.TOP_CLAIM}
@@ -792,23 +791,18 @@ class _Parser:
         claim_id = self.declare(ident)
         self.take("criterion", "=")
         criterion_id = self.reference(claim_id, "criterion_id", "a criterion identifier")
-        children, rows = self.parse_claim_body(claim_id, 1, "claim", claim_id)
-        return self.build(
-            ClaimNode,
-            ident,
-            kind=ClaimKind.TOP_CLAIM,
-            id=claim_id,
-            criterion_id=criterion_id,
-            children=children,
-            rows=rows,
+        return self.claim_node(
+            ident, claim_id, 1, ClaimKind.TOP_CLAIM, claim_id, "", criterion_id, "claim", claim_id
         )
 
-    def parse_claim_body(
-        self, parent_key: str, depth: int, *description: str
-    ) -> tuple[list[ClaimNode], list[ArgumentRow]]:
-        if depth > _MAX_CLAIM_DEPTH:
+    def claim_node(self, token, key, depth, kind, node_id, facet_label, criterion_id, *description):
+        """Read the body of the claim node keyed `key`, `depth` levels down
+        (a top claim's is 1), and build the `ClaimNode` from its header
+        fields; a `ModelError` is a fatal at `token`.  `description` names
+        the body in a fatal at the end of the document."""
+        if depth > MAX_CLAIM_DEPTH:
             raise self._fatal(
-                f"claim nesting exceeds the depth limit of {_MAX_CLAIM_DEPTH}", self.pos
+                f"claim nesting exceeds the depth limit of {MAX_CLAIM_DEPTH}", self.pos
             )
         self.open_block(*description)
         children: list[ClaimNode] = []
@@ -816,37 +810,37 @@ class _Parser:
         row_labels: dict[str, int] = {}
         while not self.at("}"):
             if self.words[self.pos] in _SUBCLAIM_KINDS:
-                children.append(self.parse_subclaim(parent_key, len(children) + 1, depth))
+                children.append(self.parse_subclaim(key, len(children) + 1, depth + 1))
             elif self.at("argument"):
-                rows.append(self.parse_row(parent_key, row_labels))
+                rows.append(self.parse_row(key, row_labels))
             else:
                 expected = ", ".join((*_SUBCLAIM_KINDS, "argument"))
                 raise self.unknown_keyword(" in claim body", f"one of: {expected}")
         self.close_block()
-        return children, rows
+        return self.build(
+            ClaimNode,
+            token,
+            kind=kind,
+            id=node_id,
+            criterion_id=criterion_id,
+            facet_label=facet_label,
+            children=children,
+            rows=rows,
+        )
 
     def parse_subclaim(self, parent_key: str, ordinal: int, depth: int) -> ClaimNode:
         keyword = self.advance()
         word = self.words[keyword]
         kind = _SUBCLAIM_KINDS[word]
-        facet_label = ""
-        if kind is ClaimKind.FACET:
-            facet_label = self.string("a facet label")
+        facet_label = self.string("a facet label") if kind is ClaimKind.FACET else ""
         node_id = self.words[self.pos]
         if self.kind_of[node_id] != IDENT:
             node_id = ""
         # An anonymous node is declared under its derived key, at its keyword.
         token = self.advance() if node_id else keyword
         key = self.declare(token, node_key(parent_key, ordinal, node_id))
-        children, rows = self.parse_claim_body(key, depth + 1, word, "subclaim", node_id)
-        return self.build(
-            ClaimNode,
-            keyword,
-            kind=kind,
-            id=node_id,
-            facet_label=facet_label,
-            children=children,
-            rows=rows,
+        return self.claim_node(
+            keyword, key, depth, kind, node_id, facet_label, "", word, "subclaim", node_id
         )
 
     def parse_row(self, parent_key: str, row_labels: dict[str, int]) -> ArgumentRow:

@@ -104,7 +104,7 @@ class ClaimKind(IdentityEnum):
 
 
 # Which claim kinds may appear as direct children of which parent kind.
-# Depth below facets is unconstrained, so a facet may nest facets.
+# A facet may nest facets, as deep as `MAX_CLAIM_DEPTH` allows.
 _ALLOWED_CHILDREN: dict[ClaimKind, frozenset[ClaimKind]] = {
     ClaimKind.TOP_CLAIM: frozenset({ClaimKind.REASONABLENESS, ClaimKind.SATISFACTION}),
     ClaimKind.REASONABLENESS: frozenset(),
@@ -115,6 +115,8 @@ _ALLOWED_CHILDREN: dict[ClaimKind, frozenset[ClaimKind]] = {
     ClaimKind.CONFIDENCE_ASSESSMENT: frozenset({ClaimKind.FACET}),
     ClaimKind.FACET: frozenset({ClaimKind.FACET}),
 }
+
+MAX_CLAIM_DEPTH = 64  # levels a case's claim tree may nest, its top claim included
 
 ELEMENTS: tuple[tuple[str, str], ...] = (
     ("hazard", "hazards"),
@@ -458,26 +460,20 @@ class ClaimNode(Record):
     def _where(self) -> str:
         return self.id or self.kind.value
 
-    def child_of_kind(self, kind: ClaimKind) -> ClaimNode | None:
-        for child in self.children:
-            if child.kind is kind:
-                return child
-        return None
-
     @functools.cached_property
-    def _walk(self) -> tuple[str, list[str], list, list]:
+    def _walk(self) -> tuple[str, list[str], list, list, int]:
         # The tree walked once, with this node as its root, and kept in the
         # instance __dict__ (not a field), as `SafetyCase._reference_findings`
-        # is: the root's key, its own row keys, then the `iter_claim_nodes`
-        # and `iter_rows` entries below it.  No entry holds the root, so the
-        # tree stays acyclic and reference counting alone frees it.
+        # is: the root's key and row keys, the `iter_claim_nodes` and
+        # `iter_rows` entries below it, and the tree's depth.  No entry holds
+        # the root, so the tree stays acyclic and reference counting frees it.
         key = self.id or self.kind.value
         seen: dict[str, int] = {}
         own_row_keys = [row_key(key, row.label, seen) for row in self.rows]
         nodes: list[tuple[ClaimNode, str]] = []
         rows: list[tuple[ArgumentRow, str, ClaimNode, str]] = []
-        _walk_below(self, key, nodes, rows)
-        return key, own_row_keys, nodes, rows
+        depth = _walk_below(self, key, 1, nodes, rows)
+        return key, own_row_keys, nodes, rows, depth
 
 
 class Evidence(Record):
@@ -495,8 +491,10 @@ class SafetyCase(Record):
 
     Top-level collections are stored sorted by identifier so that two cases
     with the same content compare equal regardless of declaration order.
-    Identifier uniqueness (including claim-node ids) is enforced here;
-    cross-reference resolution is checked by `resolve_references`.
+    Element ids, claim-node keys and row keys share one namespace, as they
+    do in the parser, and each name in it must be unique; a claim tree may
+    nest at most `MAX_CLAIM_DEPTH` levels.  Cross-reference resolution is
+    checked by `resolve_references`.
     """
 
     id: str
@@ -512,20 +510,23 @@ class SafetyCase(Record):
         by_id = attrgetter("id")
         for _, name in ELEMENTS:
             object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=by_id)))
+        names = [element.id for _, name in ELEMENTS[:-1] for element in getattr(self, name)]
         for root in self.claims:
             if root.kind is not ClaimKind.TOP_CLAIM:
                 raise ModelError(f"claim {root._where}: only top claims may be roots")
-        seen: set[str] = set()
-        for element_id in self._all_ids():
-            if element_id in seen:
-                raise ModelError(f"duplicate identifier {element_id}")
-            seen.add(element_id)
-
-    def _all_ids(self) -> Iterator[str]:
-        for _, name in ELEMENTS[:-1]:
-            yield from (element.id for element in getattr(self, name))
-        for root in self.claims:
-            yield from (node.id for node, _key in iter_claim_nodes(root) if node.id)
+            root_key, row_keys, nodes, rows, depth = root._walk
+            if depth > MAX_CLAIM_DEPTH:
+                raise ModelError(f"claim nesting exceeds the depth limit of {MAX_CLAIM_DEPTH}")
+            names.append(root_key)
+            names += row_keys
+            names += [key for _, key in nodes]
+            names += [key for _, key, _, _ in rows]
+        if len(set(names)) != len(names):  # then find the first repeat
+            seen: set[str] = set()
+            for name in names:
+                if name in seen:
+                    raise ModelError(f"duplicate identifier {name}")
+                seen.add(name)
 
     @functools.cached_property
     def _reference_findings(self) -> tuple[ReferenceFinding, ...]:
@@ -618,32 +619,36 @@ def row_key(node_key: str, label: str, seen: dict[str, int]) -> str:
 def _walk_below(
     parent: ClaimNode,
     parent_key: str,
+    depth: int,
     nodes: list[tuple[ClaimNode, str]],
     rows: list[tuple[ArgumentRow, str, ClaimNode, str]],
-) -> None:
-    """Append the descendants of `parent` depth-first to `nodes`, each
-    node's rows to `rows` ahead of its own descendants'."""
+) -> int:
+    """Append the descendants of `parent`, which lies `depth` levels down,
+    depth-first to `nodes`, each node's rows to `rows` ahead of its own
+    descendants'; return the depth of the deepest of them, or `depth`."""
+    deepest = depth
     for ordinal, node in enumerate(parent.children, start=1):
         key = node_key(parent_key, ordinal, node.id)
         nodes.append((node, key))
         if node.rows:
             seen: dict[str, int] = {}
             rows += [(row, row_key(key, row.label, seen), node, key) for row in node.rows]
-        _walk_below(node, key, nodes, rows)
+        deepest = max(deepest, _walk_below(node, key, depth + 1, nodes, rows))
+    return deepest
 
 
 def iter_claim_nodes(root: ClaimNode) -> Iterator[tuple[ClaimNode, str]]:
     """(node, key) over a claim tree, depth-first from `root`, whose key is
     its id or else its kind; see `node_key`.  Every call reads the one walk
     kept on `root`."""
-    key, _row_keys, nodes, _rows = root._walk
+    key, _row_keys, nodes, _rows, _depth = root._walk
     return chain(((root, key),), nodes)
 
 
 def iter_rows(root: ClaimNode) -> Iterator[tuple[ArgumentRow, str, ClaimNode, str]]:
     """(row, row key, owning node, node key) over a claim tree, node by
     node in `iter_claim_nodes` order; see `row_key`."""
-    key, row_keys, _nodes, rows = root._walk
+    key, row_keys, _nodes, rows, _depth = root._walk
     return chain(zip(root.rows, row_keys, repeat(root), repeat(key)), rows)
 
 

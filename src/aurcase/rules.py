@@ -347,49 +347,49 @@ def _check_criteria_exist(ctx: _Context) -> None:
         )
 
 
+# The subclaims a claim node of each kind must have: (child kind, rule,
+# message, whose braces take the node's key).
+_REQUIRED_SUBCLAIMS = {
+    ClaimKind.TOP_CLAIM: (
+        (
+            ClaimKind.REASONABLENESS,
+            "E002",
+            "top claim {} lacks a reasonableness subclaim justifying its acceptance criterion",
+        ),
+        (
+            ClaimKind.SATISFACTION,
+            "E003",
+            "top claim {} lacks a satisfaction subclaim arguing the criterion is met by "
+            "credible evidence",
+        ),
+    ),
+    ClaimKind.SATISFACTION: (
+        (
+            ClaimKind.COVERAGE_ASSESSMENT,
+            "E004",
+            "satisfaction subclaim {} lacks a coverage assessment",
+        ),
+        (
+            ClaimKind.CONFIDENCE_ASSESSMENT,
+            "E005",
+            "satisfaction subclaim {} lacks a confidence assessment",
+        ),
+    ),
+}
+
+
 def _check_claim_structure(ctx: _Context) -> None:
+    required_facets = ctx.config.required_facets
     for root in ctx.case.claims:
-        if root.child_of_kind(ClaimKind.REASONABLENESS) is None:
-            ctx.emit(
-                "E002",
-                f"top claim {root.id} lacks a reasonableness subclaim justifying "
-                "its acceptance criterion",
-                subject_id=root.id,
-            )
-        if root.child_of_kind(ClaimKind.SATISFACTION) is None:
-            ctx.emit(
-                "E003",
-                f"top claim {root.id} lacks a satisfaction subclaim arguing the "
-                "criterion is met by credible evidence",
-                subject_id=root.id,
-            )
         for node, key in iter_claim_nodes(root):
-            if node.kind is ClaimKind.SATISFACTION:
-                if node.child_of_kind(ClaimKind.COVERAGE_ASSESSMENT) is None:
-                    ctx.emit(
-                        "E004",
-                        f"satisfaction subclaim {key} lacks a coverage assessment",
-                        subject_id=key,
-                    )
-                if node.child_of_kind(ClaimKind.CONFIDENCE_ASSESSMENT) is None:
-                    ctx.emit(
-                        "E005",
-                        f"satisfaction subclaim {key} lacks a confidence assessment",
-                        subject_id=key,
-                    )
-            if node.kind is ClaimKind.CONFIDENCE_ASSESSMENT and ctx.config.required_facets:
-                present = {
-                    child.facet_label
-                    for child in node.children
-                    if child.kind is ClaimKind.FACET
-                }
-                for label in sorted(ctx.config.required_facets - present):
-                    ctx.emit(
-                        "W107",
-                        f"confidence assessment {key} is missing required facet "
-                        f"{label!r}",
-                        subject_id=key,
-                    )
+            for kind, rule_id, message in _REQUIRED_SUBCLAIMS.get(node.kind, ()):
+                if all(child.kind is not kind for child in node.children):
+                    ctx.emit(rule_id, message.format(key), subject_id=key)
+            if required_facets and node.kind is ClaimKind.CONFIDENCE_ASSESSMENT:
+                present = {child.facet_label for child in node.children}  # each a facet
+                for label in sorted(required_facets - present):
+                    message = f"confidence assessment {key} is missing required facet {label!r}"
+                    ctx.emit("W107", message, subject_id=key)
 
 
 def _check_rows(ctx: _Context) -> None:

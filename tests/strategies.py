@@ -26,11 +26,14 @@ from aurcase.model import (
     HazardCategory,
     Indicator,
     CausalStage,
+    ELEMENTS,
     Methodology,
     SafetyCase,
     SeverityLevel,
     TargetKind,
     ValidationTarget,
+    iter_claim_nodes,
+    iter_rows,
 )
 
 # Free text: printable unicode plus the characters the string escaping has
@@ -293,6 +296,58 @@ def safety_cases(draw) -> SafetyCase:
         evidence=tuple(evidence),
         claims=tuple(claims),
     )
+
+
+# -- claim trees against the one namespace and the depth limit -------------
+
+
+def facet_chain(length: int) -> ClaimNode:
+    """`length` facets, each the one child of the one above it; the last
+    holds one argument row."""
+    node = ClaimNode(
+        kind=ClaimKind.FACET,
+        facet_label="Depth",
+        rows=(ArgumentRow(label="F.1", argument="deepest"),),
+    )
+    for _ in range(length - 1):
+        node = ClaimNode(kind=ClaimKind.FACET, facet_label="Depth", children=(node,))
+    return node
+
+
+REPEATED_LABELS = ("A.1", "A.2", "D.1")  # row labels that meet each other
+
+
+@st.composite
+def varied_claims(draw, case: SafetyCase) -> tuple[ClaimNode, ...]:
+    """`case`'s claims, one tree of them changed in ways `ClaimNode` allows
+    and a `SafetyCase` may refuse: a subclaim takes an element id, a claim
+    key, a row key or a fresh id as its own; row labels are drawn from a
+    few that repeat; and a chain of 60 to 70 facets joins the tree's
+    confidence assessment.  Each identifier drawn is one the format can write."""
+    index = draw(st.integers(0, len(case.claims) - 1))
+    root = case.claims[index]
+    names = [element.id for _, name in ELEMENTS for element in getattr(case, name)]
+    names += [key for _, key in iter_claim_nodes(root)]
+    names += [key for _, key, _, _ in iter_rows(root)]
+    names.append("X1")
+    renamed = draw(st.none() | st.sampled_from([node for node, _ in iter_claim_nodes(root)][1:]))
+    new_id = draw(st.sampled_from(names))
+    relabel = draw(st.booleans())
+    chain = draw(st.none() | st.integers(60, 70))
+
+    def vary(node: ClaimNode) -> ClaimNode:
+        rows = node.rows
+        if relabel:
+            rows = tuple(row.replace(label=draw(st.sampled_from(REPEATED_LABELS))) for row in rows)
+        children = tuple(vary(child) for child in node.children)
+        if chain is not None and node.kind is ClaimKind.CONFIDENCE_ASSESSMENT:
+            children += (facet_chain(chain),)
+        node_id = new_id if node is renamed else node.id
+        return node.replace(id=node_id, children=children, rows=rows)
+
+    claims = list(case.claims)
+    claims[index] = vary(root)
+    return tuple(claims)
 
 
 # -- exposure ledgers for the golden case ------------------------------------

@@ -48,6 +48,7 @@ from strategies import (
     golden_char_edits,
     golden_line_edits,
     safety_cases,
+    varied_claims,
 )
 
 MINIMAL = """
@@ -1005,6 +1006,28 @@ def test_a_region_is_refused_when_built_or_written_and_read_back(golden_case):
         assert parse(serialize(case), "case.aur").case == case
         sizes = [len(values) for values in region.dimension_sets.values()]
         assert len(region_cells(region)) == math.prod(sizes)
+        outcomes.add("built")
+
+    refused_or_round_trips()
+    assert outcomes == {"refused", "built"}
+
+
+def test_a_claim_tree_is_refused_when_built_or_written_and_read_back(golden_case):
+    """Whatever ids, row labels and depth one of the golden claim trees is
+    given (see `strategies.varied_claims`), the case raises `ModelError`
+    when it is built, or it round-trips: the model refuses each name
+    collision and each depth that the parser refuses."""
+    outcomes = set()
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(varied_claims(golden_case))
+    def refused_or_round_trips(claims):
+        try:
+            case = golden_case.replace(claims=claims)
+        except ModelError:
+            outcomes.add("refused")
+            return
+        assert parse(serialize(case), "case.aur").case == case
         outcomes.add("built")
 
     refused_or_round_trips()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import aurcase
 from aurcase.diagnostics import Diagnostic, Severity, SourceSpan
-from aurcase.dsl import parse
+from aurcase.dsl import parse, serialize
 from aurcase.lifecycle import (
     LedgerEntry,
     Phase,
@@ -32,6 +32,7 @@ from aurcase.model import (
     Hazard,
     HazardCategory,
     IndicatorKind,
+    MAX_CLAIM_DEPTH,
     Methodology,
     ModelError,
     Record,
@@ -50,7 +51,7 @@ from aurcase.report import build_report
 from aurcase.rules import RuleConfig, rule_catalog
 
 import oracles
-from strategies import safety_cases
+from strategies import facet_chain, safety_cases
 
 
 def _hazard(hazard_id="H1", category=HazardCategory.BEHAVIORAL):
@@ -215,7 +216,7 @@ class TestClaimShape:
         facet = ClaimNode(kind=ClaimKind.FACET, facet_label="Fidelity")
         with pytest.raises(ModelError, match="cannot sit"):
             ClaimNode(kind=ClaimKind.SATISFACTION, children=(facet,))
-        # ... but facets may nest under facets: depth is unconstrained.
+        # ... but facets may nest under facets.
         ClaimNode(kind=ClaimKind.FACET, facet_label="outer", children=(facet,))
 
     def test_only_top_claims_may_be_roots(self):
@@ -243,6 +244,66 @@ class TestIdentifierUniqueness:
         )
         with pytest.raises(ModelError, match="duplicate identifier H1"):
             SafetyCase(id="case", hazards=(_hazard(),), claims=(claim,))
+
+    def test_an_id_equal_to_a_derived_claim_key_rejected(self, golden_cat_text, golden_case):
+        """C2's satisfaction named `C2.1`, the key of its anonymous sibling
+        before it, the reasonableness subclaim: the parser refuses that text
+        with E010, and the model refuses the case."""
+        text = golden_cat_text.replace("    satisfaction {", "    satisfaction C2.1 {")
+        assert [d.rule_id for d in parse(text, "case.aur").diagnostics] == ["E010"]
+        c1, c2 = golden_case.claims
+        reasonableness, satisfaction = c2.children
+        renamed = c2.replace(children=(reasonableness, satisfaction.replace(id="C2.1")))
+        with pytest.raises(ModelError, match=r"^duplicate identifier C2\.1$"):
+            golden_case.replace(claims=(c1, renamed))
+
+    def test_two_rows_with_one_key_rejected(self, golden_case):
+        """Row `S.D.1` of C2 and row `D.1` of its satisfaction, named `C2.S`,
+        are both keyed `C2.S.D.1`, though no two node keys are equal."""
+        c1, c2 = golden_case.claims
+        reasonableness, satisfaction = c2.children
+        c2 = c2.replace(
+            children=(
+                reasonableness,
+                satisfaction.replace(id="C2.S", rows=(ArgumentRow(label="D.1", argument="b"),)),
+            ),
+            rows=(ArgumentRow(label="S.D.1", argument="a"),),
+        )
+        with pytest.raises(ModelError, match=r"^duplicate identifier C2\.S\.D\.1$"):
+            golden_case.replace(claims=(c1, c2))
+
+
+class TestClaimDepth:
+    """A case's claim tree nests at most `MAX_CLAIM_DEPTH` levels, its top
+    claim included, in the model as in the parser.  A golden confidence
+    assessment lies three levels down, so 61 facets below it reach the
+    limit."""
+
+    @pytest.mark.parametrize("length", [MAX_CLAIM_DEPTH - 3, MAX_CLAIM_DEPTH - 2])
+    def test_the_model_and_the_parser_share_the_limit(self, golden_cat_text, golden_case, length):
+        opener = "      confidence_assessment {\n"
+        at = golden_cat_text.rindex(opener) + len(opener)  # C2's
+        chain = 'facet "Depth" {\n' * length + 'argument F.1 { text = "deepest" }\n' + "}\n" * length
+        parsed = parse(golden_cat_text[:at] + chain + golden_cat_text[at:], "deep.aur")
+        c1, c2 = golden_case.claims
+        reasonableness, satisfaction = c2.children
+        coverage, confidence = satisfaction.children
+        confidence = confidence.replace(children=(*confidence.children, facet_chain(length)))
+        satisfaction = satisfaction.replace(children=(coverage, confidence))
+        claims = (c1, c2.replace(children=(reasonableness, satisfaction)))
+        if length + 3 <= MAX_CLAIM_DEPTH:
+            assert not parsed.fatal
+            case = golden_case.replace(claims=claims)
+            assert parse(serialize(case), "case.aur").case == case
+        else:
+            message = "claim nesting exceeds the depth limit of 64"
+            assert [(d.rule_id, d.message) for d in parsed.diagnostics] == [("E013", message)]
+            with pytest.raises(ModelError, match=f"^{message}$"):
+                golden_case.replace(claims=claims)
+
+    def test_a_lone_claim_node_is_not_limited(self):
+        chain = facet_chain(MAX_CLAIM_DEPTH + 6)
+        assert len(list(iter_claim_nodes(chain))) == MAX_CLAIM_DEPTH + 6
 
 
 def test_collections_are_normalized_by_id():

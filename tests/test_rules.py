@@ -14,7 +14,7 @@ from aurcase.rules import (
 )
 
 from conftest import fixture_text, pipeline
-from mutations import MUTATIONS
+from mutations import MUTATIONS, remove_block
 
 ALL_RULE_IDS = [f"E{n:03d}" for n in range(1, 14)] + [f"W{n}" for n in range(101, 108)]
 
@@ -57,6 +57,25 @@ def test_deleting_reasonableness_names_the_claim(golden_cat_text):
     mutated = [m for m in MUTATIONS if m.rule_id == "E002"][0]
     diagnostics = pipeline(mutated.apply(golden_cat_text))
     assert [(d.rule_id, d.subject_id) for d in diagnostics] == [("E002", "C1")]
+
+
+@pytest.mark.parametrize(
+    "rule_id, block, lacks",
+    [("E004", "coverage_assessment {", "coverage"), ("E005", "confidence_assessment {", "confidence")],
+)
+def test_an_anonymous_satisfaction_is_named_by_its_derived_key(
+    golden_cat_text, rule_id, block, lacks
+):
+    """C2's satisfaction subclaim has no id: E004 and E005 name it `C2.2`
+    and point at its keyword."""
+    c1, c2 = golden_cat_text.split("  claim C2 ")
+    text = c1 + "  claim C2 " + remove_block(c2, block)
+    diagnostics = pipeline(text)
+    assert [(d.rule_id, d.subject_id, d.message) for d in diagnostics] == [
+        (rule_id, "C2.2", f"satisfaction subclaim C2.2 lacks a {lacks} assessment")
+    ]
+    line = text.splitlines().index("    satisfaction {") + 1
+    assert (diagnostics[0].span.start_line, diagnostics[0].span.start_col) == (line, 5)
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=[m.rule_id for m in MUTATIONS])
